@@ -10,8 +10,8 @@
 //! the **same** threaded policy (`Threads(max(host, 4))`, so the dispatch
 //! difference is visible even on small hosts):
 //!
-//! * **eager** — `Skel::run`: one scoped-thread spawn-and-join and one
-//!   materialised intermediate array per stage;
+//! * **eager** — `Skel::run`: one fork-join dispatch and one materialised
+//!   intermediate array per stage;
 //! * **fused** — `Scl::run_fused`: the whole chain as one partition-resident
 //!   segment on the persistent pool;
 //!

@@ -12,7 +12,7 @@
 //!
 //! * **eager** — one `plan.run` per item on a reset context under
 //!   `Threads(max(host, 4))` (the same budget `BENCH_fused.json` uses):
-//!   every stage of every item spawns and joins scoped workers;
+//!   every stage of every item is its own fork-join dispatch;
 //! * **stream** — `StreamExec::run_stream` over the same items: replicas
 //!   and channels persist, items overlap across stages (fixed farm
 //!   widths, autonomic control off, so each `(capacity, width)` cell

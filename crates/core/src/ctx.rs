@@ -151,10 +151,6 @@ pub struct Scl {
     pub policy: ExecPolicy,
     /// Charging mode for un-costed local closures.
     pub measure: MeasureMode,
-    /// Lazily created persistent worker pool for fused segments and
-    /// pool-parallel communication barriers (the eager compute skeletons
-    /// use scoped threads and never touch this).
-    pool: Option<ThreadPool>,
     /// Recycled-buffer pool for double-buffered iteration — host-side
     /// perf state, deliberately **not** cleared by [`Scl::reset`].
     bufs: BufPool,
@@ -168,7 +164,6 @@ impl Scl {
             machine,
             policy: ExecPolicy::Sequential,
             measure: MeasureMode::None,
-            pool: None,
             bufs: BufPool::default(),
         }
     }
@@ -208,10 +203,11 @@ impl Scl {
 
     /// Reset clocks/counters/trace for a fresh run.
     ///
-    /// Host-side performance state — the persistent worker pool and the
-    /// recycled-buffer pool — deliberately survives: it models nothing on
-    /// the simulated machine, and the whole point of recycling is to carry
-    /// warm buffers across runs. Use [`Scl::clear_buffers`] to drop the
+    /// Host-side performance state — the recycled-buffer pool — deliberately
+    /// survives: it models nothing on the simulated machine, and the whole
+    /// point of recycling is to carry warm buffers across runs. (The worker
+    /// pool is process-wide, [`ThreadPool::shared`], and outlives every
+    /// context.) Use [`Scl::clear_buffers`] to drop the
     /// recycled memory explicitly.
     pub fn reset(&mut self) {
         self.machine.reset();
@@ -364,8 +360,7 @@ impl Scl {
                     parts.reverse();
                     parts
                 } else {
-                    let pool = self.fused_pool(threads);
-                    par_scatter(pool, data, &ranges, threads)
+                    par_scatter(ThreadPool::shared(threads), data, &ranges, threads)
                 };
                 ParArray::from_parts(parts)
             }
@@ -432,8 +427,7 @@ impl Scl {
             }
             out
         } else {
-            let pool = self.fused_pool(threads);
-            par_concat(pool, parts, threads)
+            par_concat(ThreadPool::shared(threads), parts, threads)
         }
     }
 
@@ -543,19 +537,6 @@ impl Scl {
             .model()
             .comm_decision(parts, per_part_bytes, cap);
         (d.threads.min(parts.max(1)), d.grain)
-    }
-
-    /// The persistent worker pool fused segments dispatch onto, created on
-    /// first use and grown if a later segment asks for more threads.
-    pub(crate) fn fused_pool(&mut self, threads: usize) -> &ThreadPool {
-        let stale = match &self.pool {
-            Some(p) => p.size() < threads,
-            None => true,
-        };
-        if stale {
-            self.pool = Some(ThreadPool::new(threads));
-        }
-        self.pool.as_ref().expect("pool just ensured")
     }
 
     /// Charge local work to the owner of part `i` of `a`.

@@ -2,7 +2,7 @@
 //!
 //! The eager interpretation of a [`Skel`](crate::plan::Skel) plan executes
 //! one skeleton at a time: every `.then()` materialises a full
-//! [`ParArray`] and re-dispatches onto fresh scoped worker threads. That is
+//! [`ParArray`] and pays one more fork-join dispatch. That is
 //! faithful to the paper's semantics but leaves performance on the table —
 //! a run of purely part-local stages (`map`, `imap`, `zip_with`, `farm` and
 //! their costed forms) has **no** cross-partition data flow, so the whole
@@ -19,8 +19,8 @@
 //!
 //! Execution walks the chain, grouping maximal runs of compute nodes into
 //! *segments*. Each segment is dispatched **once** through
-//! [`scl_exec::par_pipeline`] on the context's persistent thread pool
-//! (eager skeletons spawn scoped threads per call); barrier nodes run on
+//! [`scl_exec::par_pipeline`] on the process-wide worker pool (the same
+//! dispatch an eager skeleton pays once per call); barrier nodes run on
 //! the calling thread through the ordinary eager skeletons. The simulated
 //! machine is charged the same *totals* either way — makespan, flops /
 //! cmps / moves, message counts agree with eager execution — but a fused
@@ -60,7 +60,7 @@
 use crate::array::ParArray;
 use crate::ctx::Scl;
 use crate::error::{RequestError, Result};
-use scl_exec::{par_pipeline, ExecPolicy};
+use scl_exec::{par_pipeline, ExecPolicy, ThreadPool};
 use scl_machine::Work;
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -405,13 +405,11 @@ where
         param: 0,
         f: Box::new(move |i, v| {
             let x = v.downcast::<T>().expect("fused stage input type mismatch");
-            let t0 = Instant::now();
+            // costed stages report their own work: only a wall-clock
+            // stage pays for reading the clock
+            let t0 = timed.then(Instant::now);
             let (r, w) = f(i, &x);
-            let secs = if timed {
-                t0.elapsed().as_secs_f64()
-            } else {
-                0.0
-            };
+            let secs = t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64());
             (Box::new(r) as PartVal, w, secs)
         }),
     })])
@@ -1357,8 +1355,7 @@ impl Scl {
                 .map(|(i, p)| step(i, p))
                 .collect()
         } else {
-            let pool = self.fused_pool(threads);
-            par_pipeline(pool, parts, threads, grain, step)
+            par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step)
         };
 
         let mut lout = Vec::with_capacity(ln);
@@ -1441,10 +1438,9 @@ impl Scl {
                 .map(|(i, p)| step(i, p))
                 .collect()
         } else {
-            // the pool only grows, so pass the cap: an earlier, wider
-            // dispatch must not over-commit this smaller one
-            let pool = self.fused_pool(threads);
-            par_pipeline(pool, parts, threads, grain, step)
+            // the shared pool only grows, so pass the cap: an earlier,
+            // wider dispatch must not over-commit this smaller one
+            par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step)
         };
 
         let mut out = Vec::with_capacity(results.len());

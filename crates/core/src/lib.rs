@@ -35,7 +35,7 @@
 //! ## Fused, partition-resident execution
 //!
 //! Eager execution dispatches each skeleton separately: every `.then()`
-//! materialises a full [`ParArray`] and spawns fresh scoped workers.
+//! materialises a full [`ParArray`] and pays its own fork-join dispatch.
 //! [`Scl::run_fused`] instead compiles a plan into per-partition stage
 //! chains (module [`fused`]): runs of part-local **compute** skeletons
 //! (`map`, `imap`, `zip_with`, `farm`, their costed forms) execute
@@ -87,8 +87,8 @@
 //! a [`Skel`] receives its array by value and re-emits an owned one, so a
 //! fused chain moves part payloads end to end. Heavy local movements — the
 //! `total_exchange` bucket transpose, the `gather` concat, the block
-//! `partition` scatter — additionally fan out across the context's
-//! persistent worker pool (`scl_exec::par_permute` / `par_concat` /
+//! `partition` scatter — additionally fan out across the process-wide
+//! worker pool (`scl_exec::par_permute` / `par_concat` /
 //! `par_scatter`) when
 //! [`CostModel::comm_decision`](scl_machine::CostModel::comm_decision)
 //! says the moved bytes justify a dispatch; small arrays stay inline.

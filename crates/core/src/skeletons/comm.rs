@@ -685,7 +685,7 @@ impl Scl {
                 .collect()
         } else {
             let table: Vec<usize> = (0..n * n).map(src_of).collect();
-            let pool = self.fused_pool(threads);
+            let pool = scl_exec::ThreadPool::shared(threads);
             scl_exec::par_permute(pool, cells, &table, threads, grain)
         };
         let mut out = Vec::with_capacity(n);

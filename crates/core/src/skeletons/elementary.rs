@@ -19,7 +19,7 @@
 use crate::array::ParArray;
 use crate::bytes::Bytes;
 use crate::ctx::Scl;
-use scl_exec::{par_map_indexed, par_pipeline};
+use scl_exec::{par_map_indexed, par_pipeline, ThreadPool};
 use scl_machine::Work;
 use std::time::Instant;
 
@@ -183,10 +183,9 @@ impl Scl {
     // closure **by value**, so iterative kernels can mutate buffers in
     // place or return their spent input for recycling
     // ([`Scl::recycle_buf`]) instead of cloning every element each sweep.
-    // Charging matches the borrowed forms exactly. Threaded execution uses
-    // the persistent pool ([`scl_exec::par_pipeline`] — owned items can't
-    // ride the borrowed scoped-thread path), gated like a one-stage fused
-    // segment.
+    // Charging matches the borrowed forms exactly. Threaded execution is
+    // the same [`scl_exec::par_pipeline`] dispatch the borrowed maps use,
+    // gated like a one-stage fused segment.
 
     /// [`Scl::map`] consuming the array: `f` receives each part by value.
     #[must_use]
@@ -268,8 +267,7 @@ impl Scl {
                 .map(|(i, x)| step(i, x))
                 .collect()
         } else {
-            let pool = self.fused_pool(threads);
-            par_pipeline(pool, parts, threads, grain, step)
+            par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step)
         };
         ParArray::from_raw(results, procs, shape)
     }
@@ -419,24 +417,52 @@ mod tests {
     }
 
     #[test]
-    fn owned_maps_fan_out_under_threads_policy() {
-        // Threads(t) is unconditional for the borrowed maps, so the owned
-        // maps must honour it too — a tiny static payload must not gate
-        // them back to the caller thread.
-        use std::sync::Mutex;
-        let seen = Mutex::new(std::collections::HashSet::new());
-        let a = ParArray::from_parts((0..64i64).collect());
-        let mut s = unit_ctx(64).with_policy(ExecPolicy::Threads(4));
-        let out = s.map_owned(a, |x| {
-            seen.lock().unwrap().insert(std::thread::current().id());
+    fn maps_admit_a_helper_under_threads_policy() {
+        // The caller works too, so trivial parts may well all run on it;
+        // what `Threads(2)` must guarantee is that a pool helper *can*
+        // join in. Every part therefore blocks until two distinct threads
+        // have been seen inside the map: with the caller stuck in its
+        // first part only a helper can be the second.
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        #[derive(Default)]
+        struct Rendezvous {
+            seen: Mutex<HashSet<std::thread::ThreadId>>,
+            two: Condvar,
+        }
+        impl Rendezvous {
+            fn arrive(&self) {
+                let mut seen = self.seen.lock().unwrap();
+                seen.insert(std::thread::current().id());
+                self.two.notify_all();
+                let (_seen, timeout) = self
+                    .two
+                    .wait_timeout_while(seen, Duration::from_secs(20), |s| s.len() < 2)
+                    .unwrap();
+                assert!(
+                    !timeout.timed_out(),
+                    "no second thread joined the map under Threads(2)"
+                );
+            }
+        }
+        let a = ParArray::from_parts((0..8i64).collect());
+        let mut s = unit_ctx(8).with_policy(ExecPolicy::Threads(2));
+
+        let meet = Rendezvous::default();
+        let out = s.map(&a, |x| {
+            meet.arrive();
             x + 1
         });
-        assert_eq!(out.to_vec(), (1..=64).collect::<Vec<i64>>());
-        let seen = seen.into_inner().unwrap();
-        assert!(
-            !seen.contains(&std::thread::current().id()) || seen.len() > 1,
-            "owned map ran inline despite Threads(4)"
-        );
+        assert_eq!(out.to_vec(), (1..=8).collect::<Vec<i64>>());
+
+        let meet = Rendezvous::default();
+        let out = s.map_owned(a, |x| {
+            meet.arrive();
+            x + 1
+        });
+        assert_eq!(out.to_vec(), (1..=8).collect::<Vec<i64>>());
     }
 
     #[test]

@@ -9,26 +9,34 @@
 //! when the host has cores to spare, or sequentially for deterministic
 //! debugging.
 //!
-//! Three building blocks are provided:
+//! Every data-parallel skeleton reaches the host through **one
+//! dispatcher** ([`scope`]): a caller-participating fork-join on a
+//! persistent [`ThreadPool`]. The calling thread is worker 0 and starts on
+//! the work at once; the other `threads − 1` shares are offered to the
+//! pool as *revocable tickets*, taken back by the caller if it drains the
+//! work first. No skeleton call creates a thread, a dispatch too small to
+//! be worth a wake-up costs one enqueue, and a dispatch from inside a
+//! step can always finish on its own caller. On top of it:
 //!
-//! * [`par_map`] / [`par_map_indexed`] — scoped, self-scheduling parallel map
-//!   over a slice, preserving output order and propagating worker panics.
-//!   This is the *eager* path: every skeleton invocation spawns (and joins)
-//!   its own scoped workers.
-//! * [`ThreadPool`] — a persistent pool for `'static` jobs with joinable
-//!   [`JobHandle`]s.
-//! * [`par_pipeline`] — the *fused* path: carry a batch of items through a
-//!   whole per-item stage chain on a persistent [`ThreadPool`], so a run of
-//!   fused plan stages costs one dispatch instead of one thread-spawn per
-//!   skeleton, and each partition stays resident on one worker with no
-//!   materialised intermediates between stages.
+//! * [`par_pipeline`] — carry a batch of owned items through a whole
+//!   per-item stage chain over per-worker stealing deques ([`StealRange`]):
+//!   a run of fused plan stages costs one dispatch, and each partition
+//!   stays resident on one worker with no materialised intermediates.
+//! * [`par_map`] / [`par_map_indexed`] / [`par_for_each`] — the borrowed
+//!   form the eager skeletons use: the same dispatch over `&T` items on
+//!   the process-wide pool ([`ThreadPool::shared`]), picked by an
+//!   [`ExecPolicy`].
 //! * [`par_permute`] / [`par_concat`] / [`par_scatter`] — the *zero-copy
 //!   communication* path: move cells along a routing table, move-concatenate
-//!   parts, and move-split a vector into contiguous ranges, all on the
-//!   persistent pool with no clones. These back the owned communication
-//!   skeletons (`total_exchange` bucket transpose, `gather` concat,
-//!   `partition` scatter) when the cost model says the payload justifies
-//!   fanning out.
+//!   parts, and move-split a vector into contiguous ranges, with no clones.
+//!   These back the owned communication skeletons (`total_exchange` bucket
+//!   transpose, `gather` concat, `partition` scatter) when the cost model
+//!   says the payload justifies fanning out.
+//! * [`ThreadPool`] — the persistent workers themselves, also usable
+//!   directly for `'static` jobs with joinable [`JobHandle`]s (the stage
+//!   crews below). Idle workers spin, then yield, then sleep on a condvar
+//!   that releases the queue lock; a submitter pays a wake-up only when
+//!   nobody awake is free to take its job.
 //!
 //! For *streaming* execution (the `scl-stream` crate) two queue families
 //! live here, behind one trait face:
@@ -52,7 +60,7 @@
 //!   replica owns a private ring pair and admission control lives in the
 //!   pump's routing;
 //! * [`StealRange`] ([`deque`]) — the per-worker stealing deques under
-//!   [`par_pipeline`]'s dispatch.
+//!   [`par_pipeline`].
 //!
 //! When several such runtimes share one process — a multi-tenant plan
 //! service running many graphs against one machine — [`ThreadBudget`]

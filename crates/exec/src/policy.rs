@@ -32,8 +32,10 @@ pub enum ExecPolicy {
     Threads(usize),
     /// Let a cost model decide, per fused segment, between sequential and
     /// threaded execution and pick the scheduling grain. Outside a fused
-    /// segment (plain `par_map` dispatch) this behaves like
-    /// [`ExecPolicy::Threads`] at the cap.
+    /// segment (the borrowed `par_map` family) this behaves like
+    /// [`ExecPolicy::Threads`] at the cap. Either way a threaded answer is
+    /// the same fork-join dispatch: the caller works, up to `threads − 1`
+    /// pool workers may join, and a wrong "fan out" costs one enqueue.
     ///
     /// This crate knows nothing about cost models; the decision itself is
     /// made by the caller (`scl-core` consults `scl-machine`'s

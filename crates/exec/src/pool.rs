@@ -1,23 +1,135 @@
-//! A persistent thread pool for `'static` jobs.
+//! A persistent thread pool: joinable `'static` jobs and the
+//! fire-and-forget lane the fork-join dispatch rides.
 //!
-//! [`ThreadPool`] complements the scoped [`crate::scope`] primitives: it owns
-//! long-lived worker threads fed from a single shared queue, for workloads
-//! that submit independent jobs over time (e.g. a stream of `farm` tasks)
-//! rather than one bulk-parallel slice. Each submission returns a
-//! [`JobHandle`] that can be joined for the job's result; panics inside a job
-//! are caught and surfaced at join time, never killing a worker.
+//! [`ThreadPool`] owns long-lived workers fed from one shared queue.
+//! [`ThreadPool::submit`] returns a [`JobHandle`] that can be joined for
+//! the job's result (the stream runtime's stage crews live this way);
+//! panics inside a job are caught and surfaced at join time, never
+//! killing a worker. `ThreadPool::execute` is the bare lane under it:
+//! one boxed closure into the queue, no result channel — what
+//! [`crate::scope`] uses to offer helper tickets.
+//!
+//! The queue is a plain mutex-guarded deque; what makes it cheap is when
+//! the condvar beside it is *not* touched. An idle worker first searches
+//! awake — the [`Backoff`] ladder, then yields for `LINGER` — counted in
+//! the queue's `searching`, and only then sleeps on the condvar (which
+//! releases the lock while it waits, so a submitter never queues behind a
+//! sleeper). A submitter signals the condvar only when somebody is asleep
+//! **and** the queue is longer than the number of searching workers, so
+//! back-to-back submissions cost no system call.
+//!
+//! [`ThreadPool::shared`] is the process-wide pool the data-parallel
+//! skeletons dispatch onto: contexts come and go (one per request in the
+//! serving layers) but the workers persist, so no skeleton call spawns a
+//! thread once the pool has grown to the widest dispatch seen.
 
+use crate::backoff::Backoff;
 use std::any::Any;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of worker threads.
+/// How long an idle worker keeps yield-polling after its [`Backoff`]
+/// ladder, before it sleeps. Waking a sleeper costs the *submitter* a
+/// system call (about 10 µs on a 2-vCPU VM, against about 1 µs for a whole
+/// 8-part dispatch that finds its helper awake), so — the usual
+/// spin-then-park bargain — a worker stays up for a few such wake-ups'
+/// worth of time: a run of small dispatches pays for one wake-up, not one
+/// each, and an idle pool still burns nothing.
+const LINGER: Duration = Duration::from_micros(50);
+
+/// The queue proper; everything here is guarded by [`Shared::queue`].
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Idle workers that are still awake, polling [`Shared::queued`]. Each
+    /// of them re-checks `jobs` under the lock before it sleeps, so a job
+    /// pushed while one is counted here is picked up without a wake-up.
+    searching: usize,
+    /// Workers asleep on [`Shared::wake`].
+    sleepers: usize,
+    /// Set by `Drop`: workers drain what is queued, then exit.
+    closed: bool,
+}
+
+struct Shared {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    /// Racy mirror of `jobs.len()`, so a searching worker polls without
+    /// touching the lock. Only a hint: a worker's decision to sleep and a
+    /// submitter's decision to wake are both taken under the lock.
+    queued: AtomicUsize,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // no code path panics while holding this lock (push, pop and
+        // counter updates), so a poisoned queue is still a valid queue
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn pop(&self, q: &mut Queue) -> Option<Job> {
+        let job = q.jobs.pop_front();
+        self.queued.store(q.jobs.len(), Ordering::Relaxed);
+        job
+    }
+
+    fn worker_loop(&self) {
+        let mut backoff = Backoff::new();
+        let mut idle_since = None;
+        let mut q = self.lock();
+        loop {
+            if let Some(job) = self.pop(&mut q) {
+                drop(q);
+                // `submit` catches inside the job to report the payload; a
+                // bare `execute` job that panics must not take the worker
+                // down
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                backoff.reset();
+                idle_since = None;
+                q = self.lock();
+                continue;
+            }
+            if q.closed {
+                return;
+            }
+            // nothing queued: search awake for a while — the backoff
+            // ladder, then yields until LINGER has passed since the last
+            // job — so submitters need not pay for a wake-up
+            q.searching += 1;
+            drop(q);
+            let mut lingering = true;
+            while lingering && self.queued.load(Ordering::Relaxed) == 0 {
+                if backoff.snooze() {
+                    std::thread::yield_now();
+                    lingering = idle_since.get_or_insert_with(Instant::now).elapsed() < LINGER;
+                }
+            }
+            q = self.lock();
+            q.searching -= 1;
+            if !lingering {
+                // sleep until a submit or shutdown (the loop absorbs
+                // spurious wake-ups); the check and the count are under
+                // the lock the submitter pushes under, so no job is missed
+                while q.jobs.is_empty() && !q.closed {
+                    q.sleepers += 1;
+                    q = self.wake.wait(q).unwrap_or_else(|e| e.into_inner());
+                    q.sleepers -= 1;
+                }
+            }
+        }
+    }
+}
+
+/// A pool of persistent worker threads.
 pub struct ThreadPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    size: AtomicUsize,
 }
 
 /// The result of a submitted job: either its return value or the panic
@@ -57,39 +169,73 @@ impl<R> JobHandle<R> {
 impl ThreadPool {
     /// Spawn a pool with `size` workers (at least 1).
     pub fn new(size: usize) -> ThreadPool {
-        let size = size.max(1);
-        let (tx, rx) = channel::<Job>();
-        // std::sync::mpsc is single-consumer, so the workers share the
-        // receiver behind a mutex; a worker holds the lock only while
-        // *taking* a job, never while running it.
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..size)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("scl-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => break, // a worker panicked holding the lock
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break, // channel closed: pool dropped
-                        }
-                    })
-                    .expect("failed to spawn scl-exec worker")
-            })
-            .collect();
-        ThreadPool {
-            tx: Some(tx),
-            workers,
-        }
+        let pool = ThreadPool {
+            shared: Arc::new(Shared {
+                queue: Mutex::new(Queue {
+                    jobs: VecDeque::new(),
+                    searching: 0,
+                    sleepers: 0,
+                    closed: false,
+                }),
+                wake: Condvar::new(),
+                queued: AtomicUsize::new(0),
+            }),
+            workers: Mutex::new(Vec::new()),
+            size: AtomicUsize::new(0),
+        };
+        pool.grow_to(size.max(1));
+        pool
     }
 
-    /// Number of worker threads.
+    /// The process-wide pool the data-parallel skeletons dispatch onto,
+    /// grown (never shrunk) so that a dispatch asking for `threads`
+    /// threads — the caller plus `threads − 1` helpers — finds that many
+    /// workers. Growing is the only time a skeleton call spawns a thread.
+    pub fn shared(threads: usize) -> &'static ThreadPool {
+        static POOL: OnceLock<ThreadPool> = OnceLock::new();
+        let helpers = threads.saturating_sub(1).max(1);
+        let pool = POOL.get_or_init(|| ThreadPool::new(helpers));
+        if pool.size() < helpers {
+            pool.grow_to(helpers);
+        }
+        pool
+    }
+
+    /// Spawn workers until there are `size` of them.
+    fn grow_to(&self, size: usize) {
+        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        while workers.len() < size {
+            let shared = Arc::clone(&self.shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("scl-worker-{}", workers.len()))
+                .spawn(move || shared.worker_loop())
+                .expect("failed to spawn scl-exec worker");
+            workers.push(handle);
+        }
+        self.size.store(workers.len(), Ordering::Relaxed);
+    }
+
+    /// Number of worker threads. (A gauge: the shared pool may be growing
+    /// concurrently, and an older value only means fewer helpers asked.)
     pub fn size(&self) -> usize {
-        self.workers.len()
+        self.size.load(Ordering::Relaxed)
+    }
+
+    /// Fire-and-forget: queue `job` for the next free worker. No handle,
+    /// no result channel; a panic inside `job` is caught by the worker and
+    /// dropped.
+    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        let wake = {
+            let mut q = self.shared.lock();
+            q.jobs.push_back(Box::new(job));
+            self.shared.queued.store(q.jobs.len(), Ordering::Relaxed);
+            // every searching worker will take one queued job before it
+            // can sleep; only jobs beyond those need a sleeper woken
+            q.sleepers > 0 && q.jobs.len() > q.searching
+        };
+        if wake {
+            self.shared.wake.notify_one();
+        }
     }
 
     /// Submit a job, returning a handle to its eventual result.
@@ -99,15 +245,10 @@ impl ThreadPool {
         F: FnOnce() -> R + Send + 'static,
     {
         let (rtx, rrx) = sync_channel::<std::thread::Result<R>>(1);
-        let job: Job = Box::new(move || {
+        self.execute(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
             let _ = rtx.send(result);
         });
-        self.tx
-            .as_ref()
-            .expect("pool already shut down")
-            .send(job)
-            .expect("all scl-exec workers exited");
         JobHandle { rx: rrx }
     }
 
@@ -142,9 +283,11 @@ impl std::fmt::Debug for ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Closing the channel lets each worker drain and exit.
-        self.tx.take();
-        for w in self.workers.drain(..) {
+        // Closing lets each worker drain what is queued and exit.
+        self.shared.lock().closed = true;
+        self.shared.wake.notify_all();
+        let workers = self.workers.get_mut().unwrap_or_else(|e| e.into_inner());
+        for w in workers.drain(..) {
             let _ = w.join();
         }
     }

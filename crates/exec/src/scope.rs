@@ -1,68 +1,188 @@
-//! Scoped parallel map over a slice, and the persistent-pool pipeline.
+//! The fork-join dispatch every data-parallel skeleton goes through.
 //!
-//! [`par_map_indexed`] is the workhorse behind every *eager* data-parallel
-//! skeleton: it applies a function to each element of a slice, using
-//! self-scheduling (an atomic work counter) so that unevenly sized
-//! partitions — the `farm` skeleton's raison d'être — balance across host
-//! threads automatically. It spawns **scoped threads per call**, which is
-//! fine for one bulk skeleton but wasteful when a plan runs many skeletons
-//! back to back.
+//! One mechanism serves the fused and owned maps ([`par_pipeline`]) and,
+//! through it, the borrowed maps ([`par_map_indexed`]) and the zero-copy
+//! communication skeletons ([`par_permute`], [`par_concat`],
+//! [`par_scatter`]): the **calling thread is worker 0** and starts on the work at once, while
+//! `threads − 1` helper *tickets* are offered to a persistent
+//! [`ThreadPool`]. No thread is created, and nothing is joined that did
+//! not actually start.
 //!
-//! [`par_pipeline`] is the fused-execution counterpart: it runs a batch of
-//! items through an arbitrary per-item stage chain on a persistent
-//! [`ThreadPool`], so a whole run of fused stages costs **one** dispatch
-//! instead of one thread-spawn per skeleton, and each item stays resident
-//! on one worker for the entire chain (no materialised intermediates).
+//! # Tickets
 //!
-//! Results come back **in input order** regardless of completion order, and
-//! a panic in any worker propagates to the caller (after all workers have
-//! stopped), matching the behaviour of a plain sequential loop closely
-//! enough for tests to rely on it.
+//! A ticket is one byte of state shared between the caller and whichever
+//! pool worker pops it:
+//!
+//! ```text
+//!            helper wins the CAS              helper's share returned
+//!  PENDING ─────────────────────▶ CLAIMED ─────────────────────────▶ DONE
+//!     │
+//!     └──── caller wins the CAS ─▶ REVOKED      (helper never looks at the job)
+//! ```
+//!
+//! The job a dispatch runs borrows the caller's stack frame, but pool jobs
+//! must be `'static`, so the borrow is transmuted away. That is sound
+//! because of two rules, both enforced in `Fork`: a helper dereferences
+//! the job **only after** winning `PENDING → CLAIMED`, and the caller
+//! leaves the dispatch **only after** every ticket is `REVOKED` (by its
+//! own CAS) or `DONE` (awaited, spin-then-park) — on every path, a panic
+//! in its own share included. A revoked ticket may sit in the pool's queue
+//! long after the frame is gone; whoever pops it loses the CAS and drops
+//! it unread.
+//!
+//! The caller revokes only once its own share has returned, and every
+//! share returns only when no unclaimed work is left. So a dispatch too
+//! small to be worth a wake-up costs one enqueue, and a dispatch from
+//! *inside* a step — every pool worker already busy in the outer one —
+//! still completes, on its caller alone.
+//!
+//! Results come back **in input order** regardless of completion order.
+//! The first panic from any share is re-raised on the caller once every
+//! claimed helper has stopped; the pool itself is untouched by it.
 
+use crate::backoff::{Backoff, ParkSlot, PARK_SAFETY};
 use crate::deque::StealRange;
 use crate::policy::ExecPolicy;
 use crate::pool::ThreadPool;
+use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{fence, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Joins every outstanding handle on drop, so submitted jobs can never
-/// outlive a borrow they were (unsafely) granted — even if the submitting
-/// frame unwinds mid-submission.
-struct JoinOnDrop<R>(Vec<crate::pool::JobHandle<R>>);
-impl<R> Drop for JoinOnDrop<R> {
-    fn drop(&mut self) {
-        for h in self.0.drain(..) {
-            let _ = h.join();
+/// Offered to the pool; nobody has decided yet.
+const PENDING: u8 = 0;
+/// A helper won the ticket and is running its share of the job.
+const CLAIMED: u8 = 1;
+/// The helper's share has returned; it will not touch the job again.
+const DONE: u8 = 2;
+/// The caller took the ticket back; no helper will ever touch the job.
+const REVOKED: u8 = 3;
+
+/// One dispatch's shared state: the lifetime-erased job and the helper
+/// tickets. Lives in an `Arc` because a revoked ticket can outlive the
+/// dispatch in the pool's queue.
+struct Fork {
+    /// The job, run as `job(worker)`: 0 is the caller, `k + 1` the holder
+    /// of ticket `k`. Borrowed from [`run_static_jobs`]'s caller; see the
+    /// [module docs](self) for when it may be dereferenced.
+    job: *const (dyn Fn(usize) + Sync),
+    tickets: Box<[AtomicU8]>,
+    /// First panic payload out of a helper's share.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Where the caller parks while a claimed ticket is still running.
+    caller: ParkSlot,
+}
+
+// SAFETY: `job` points at a `Sync` closure, so calling it from several
+// threads at once is allowed; the pointer is dereferenced only while the
+// dispatch that owns the pointee is provably still on its caller's stack
+// (ticket protocol, module docs). The other fields are `Send + Sync`.
+unsafe impl Send for Fork {}
+unsafe impl Sync for Fork {}
+
+impl Fork {
+    /// A pool worker's side of ticket `k`.
+    fn help(&self, k: usize) {
+        let ticket = &self.tickets[k];
+        // Claim and revoke are two read-modify-writes of one byte, so
+        // exactly one of them wins; no data rides on either (the job and
+        // its inputs were published to this worker by the pool queue's
+        // lock), which is why both can be Relaxed.
+        if ticket
+            .compare_exchange(PENDING, CLAIMED, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            return; // revoked: the job may already be gone
+        }
+        // SAFETY: the ticket is CLAIMED, so the caller is still inside
+        // `run_static_jobs` and cannot leave before this ticket is DONE.
+        let job = unsafe { &*self.job };
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(k + 1)))
+        {
+            self.panic
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get_or_insert(payload);
+        }
+        // Release: everything this share wrote — result slots, and the
+        // raw copies of `par_concat`/`par_scatter` — happens-before the
+        // caller's Acquire load of DONE. From here on only `self` (kept
+        // alive by this worker's Arc) is touched, never the job.
+        ticket.store(DONE, Ordering::Release);
+        // StoreLoad point of the park handshake (see backoff.rs)
+        fence(Ordering::SeqCst);
+        if self.caller.is_waiting() {
+            self.caller.wake();
+        }
+    }
+
+    /// The caller's way out: take back every ticket nobody claimed, then
+    /// wait for the claimed ones. After this no helper can reach the job.
+    fn revoke_or_await(&self) {
+        // revoke all first, so no straggler claims a ticket — only to
+        // find the work gone — while an earlier one is being awaited
+        for ticket in self.tickets.iter() {
+            let _ = ticket.compare_exchange(PENDING, REVOKED, Ordering::Relaxed, Ordering::Relaxed);
+        }
+        for ticket in self.tickets.iter() {
+            let mut backoff = Backoff::new();
+            while !matches!(ticket.load(Ordering::Acquire), DONE | REVOKED) {
+                if backoff.snooze() {
+                    self.caller.prepare();
+                    // SeqCst re-check after publishing `waiting`: either
+                    // this load sees DONE or the helper's probe sees us
+                    if ticket.load(Ordering::SeqCst) == CLAIMED {
+                        self.caller.park(PARK_SAFETY);
+                    }
+                    self.caller.clear();
+                }
+            }
         }
     }
 }
 
-/// Submit `workers` copies of `job` to the pool and join them all,
-/// re-raising the first job panic after every worker has stopped.
+/// Runs [`Fork::revoke_or_await`] when dropped, so the caller cannot leave
+/// [`run_static_jobs`] — not even by unwinding out of the enqueue loop —
+/// while a helper might still dereference the borrowed job.
+struct JoinTickets<'f>(&'f Fork);
+impl Drop for JoinTickets<'_> {
+    fn drop(&mut self) {
+        self.0.revoke_or_await();
+    }
+}
+
+/// Run `job(0)` on the calling thread while offering `job(1)` …
+/// `job(workers − 1)` to the pool as revocable tickets, and return once
+/// every share that started has finished. Re-raises the first panic: the
+/// caller's own if it had one, otherwise the first helper's.
+///
+/// `job(w)` must return only when no unclaimed work is left (as
+/// [`par_pipeline`]'s deque drain does), because the caller revokes all
+/// unclaimed tickets as soon as `job(0)` returns.
 ///
 /// # Safety
 /// The pool's workers require `'static` jobs; this function transmutes the
-/// borrow away. That is sound **only** because every submitted job is
-/// joined before this function returns, on every path: the handles live in
-/// a [`JoinOnDrop`], so even a panic out of `pool.submit` (its internal
-/// `expect`s) or an unwinding join cannot let a worker outlive the data
-/// `job` borrows. The caller must not stash `job` anywhere that outlives
-/// the call.
-unsafe fn run_static_jobs(pool: &ThreadPool, workers: usize, job: &(dyn Fn() + Sync)) {
-    let job: &'static (dyn Fn() + Sync) = std::mem::transmute(job);
-    let mut pending = JoinOnDrop(Vec::with_capacity(workers));
-    for _ in 0..workers {
-        pending.0.push(pool.submit(job));
+/// borrow away. That is sound **only** because of the ticket protocol in
+/// the [module docs](self). The caller must not stash `job` anywhere that
+/// outlives the call.
+unsafe fn run_static_jobs(pool: &ThreadPool, workers: usize, job: &(dyn Fn(usize) + Sync)) {
+    // SAFETY: only the lifetime changes; `Fork::help` upholds it.
+    let job: &'static (dyn Fn(usize) + Sync) = std::mem::transmute(job);
+    let fork = Arc::new(Fork {
+        job,
+        tickets: (1..workers).map(|_| AtomicU8::new(PENDING)).collect(),
+        panic: Mutex::new(None),
+        caller: ParkSlot::default(),
+    });
+    let joined = JoinTickets(&fork);
+    for k in 0..fork.tickets.len() {
+        let fork = Arc::clone(&fork);
+        pool.execute(move || fork.help(k));
     }
-    let mut first_panic = None;
-    for h in pending.0.drain(..) {
-        if let Err(payload) = h.join() {
-            first_panic.get_or_insert(payload);
-        }
-    }
-    drop(pending);
-    if let Some(payload) = first_panic {
+    let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(0)));
+    drop(joined);
+    let helpers = fork.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+    if let Some(payload) = mine.err().or(helpers) {
         std::panic::resume_unwind(payload);
     }
 }
@@ -70,9 +190,11 @@ unsafe fn run_static_jobs(pool: &ThreadPool, workers: usize, job: &(dyn Fn() + S
 /// Apply `f(index, &item)` to every element, returning results in input
 /// order.
 ///
-/// With [`ExecPolicy::Sequential`] this is a plain loop; with
-/// [`ExecPolicy::Threads`] items are pulled off a shared atomic counter by
-/// up to `n` scoped threads.
+/// With [`ExecPolicy::Sequential`] this is a plain loop; with a threaded
+/// policy the borrowed items go through [`par_pipeline`] on the
+/// [process-wide pool](ThreadPool::shared) (`&T` is `Send` because
+/// `T: Sync`), one item per claim so unevenly sized partitions — the
+/// `farm` skeleton's raison d'être — balance across the workers.
 ///
 /// # Panics
 /// Propagates the first panic raised by `f`.
@@ -82,46 +204,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n_threads = policy.effective_threads(items.len());
-    if n_threads <= 1 || items.len() <= 1 {
+    let threads = policy.effective_threads(items.len());
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-
-    let mut out: Vec<Option<R>> = std::thread::scope(|s| {
-        for _ in 0..n_threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out
-        // scope joins all workers here; a worker panic re-raises now,
-        // superseding any missing results.
-    });
-
-    if out.iter().any(Option::is_none) {
-        // A worker died without panicking through scope (can't normally
-        // happen) — fail loudly rather than return partial data.
-        panic!("scl-exec: worker thread failed to produce a result");
-    }
-    out.iter_mut().map(|slot| slot.take().unwrap()).collect()
+    let pool = ThreadPool::shared(threads);
+    par_pipeline(pool, items.iter().collect(), threads, 1, f)
 }
 
 /// [`par_map_indexed`] without the index.
@@ -143,9 +231,9 @@ where
     let _: Vec<()> = par_map_indexed(policy, items, |i, x| f(i, x));
 }
 
-/// Carry every item of a batch through a per-item stage chain on a
-/// persistent [`ThreadPool`] — the partition-resident primitive behind
-/// fused plan execution.
+/// Carry every item of a batch through a per-item stage chain — the
+/// partition-resident primitive behind fused plan execution and the one
+/// data path of every `par_*` map in this module.
 ///
 /// `step(index, item)` is the whole chain for one item (the caller composes
 /// the stages). Dispatch is by **per-worker deques with work stealing**
@@ -155,19 +243,17 @@ where
 /// about half of the richest victim's remainder, so the `farm` skeleton's
 /// unevenly sized items still balance. The owner claims `grain` consecutive
 /// indices per dip into its own deque. Results come back in input order.
-/// Unlike [`par_map_indexed`], which spawns scoped threads per
-/// call, this submits at most `min(threads, pool.size())` jobs to workers
-/// that already exist — reusing the pool across every fused segment of a
-/// run. `threads` is the scheduler's cap for *this* batch: a pool kept
-/// large by an earlier, wider dispatch never over-commits a later, smaller
-/// one.
 ///
-/// With one usable worker (or a batch smaller than one grain block) the
-/// chain runs inline on the caller.
+/// `threads` is the scheduler's cap for *this* batch and **counts the
+/// caller**: the calling thread is worker 0 and `threads − 1` tickets are
+/// offered to `pool` (at most one per pool worker, and never more workers
+/// than grain blocks). A block whose ticket no helper claims in time is
+/// simply stolen by whoever runs dry first — in the limit the caller runs
+/// the whole batch, which is also what happens with `threads <= 1`.
 ///
 /// # Panics
-/// Propagates the first panic raised by `step`, after every worker has
-/// finished; the pool itself survives (workers catch job panics).
+/// Propagates the first panic raised by `step`, after every helper that
+/// joined in has finished; the pool itself survives.
 pub fn par_pipeline<T, R, F>(
     pool: &ThreadPool,
     items: Vec<T>,
@@ -182,7 +268,7 @@ where
 {
     let n = items.len();
     let grain = grain.max(1);
-    let workers = threads.min(pool.size()).min(n.div_ceil(grain));
+    let workers = threads.min(pool.size() + 1).min(n.div_ceil(grain));
     if workers <= 1 {
         return items
             .into_iter()
@@ -197,7 +283,6 @@ where
         /// One deque per worker; worker `w` owns `ranges[w]` and steals
         /// from the others when it runs dry.
         ranges: Vec<StealRange>,
-        next_worker: AtomicUsize,
         grain: usize,
         step: &'s F,
     }
@@ -215,8 +300,7 @@ where
                 *self.out[i].lock().expect("scl-exec: poisoned result slot") = Some(r);
             }
         }
-        fn drain(&self) {
-            let me = self.next_worker.fetch_add(1, Ordering::Relaxed) % self.ranges.len();
+        fn drain(&self, me: usize) {
             loop {
                 if let Some(r) = self.ranges[me].take_front(self.grain) {
                     self.run(r);
@@ -248,16 +332,15 @@ where
         ranges: (0..workers)
             .map(|w| StealRange::new(w * n / workers, (w + 1) * n / workers))
             .collect(),
-        next_worker: AtomicUsize::new(0),
         grain,
         step: &step,
     };
 
-    let job: &(dyn Fn() + Sync) = &|| shared.drain();
+    let job: &(dyn Fn(usize) + Sync) = &|me| shared.drain(me);
     // SAFETY: `job` borrows `shared` (and through it `step` and the items)
-    // from this stack frame, and `run_static_jobs` joins every submitted
-    // worker before returning on every path, so no worker can outlive
-    // `shared`.
+    // from this stack frame, and `run_static_jobs` returns only once every
+    // helper ticket is revoked or done, so no worker can outlive `shared`.
+    // `drain` returns only when every deque is empty.
     unsafe { run_static_jobs(pool, workers, job) };
 
     shared
@@ -279,9 +362,8 @@ where
 ///
 /// `src_of` must be a permutation of `0..items.len()`: a repeated source
 /// panics, and (by pigeonhole, since lengths match) every cell is then
-/// consumed exactly once. Destinations are claimed off a shared atomic
-/// counter in blocks of `grain` consecutive indices; with one usable worker
-/// the permutation runs inline on the caller.
+/// consumed exactly once. One [`par_pipeline`] dispatch over the
+/// destinations, `grain` consecutive indices per claim.
 ///
 /// # Panics
 /// Panics if `src_of.len() != items.len()`, if an index is out of range, or
@@ -296,73 +378,19 @@ pub fn par_permute<T>(
 where
     T: Send,
 {
-    let n = items.len();
     assert_eq!(
         src_of.len(),
-        n,
+        items.len(),
         "par_permute: routing table length mismatch"
     );
-    let grain = grain.max(1);
-    let workers = threads.min(pool.size()).min(n.div_ceil(grain).max(1));
-    if workers <= 1 {
-        let mut cells: Vec<Option<T>> = items.into_iter().map(Some).collect();
-        return src_of
-            .iter()
-            .map(|&s| {
-                cells[s]
-                    .take()
-                    .expect("par_permute: source index used twice")
-            })
-            .collect();
-    }
-
-    struct Shared<'s, T> {
-        cells: Vec<Mutex<Option<T>>>,
-        out: Vec<Mutex<Option<T>>>,
-        src_of: &'s [usize],
-        next: AtomicUsize,
-        grain: usize,
-    }
-    impl<T: Send> Shared<'_, T> {
-        fn drain(&self) {
-            loop {
-                let start = self.next.fetch_add(self.grain, Ordering::Relaxed);
-                if start >= self.out.len() {
-                    break;
-                }
-                for j in start..(start + self.grain).min(self.out.len()) {
-                    let x = self.cells[self.src_of[j]]
-                        .lock()
-                        .expect("scl-exec: poisoned permute cell")
-                        .take()
-                        .expect("par_permute: source index used twice");
-                    *self.out[j].lock().expect("scl-exec: poisoned permute slot") = Some(x);
-                }
-            }
-        }
-    }
-
-    let shared = Shared {
-        cells: items.into_iter().map(|x| Mutex::new(Some(x))).collect(),
-        out: (0..n).map(|_| Mutex::new(None)).collect(),
-        src_of,
-        next: AtomicUsize::new(0),
-        grain,
-    };
-    let job: &(dyn Fn() + Sync) = &|| shared.drain();
-    // SAFETY: `job` borrows `shared` from this frame; `run_static_jobs`
-    // joins every worker before returning on every path.
-    unsafe { run_static_jobs(pool, workers, job) };
-
-    shared
-        .out
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("scl-exec: poisoned permute slot")
-                .expect("scl-exec: permute worker skipped a cell")
-        })
-        .collect()
+    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    par_pipeline(pool, src_of.to_vec(), threads, grain, |_, s| {
+        cells[s]
+            .lock()
+            .expect("scl-exec: poisoned permute cell")
+            .take()
+            .expect("par_permute: source index used twice")
+    })
 }
 
 /// Wrapper making a raw pointer shareable across pool workers. Soundness is
@@ -370,84 +398,51 @@ where
 struct RawCursor<T>(*mut T);
 unsafe impl<T: Send> Sync for RawCursor<T> {}
 unsafe impl<T: Send> Send for RawCursor<T> {}
+impl<T> RawCursor<T> {
+    /// The element pointer `i` places in. (A method, so that closures
+    /// capture the `Sync` wrapper and not the bare pointer inside it.)
+    ///
+    /// # Safety
+    /// As `pointer::add`: `i` must stay within the allocation.
+    unsafe fn add(&self, i: usize) -> *mut T {
+        self.0.add(i)
+    }
+}
 
 /// Move-concatenate `parts` into one flat vector — the pool-parallel form
 /// of the `gather` skeleton's concat. Each part's elements are *moved*
 /// (byte-copied, never cloned, never dropped twice) into a pre-sized
-/// destination; workers claim whole parts off a shared counter, so the
-/// memcpys of different parts proceed in parallel. With one usable worker
-/// the concat runs inline.
+/// destination; one [`par_pipeline`] dispatch with a part per claim, so
+/// the memcpys of different parts proceed in parallel.
 ///
 /// On an internal invariant failure (a worker panicking inside the pool
 /// plumbing — element moves themselves cannot panic) the destination is
-/// abandoned un-lengthened and not-yet-moved elements leak rather than
+/// abandoned un-lengthened: elements already moved leak rather than
 /// double-drop.
 pub fn par_concat<T: Send>(pool: &ThreadPool, parts: Vec<Vec<T>>, threads: usize) -> Vec<T> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let workers = threads.min(pool.size()).min(parts.len().max(1));
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(total);
-        for v in parts {
-            out.extend(v);
-        }
-        return out;
-    }
-
-    let mut offsets = Vec::with_capacity(parts.len());
-    let mut acc = 0usize;
-    for v in &parts {
-        offsets.push(acc);
-        acc += v.len();
-    }
+    let mut total = 0usize;
+    let placed: Vec<(usize, Vec<T>)> = parts
+        .into_iter()
+        .map(|v| {
+            let at = total;
+            total += v.len();
+            (at, v)
+        })
+        .collect();
     let mut out: Vec<T> = Vec::with_capacity(total);
-
-    struct Shared<T> {
-        sources: Vec<Mutex<Option<Vec<T>>>>,
-        offsets: Vec<usize>,
-        base: RawCursor<T>,
-        next: AtomicUsize,
-    }
-    impl<T: Send> Shared<T> {
-        fn drain(&self) {
-            loop {
-                let k = self.next.fetch_add(1, Ordering::Relaxed);
-                if k >= self.sources.len() {
-                    break;
-                }
-                let mut src = self.sources[k]
-                    .lock()
-                    .expect("scl-exec: poisoned concat source")
-                    .take()
-                    .expect("scl-exec: concat source claimed twice");
-                // SAFETY: destination range [offsets[k], offsets[k]+len) is
-                // disjoint per source and within the `total`-element
-                // allocation; the source's len is zeroed after the copy so
-                // its elements are owned exactly once (by the destination).
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        src.as_ptr(),
-                        self.base.0.add(self.offsets[k]),
-                        src.len(),
-                    );
-                    src.set_len(0);
-                }
-            }
+    let base = RawCursor(out.as_mut_ptr());
+    par_pipeline(pool, placed, threads, 1, |_, (at, mut src)| {
+        // SAFETY: destination range [at, at+len) is disjoint per source and
+        // within the `total`-element allocation; the source's len is zeroed
+        // after the copy so its elements are owned exactly once (by the
+        // destination).
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), base.add(at), src.len());
+            src.set_len(0);
         }
-    }
-
-    let shared = Shared {
-        sources: parts.into_iter().map(|v| Mutex::new(Some(v))).collect(),
-        offsets,
-        base: RawCursor(out.as_mut_ptr()),
-        next: AtomicUsize::new(0),
-    };
-    let job: &(dyn Fn() + Sync) = &|| shared.drain();
-    // SAFETY: `job` borrows `shared` from this frame; `run_static_jobs`
-    // joins every worker before returning on every path.
-    unsafe { run_static_jobs(pool, workers, job) };
-    drop(shared); // every source claimed and fully moved out
-
-    // SAFETY: all `total` elements were initialised by the disjoint copies.
+    });
+    // SAFETY: all `total` elements were initialised by the disjoint copies,
+    // which happened-before `par_pipeline` returned.
     unsafe { out.set_len(total) };
     out
 }
@@ -455,9 +450,8 @@ pub fn par_concat<T: Send>(pool: &ThreadPool, parts: Vec<Vec<T>>, threads: usize
 /// Split `data` into the given contiguous `ranges` by **moving** elements —
 /// the pool-parallel form of the `partition` skeleton's scatter (block
 /// patterns). Ranges must be ascending, contiguous, and cover the whole
-/// vector; workers claim whole ranges off a shared counter and byte-copy
-/// their span into a fresh exactly-sized vector. With one usable worker the
-/// split runs inline (reverse `split_off`s, still zero-clone).
+/// vector; one [`par_pipeline`] dispatch with a range per claim, each
+/// byte-copying its span into a fresh exactly-sized vector.
 ///
 /// # Panics
 /// Panics if the ranges are not an ascending contiguous cover of
@@ -483,79 +477,29 @@ pub fn par_scatter<T: Send>(
         "par_scatter: ranges must cover the data"
     );
 
-    let workers = threads.min(pool.size()).min(ranges.len().max(1));
-    if workers <= 1 {
-        let mut parts = Vec::with_capacity(ranges.len());
-        for r in ranges.iter().rev() {
-            parts.push(data.split_off(r.start));
-        }
-        parts.reverse();
-        return parts;
-    }
-
-    struct Shared<'s, T> {
-        base: RawCursor<T>,
-        ranges: &'s [Range<usize>],
-        out: Vec<Mutex<Option<Vec<T>>>>,
-        next: AtomicUsize,
-    }
-    impl<T: Send> Shared<'_, T> {
-        fn drain(&self) {
-            loop {
-                let k = self.next.fetch_add(1, Ordering::Relaxed);
-                if k >= self.ranges.len() {
-                    break;
-                }
-                let r = &self.ranges[k];
-                let mut v: Vec<T> = Vec::with_capacity(r.len());
-                // SAFETY: source spans are disjoint per range and within the
-                // original allocation, whose len was zeroed up front — the
-                // copies are the sole owners of the moved elements.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        self.base.0.add(r.start),
-                        v.as_mut_ptr(),
-                        r.len(),
-                    );
-                    v.set_len(r.len());
-                }
-                *self.out[k].lock().expect("scl-exec: poisoned scatter slot") = Some(v);
-            }
-        }
-    }
-
     let base = RawCursor(data.as_mut_ptr());
     // SAFETY: zero the length *before* sharing so the moved-from vector can
     // never drop elements that workers copied out; on an internal panic the
     // un-copied elements leak rather than double-drop.
     unsafe { data.set_len(0) };
-    let shared = Shared {
-        base,
-        ranges,
-        out: (0..ranges.len()).map(|_| Mutex::new(None)).collect(),
-        next: AtomicUsize::new(0),
-    };
-    let job: &(dyn Fn() + Sync) = &|| shared.drain();
-    // SAFETY: `job` borrows `shared` (and through it `data`'s buffer) from
-    // this frame; `run_static_jobs` joins every worker before returning.
-    unsafe { run_static_jobs(pool, workers, job) };
-
-    shared
-        .out
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("scl-exec: poisoned scatter slot")
-                .expect("scl-exec: scatter worker skipped a range")
-        })
-        .collect()
+    par_pipeline(pool, ranges.to_vec(), threads, 1, |_, r| {
+        let mut v: Vec<T> = Vec::with_capacity(r.len());
+        // SAFETY: source spans are disjoint per range and within the
+        // original allocation, whose len was zeroed up front — the copies
+        // are the sole owners of the moved elements.
+        unsafe {
+            std::ptr::copy_nonoverlapping(base.add(r.start), v.as_mut_ptr(), r.len());
+            v.set_len(r.len());
+        }
+        v
+    })
     // `data` drops here with len 0: frees the allocation, drops no elements
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     const POLICIES: [ExecPolicy; 3] = [
         ExecPolicy::Sequential,
@@ -846,5 +790,199 @@ mod tests {
         let ranges = [0..250, 250..251, 251..999, 999..1000];
         let parts = par_scatter(&pool, data.clone(), &ranges, 4);
         assert_eq!(par_concat(&pool, parts, 4), data);
+    }
+
+    // ---- the fork-join dispatch itself --------------------------------------
+
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+
+    /// Generous bound for "the other side never showed up"; no test waits
+    /// this long unless it is about to fail.
+    const GIVE_UP: Duration = Duration::from_secs(20);
+
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + GIVE_UP;
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "rendezvous timed out");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Run `f` on its own thread and fail if it has not finished in time —
+    /// for tests whose failure mode is a deadlock.
+    fn under_watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(GIVE_UP)
+            .expect("dispatch deadlocked (or panicked) under the watchdog")
+    }
+
+    /// Occupy every worker of `pool` with a job that blocks until the test
+    /// meets it at the returned barrier a second time.
+    fn pin_every_worker(pool: &ThreadPool) -> Arc<Barrier> {
+        let gate = Arc::new(Barrier::new(pool.size() + 1));
+        for _ in 0..pool.size() {
+            let gate = Arc::clone(&gate);
+            pool.execute(move || {
+                gate.wait(); // pinned
+                gate.wait(); // released
+            });
+        }
+        gate.wait();
+        gate
+    }
+
+    #[test]
+    fn saturated_pool_leaves_the_caller_to_finish_alone() {
+        let pool = ThreadPool::new(3);
+        let pinned = pin_every_worker(&pool);
+        let caller = std::thread::current().id();
+        let steps = Arc::new(AtomicUsize::new(0));
+
+        let out = par_pipeline(&pool, (0..64u64).collect(), 4, 1, |_, x| {
+            assert_eq!(std::thread::current().id(), caller);
+            steps.fetch_add(1, Ordering::SeqCst);
+            x + 1
+        });
+        assert_eq!(out, (1..=64).collect::<Vec<u64>>());
+        assert_eq!(steps.load(Ordering::SeqCst), 64);
+
+        // the three tickets are still queued behind the blockers; once
+        // the workers get to them they must find them revoked
+        pinned.wait();
+        drop(pool); // drains the queue and joins the workers
+        assert_eq!(
+            steps.load(Ordering::SeqCst),
+            64,
+            "a revoked ticket ran the job after the dispatch returned"
+        );
+    }
+
+    #[test]
+    fn nested_dispatch_on_a_saturated_pool_completes() {
+        let out = under_watchdog(|| {
+            let pool = ThreadPool::new(3);
+            let everyone_in = Barrier::new(pool.size() + 1);
+            par_pipeline(&pool, (0..4u64).collect(), 4, 1, |_, x| {
+                // one item per block: nobody gets past here until the
+                // caller and all three workers are inside the outer step
+                everyone_in.wait();
+                par_pipeline(&pool, (0..16u64).collect(), 4, 1, |_, y| x * 100 + y)
+                    .into_iter()
+                    .sum::<u64>()
+            })
+        });
+        let inner: u64 = (0..16).sum();
+        assert_eq!(out, (0..4u64).map(|x| x * 1600 + inner).collect::<Vec<_>>());
+    }
+
+    /// Counts a helper share in and out, unwinding included.
+    struct InFlight<'a>(&'a AtomicUsize);
+    impl<'a> InFlight<'a> {
+        fn enter(n: &'a AtomicUsize) -> Self {
+            n.fetch_add(1, Ordering::SeqCst);
+            InFlight(n)
+        }
+    }
+    impl Drop for InFlight<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn caller_share_panic_waits_for_claimed_helpers() {
+        let pool = ThreadPool::new(1);
+        let caller = std::thread::current().id();
+        let helper_in = AtomicBool::new(false);
+        let caller_panicking = AtomicBool::new(false);
+        let in_flight = AtomicUsize::new(0);
+        let helper_steps = AtomicUsize::new(0);
+
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_pipeline(&pool, (0..8u32).collect(), 2, 1, |_, x| {
+                if std::thread::current().id() == caller {
+                    wait_for(&helper_in);
+                    caller_panicking.store(true, Ordering::SeqCst);
+                    panic!("caller share blew up");
+                }
+                let _share = InFlight::enter(&in_flight);
+                helper_in.store(true, Ordering::SeqCst);
+                // still inside the step while the caller unwinds
+                wait_for(&caller_panicking);
+                helper_steps.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+        }));
+        assert_eq!(
+            r.unwrap_err().downcast_ref::<&str>().copied(),
+            Some("caller share blew up")
+        );
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "helper still running");
+        // the helper went on to drain what the caller abandoned
+        assert_eq!(helper_steps.load(Ordering::SeqCst), 7);
+        assert_eq!(
+            par_pipeline(&pool, vec![1u32, 2, 3, 4], 2, 1, |_, x| x * 2),
+            vec![2, 4, 6, 8]
+        );
+    }
+
+    #[test]
+    fn helper_share_panic_is_reraised_on_the_caller() {
+        let pool = ThreadPool::new(1);
+        let caller = std::thread::current().id();
+        let helper_in = AtomicBool::new(false);
+        let in_flight = AtomicUsize::new(0);
+
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_pipeline(&pool, (0..8u32).collect(), 2, 1, |_, x| {
+                if std::thread::current().id() == caller {
+                    wait_for(&helper_in);
+                    return x;
+                }
+                let _share = InFlight::enter(&in_flight);
+                helper_in.store(true, Ordering::SeqCst);
+                panic!("helper share blew up");
+            })
+        }));
+        assert_eq!(
+            r.unwrap_err().downcast_ref::<&str>().copied(),
+            Some("helper share blew up")
+        );
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "helper still running");
+        assert_eq!(
+            par_pipeline(&pool, vec![1u32, 2, 3, 4], 2, 1, |_, x| x * 2),
+            vec![2, 4, 6, 8]
+        );
+    }
+
+    #[test]
+    fn back_to_back_dispatches_claim_each_index_once() {
+        let pool = ThreadPool::new(2);
+        let claims: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        for round in 0..100_000u64 {
+            let out = par_pipeline(&pool, (0..8u64).collect(), 3, 1, |i, x| {
+                claims[i].fetch_add(1, Ordering::Relaxed);
+                x + round
+            });
+            assert_eq!(out, (round..round + 8).collect::<Vec<u64>>());
+            for (i, c) in claims.iter().enumerate() {
+                assert_eq!(c.swap(0, Ordering::Relaxed), 1, "round {round} index {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_pool_grows_to_the_widest_dispatch() {
+        assert!(ThreadPool::shared(2).size() >= 1);
+        assert!(ThreadPool::shared(5).size() >= 4);
+        // never shrinks, and a narrower ask is served by the same pool
+        assert!(ThreadPool::shared(2).size() >= 4);
+        assert!(std::ptr::eq(ThreadPool::shared(2), ThreadPool::shared(5)));
     }
 }

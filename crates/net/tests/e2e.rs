@@ -166,30 +166,29 @@ fn expired_deadlines_answer_typed_without_occupying_the_service() {
     let server = NetServer::start(cfg).unwrap();
     let addr = server.local_addr();
 
+    // Composition runs right to left, so `map(slow)` is every request's
+    // *first* segment and `rotate(1)` a hop boundary after it.
+    const PLAN: &str = "rotate(1) . map(slow)";
+
     // occupy the service: 8 elements of `slow` is ~16ms of work
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
     let busy = std::thread::spawn(move || {
         let mut a = NetClient::connect(addr).unwrap();
         ready_tx.send(()).unwrap();
-        a.submit_source(
-            0,
-            Mode::Plain,
-            "map(slow) . rotate(1)",
-            "",
-            &[1, 2, 3, 4, 5, 6, 7, 8],
-        )
-        .unwrap()
+        a.submit_source(0, Mode::Plain, PLAN, "", &[1, 2, 3, 4, 5, 6, 7, 8])
+            .unwrap()
     });
     ready_rx.recv().unwrap();
-    std::thread::sleep(Duration::from_millis(4));
 
-    // this request's 1ms budget burns away behind the busy round; it is
-    // shed at the first boundary that notices it's dead (the plan queue,
-    // the push into the graph, or the first hop) — never run to answer
+    // This request's 1ms budget cannot survive, however the two arrivals
+    // interleave: behind the busy round it burns away in the plan queue
+    // or at the push into the graph; batched with it, or even ahead of
+    // it, its own first segment sleeps 2ms per element, so the hop in
+    // front of `rotate` finds it dead. It is shed at the first boundary
+    // that notices — never run to an answer.
     let mut c = NetClient::connect(addr).unwrap();
     c.set_deadline_ms(1);
-    let (code, _) =
-        server_error(c.submit_source(0, Mode::Plain, "map(slow) . rotate(1)", "", &[1, 2, 3, 4]));
+    let (code, _) = server_error(c.submit_source(0, Mode::Plain, PLAN, "", &[1, 2, 3, 4]));
     assert_eq!(code, ErrorCode::DeadlineExceeded);
     let r = busy.join().unwrap();
     assert_eq!(
@@ -200,9 +199,7 @@ fn expired_deadlines_answer_typed_without_occupying_the_service() {
 
     // deadline 0 = none: the same plan completes
     c.set_deadline_ms(0);
-    let ok = c
-        .submit_source(0, Mode::Plain, "map(slow) . rotate(1)", "", &[1, 2])
-        .unwrap();
+    let ok = c.submit_source(0, Mode::Plain, PLAN, "", &[1, 2]).unwrap();
     assert_eq!(ok.output, vec![2, 1]);
 
     let stats = c.stats().unwrap();
