@@ -52,7 +52,7 @@ pub fn jacobi_seq(u0: &[f64], tol: f64, max_iters: usize) -> JacobiResult {
 pub type JacobiState = (ParArray<Vec<f64>>, usize, f64);
 
 /// The convergence loop as a first-class plan: a
-/// [`Skel::iter_until_fused`] whose body is one relaxation sweep (halo
+/// [`Skel::iter_until`] whose body is one relaxation sweep (halo
 /// exchange via `shift`, local update, global `fold(max)` residual). `n` is
 /// the global field length, `starts` the global offset of each part.
 ///
@@ -73,7 +73,7 @@ pub fn jacobi_plan(
     tol: f64,
     max_iters: usize,
 ) -> Skel<'static, JacobiState, JacobiState> {
-    Skel::iter_until_fused(
+    Skel::iter_until(
         move |scl, (da, iters, _): JacobiState| {
             // halo exchange: my left halo is my left neighbour's last
             // element; my right halo is my right neighbour's first.

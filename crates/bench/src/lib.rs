@@ -1,11 +1,10 @@
 #![warn(missing_docs)]
 //! # scl-bench — the evaluation harness
 //!
-//! One function per table/figure of the paper's §5, shared between the
-//! row-printing binaries (`table1`, `figure3`, `ablations`) and the
-//! Criterion benches. Everything here runs on the simulated machine and is
-//! deterministic given the seed, so the regenerated rows are stable across
-//! hosts.
+//! One function per table/figure of the paper's §5, shared by the
+//! row-printing binaries (`table1`, `figure3`, `ablations`). Everything
+//! here runs on the simulated machine and is deterministic given the seed,
+//! so the regenerated rows are stable across hosts.
 
 use scl_apps::hyperquicksort::hyperquicksort_flat;
 use scl_apps::psrs::psrs_sort;

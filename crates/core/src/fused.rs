@@ -1,65 +1,83 @@
-//! Fused, partition-resident plan execution.
+//! The fused form of a plan: one operator chain, four interpreters.
 //!
 //! The eager interpretation of a [`Skel`](crate::plan::Skel) plan executes
 //! one skeleton at a time: every `.then()` materialises a full
-//! [`ParArray`] and pays one more fork-join dispatch. That is
-//! faithful to the paper's semantics but leaves performance on the table —
-//! a run of purely part-local stages (`map`, `imap`, `zip_with`, `farm` and
-//! their costed forms) has **no** cross-partition data flow, so the whole
-//! run can execute back-to-back on the worker that owns each partition,
-//! with no intermediate arrays and a single dispatch.
+//! [`ParArray`] and pays one more fork-join dispatch. That is faithful to
+//! the paper's semantics but leaves performance on the table — a run of
+//! purely part-local stages (`map`, `imap`, `zip_with`, `farm` and their
+//! costed forms) has **no** cross-partition data flow, so the whole run can
+//! execute back-to-back on the worker that owns each partition, with no
+//! intermediate arrays and a single dispatch.
 //!
-//! This module is that executor. A fusable plan carries, next to its eager
-//! closure, a fused plan: a chain of type-erased nodes, each either
+//! A fusable plan therefore carries, next to its eager closure, a chain of
+//! type-erased [`PlanOp`]s — the **only** fused representation:
 //!
-//! * a **compute** node — part-local, safe to fuse with its neighbours; or
-//! * a **barrier** node — anything that needs the whole configuration
+//! * [`PlanOp::Segment`] — a maximal run of part-local compute stages.
+//!   Composition merges the seam (`… Segment] ++ [Segment …` becomes one
+//!   segment), so segments are maximal by construction, at every depth;
+//! * [`PlanOp::Barrier`] — anything that needs the whole configuration
 //!   (communication skeletons like `rotate` / `fetch` / `total_exchange`,
-//!   scans and reductions, repartitioning, opaque whole-array stages).
+//!   scans and reductions, repartitioning, opaque whole-array stages);
+//! * [`PlanOp::Branch`] — a DAG fork (`pair` / `fanout` / `choice`): two
+//!   arm chains between a split and a join.
 //!
-//! Execution walks the chain, grouping maximal runs of compute nodes into
-//! *segments*. Each segment is dispatched **once** through
-//! [`scl_exec::par_pipeline`] on the process-wide worker pool (the same
-//! dispatch an eager skeleton pays once per call); barrier nodes run on
-//! the calling thread through the ordinary eager skeletons. The simulated
-//! machine is charged the same *totals* either way — makespan, flops /
-//! cmps / moves, message counts agree with eager execution — but a fused
-//! segment charges each partition **once** with the summed work (one
-//! `"fused"` compute event), where the eager path charges once per stage,
-//! so `compute_steps` and per-stage trace events differ by design. Under
-//! [`ExecPolicy::CostDriven`] each segment asks the machine's
-//! [`CostModel`](scl_machine::CostModel) (via
-//! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision))
-//! whether fanning out is worth it and at what grain; small segments fall
-//! back to sequential execution on the calling thread.
+//! Everything that gives the chain a meaning is one function over it:
 //!
-//! Values flow between nodes in an erased form, [`ErasedArr`]: one boxed
+//! | interpreter | entry point | per op |
+//! |---|---|---|
+//! | fused run | [`Scl::run_fused`](crate::ctx::Scl::run_fused) | the chain walker with summed charging |
+//! | stream compile | [`Skel::into_stream_ops`](crate::plan::Skel::into_stream_ops) | hands the chain over as it is; `scl-stream` turns segments into farms and runs the rest through [`SegmentOp::run`] / [`BarrierOp::apply`] / [`BranchOp::try_apply`] |
+//! | fingerprint | [`Skel::fingerprint`](crate::plan::Skel::fingerprint), [`fingerprint_ops`] | one structural hash |
+//! | stage listing | [`Skel::fused_stages`](crate::plan::Skel::fused_stages) | the chain flattened to `(label, is_barrier)` |
+//!
+//! so a new combinator is one constructor plus, at most, one arm in each.
+//!
+//! **Execution.** The chain walker runs barriers on the calling thread
+//! through the ordinary eager skeletons and hands every segment to the one
+//! segment kernel, [`SegmentOp::run`]: the per-part stage loop exists once,
+//! and its two charging conventions are an argument. *Summed* charging
+//! (what [`Scl::run_fused`](crate::ctx::Scl::run_fused) uses) charges each
+//! partition **once** with the summed work of the whole segment — one
+//! `"fused"` compute event — and dispatches the segment **once** through
+//! [`scl_exec::par_pipeline`] on the process-wide worker pool when the
+//! context's [`ExecPolicy`] says so (under [`ExecPolicy::CostDriven`] the
+//! machine's
+//! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision)
+//! decides whether fanning out is worth it and at what grain). *Per-stage*
+//! charging replays exactly the eager layer's compute events. Either way
+//! the simulated machine is charged the same *totals* as eager execution —
+//! makespan, flops / cmps / moves, message counts agree; only
+//! `compute_steps` and per-stage trace events differ, by design.
+//!
+//! Values flow between ops in an erased form, [`ErasedArr`]: one boxed
 //! payload per partition plus an optional *side* value for non-distributed
 //! state (the scalars an `iter_until` threads, host data before a
 //! `partition`). The [`FusePort`] trait defines the canonical conversion
 //! between a plan's boundary types and this form; every fused constructor
-//! uses it, which is what makes node chains composable across `.then()`.
+//! uses it, which is what makes op chains composable across `.then()`.
 //!
-//! Ownership is part of the contract end to end: a barrier node receives
-//! its `ErasedArr` **by value** and re-emits an owned one, and the plan
-//! layer's barrier closures delegate to the *owned* communication
-//! skeletons (`rotate_owned`, `total_exchange_owned`, `gather_owned`, …),
-//! so part payloads **move** through an entire fused chain — compute
-//! segments hand boxed parts worker-to-worker, barriers re-route the same
-//! boxes — and nothing clones partition data between stages. See the
-//! "Zero-copy communication" section of the [crate docs](crate) for when
-//! data does and does not clone.
+//! Ownership is part of the contract end to end: a barrier receives its
+//! `ErasedArr` **by value** and re-emits an owned one, and the plan layer's
+//! barrier closures delegate to the *owned* communication skeletons
+//! (`rotate_owned`, `total_exchange_owned`, `gather_owned`, …), so part
+//! payloads **move** through an entire chain — segments hand boxed parts
+//! worker-to-worker, barriers re-route the same boxes — and nothing clones
+//! partition data between stages. See the "Zero-copy communication" section
+//! of the [crate docs](crate) for when data does and does not clone.
 //!
-//! Failure behaviour is part of the contract: a panic inside a fused
-//! compute node is re-raised on the caller **labelled with the stage
-//! name** (`fused stage `map` panicked on part 3: …`), and configurations
+//! Failure behaviour is part of the contract: the segment kernel catches a
+//! panicking compute stage and returns it as a typed
+//! [`RequestError::StagePanic`] carrying the stage name and part index —
+//! a streaming runtime keeps it as a value,
+//! [`Scl::run_fused`](crate::ctx::Scl::run_fused) re-raises it on the
+//! caller (`fused stage `map` panicked on part 3: …`) — and configurations
 //! that do not fit the machine surface as
-//! [`SclError::MachineTooSmall`](crate::error::SclError) from
-//! [`Scl::run_fused`](crate::ctx::Scl::run_fused) instead of a raw panic.
+//! [`SclError::MachineTooSmall`](crate::error::SclError) instead of a raw
+//! panic.
 
 use crate::array::ParArray;
 use crate::ctx::Scl;
-use crate::error::{RequestError, Result};
+use crate::error::{RequestError, Result, SclError};
 use scl_exec::{par_pipeline, ExecPolicy, ThreadPool};
 use scl_machine::Work;
 use std::any::Any;
@@ -69,7 +87,7 @@ use std::time::Instant;
 /// A type-erased partition payload flowing through a fused segment.
 pub type PartVal = Box<dyn Any + Send>;
 
-/// The erased value flowing between fused nodes: a distributed array of
+/// The erased value flowing between fused ops: a distributed array of
 /// erased parts, plus an optional non-distributed *side* payload (scalars
 /// threaded by `iter_until`, host data before `partition` / after
 /// `gather`).
@@ -100,7 +118,7 @@ impl ErasedArr {
 /// Every fused stage constructor erases its input and restores its output
 /// through this trait, so when two fusable plans compose, the exit
 /// conversion of one and the entry conversion of the next are exact
-/// inverses and can be dropped — the node chains concatenate directly.
+/// inverses and can be dropped — the op chains concatenate directly.
 /// Implementations exist for the shapes plans actually cross stage
 /// boundaries with: `ParArray<T>`, conforming pairs of arrays (`zip_with`
 /// input), host `Vec<T>` (before `partition` / after `gather`), and
@@ -217,7 +235,7 @@ where
     }
 }
 
-/// A compute node: part index + erased part in, erased part + reported
+/// A compute stage: part index + erased part in, erased part + reported
 /// [`Work`] + measured host seconds out. The seconds are nonzero only for
 /// *uncosted* stages (plain `map`/`imap`/`farm`), mirroring the eager
 /// layer: costed stages charge exactly their reported work, uncosted ones
@@ -226,14 +244,14 @@ where
 type ComputeFn<'a> = Box<dyn Fn(usize, PartVal) -> (PartVal, Work, f64) + Send + Sync + 'a>;
 type BarrierFn<'a> = Box<dyn FnMut(&mut Scl, ErasedArr) -> Result<ErasedArr> + 'a>;
 
-/// One part-local compute stage of a fused chain.
-pub(crate) struct ComputeStage<'a> {
+/// One part-local compute stage of a [`SegmentOp`].
+struct ComputeStage<'a> {
     label: &'static str,
     /// True when the *eager* layer charges a compute event for this stage
     /// (every map flavour does; `zip_with` deliberately charges nothing).
-    /// The fused executor ignores this — it charges every segment stage
-    /// into one summed event — but per-stage streaming charging
-    /// ([`SegmentOp::apply`]) replays exactly the eager charges.
+    /// Summed charging ignores this — every stage of a segment goes into
+    /// one event — but per-stage charging replays exactly the eager
+    /// charges.
     charged: bool,
     /// Hash of the stage's structural parameters (registered symbol names
     /// for symbolic maps), folded into the plan fingerprint. 0 when the
@@ -243,7 +261,7 @@ pub(crate) struct ComputeStage<'a> {
 }
 
 /// Unpack an [`ErasedArr`] into the two independent arm inputs of a
-/// branch node — the canonical [`FusePort`] conversions of the branch's
+/// branch — the canonical [`FusePort`] conversions of the branch's
 /// boundary types (unzip a pair, clone a fanout input).
 type SplitFn<'a> = Box<dyn Fn(ErasedArr) -> (ErasedArr, ErasedArr) + 'a>;
 /// Zip two arm outputs back into one [`ErasedArr`] at the branch's join
@@ -252,12 +270,12 @@ type JoinFn<'a> = Box<dyn Fn(ErasedArr, ErasedArr) -> ErasedArr + 'a>;
 /// Inspect the value and pick an arm (`true` = left) without consuming it.
 type ChooseFn<'a> = Box<dyn Fn(ErasedArr) -> (ErasedArr, bool) + 'a>;
 
-/// How a branch node routes its input between its two arms.
-pub(crate) enum BranchKind<'a> {
+/// How a branch routes its input between its two arms.
+enum BranchKind<'a> {
     /// Both arms run, each over its own half of the input: `pair` (unzip
     /// the tuple) and `fanout` (clone the input). The arms are
-    /// independent, so the fused executor may run them concurrently; the
-    /// `join` is the zip barrier reuniting them.
+    /// independent, so they may run concurrently; the `join` is the zip
+    /// barrier reuniting them.
     Split {
         split: SplitFn<'a>,
         join: JoinFn<'a>,
@@ -278,106 +296,163 @@ impl BranchKind<'_> {
     }
 }
 
-/// A DAG node of a fused chain: two independent arm chains between a
-/// split and a join. Built by the arrow combinators
+/// One operator of a fused plan — see the [module docs](self) for the
+/// interpreters over it.
+pub enum PlanOp<'a> {
+    /// A maximal run of part-local compute stages: output part `i` depends
+    /// only on input part `i`, so the run executes back-to-back on the
+    /// owning worker. Pure, hence replicable across farm workers.
+    Segment(SegmentOp<'a>),
+    /// Whole-configuration: a fusion barrier, stateful and order-serial.
+    /// Runs on the calling thread through the eager skeleton layer.
+    Barrier(BarrierOp<'a>),
+    /// A DAG fork: two independent arm chains between a split and a join
+    /// (or one of two, for `choice`). Bounds segments on both sides, like
+    /// a barrier. A streaming runtime either decomposes it into sibling
+    /// farm stages ([`BranchOp::into_pipelined`]) or runs it whole on the
+    /// pump thread ([`BranchOp::try_apply`]).
+    Branch(BranchOp<'a>),
+}
+
+impl PlanOp<'_> {
+    /// Display label: the barrier's stage name, the segment's stage
+    /// names joined with `+`, or the branch's label with its arm labels
+    /// in brackets.
+    pub fn label(&self) -> String {
+        match self {
+            PlanOp::Segment(seg) => seg.label(),
+            PlanOp::Barrier(b) => b.label().to_string(),
+            PlanOp::Branch(b) => b.display_label(),
+        }
+    }
+}
+
+/// A maximal run of part-local compute stages. `Send + Sync`: a streaming
+/// runtime shares one `SegmentOp` across all replicas of a farm stage.
+pub struct SegmentOp<'a> {
+    stages: Vec<ComputeStage<'a>>,
+}
+
+/// A whole-configuration barrier stage. Stateful (`FnMut`, possibly
+/// `Rc`-shared with the plan's eager path), so a streaming runtime must run
+/// it on one thread and feed it items in stream order.
+pub struct BarrierOp<'a> {
+    label: &'static str,
+    /// Hash of the barrier's structural parameters (rotation amount,
+    /// shift distance, iteration count, partition pattern, registered
+    /// symbol names) — what keeps `rotate(1)` and `rotate(2)` apart in the
+    /// plan fingerprint even when the surrounding plan is opaque. 0 when
+    /// the stage has none beyond its label.
+    param: u64,
+    f: BarrierFn<'a>,
+}
+
+/// A DAG fork: two arm op chains between a split and a join (the `Split`
+/// kind — `pair` / `fanout`) or a predicate-selected arm (the `Choose`
+/// kind — `choice`). Built by the arrow combinators
 /// ([`Skel::pair`](crate::plan::Skel::pair),
 /// [`Skel::fanout`](crate::plan::Skel::fanout),
 /// [`Skel::choice`](crate::plan::Skel::choice)).
-pub(crate) struct BranchNode<'a> {
+///
+/// A streaming runtime has two ways to run one:
+///
+/// * [`BranchOp::into_pipelined`] decomposes a `Split` branch whose arms
+///   are each a single pure segment into five linear ops — split barrier,
+///   left segment, swap barrier, right segment, join barrier — so the arm
+///   segments become *sibling farm stages* and independent arms of
+///   consecutive items overlap on the shared pool;
+/// * [`BranchOp::try_apply`] runs the whole branch on the calling (pump)
+///   thread, for branches whose arms contain barriers or nested branches.
+pub struct BranchOp<'a> {
     label: &'static str,
     /// Structural-parameter hash of the branch itself (the arms carry
     /// their own).
     param: u64,
     kind: BranchKind<'a>,
-    left: Vec<FusedNode<'a>>,
-    right: Vec<FusedNode<'a>>,
-}
-
-/// One stage of a fused chain.
-pub(crate) enum FusedNode<'a> {
-    /// Part-local: output part `i` depends only on input part `i`. Runs of
-    /// these execute back-to-back on the owning worker.
-    Compute(ComputeStage<'a>),
-    /// Whole-configuration: a fusion barrier. Runs on the calling thread
-    /// through the eager skeleton layer.
-    Barrier {
-        label: &'static str,
-        /// Hash of the barrier's structural parameters (rotation amount,
-        /// shift distance, iteration count, partition pattern, registered
-        /// symbol names) — what keeps `rotate(1)` and `rotate(2)` apart
-        /// in the plan fingerprint even when the surrounding plan is
-        /// opaque. 0 when the stage has none beyond its label.
-        param: u64,
-        f: BarrierFn<'a>,
-    },
-    /// A DAG fork: two arm chains between a split and a join (or one of
-    /// two, for `choice`). Never part of a fused segment — the split and
-    /// join are barriers — but pure-compute arms of a `Split` branch run
-    /// as one concurrent dispatch on the shared pool.
-    Branch(BranchNode<'a>),
-}
-
-impl FusedNode<'_> {
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            FusedNode::Compute(ComputeStage { label, .. }) | FusedNode::Barrier { label, .. } => {
-                label
-            }
-            FusedNode::Branch(b) => b.label,
-        }
-    }
-
-    pub(crate) fn is_barrier(&self) -> bool {
-        // a branch bounds fused segments on both sides, like a barrier
-        !matches!(self, FusedNode::Compute(_))
-    }
+    left: Vec<PlanOp<'a>>,
+    right: Vec<PlanOp<'a>>,
 }
 
 /// The fused form of a plan from `A` to `B`: entry/exit conversions (always
-/// the canonical [`FusePort`] ones) around a node chain.
+/// the canonical [`FusePort`] ones) around an op chain.
 pub(crate) struct FusedPlan<'a, A, B> {
     entry: Box<dyn Fn(A) -> ErasedArr + 'a>,
-    pub(crate) nodes: Vec<FusedNode<'a>>,
+    pub(crate) nodes: Vec<PlanOp<'a>>,
     exit: Box<dyn Fn(ErasedArr) -> B + 'a>,
 }
 
 impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
-    fn from_nodes(nodes: Vec<FusedNode<'a>>) -> Self {
+    fn single(op: PlanOp<'a>) -> Self {
         FusedPlan {
             entry: Box::new(A::erase),
-            nodes,
+            nodes: vec![op],
             exit: Box::new(B::restore),
         }
+    }
+
+    /// A one-stage segment.
+    fn stage(label: &'static str, charged: bool, f: ComputeFn<'a>) -> Self {
+        let stage = ComputeStage {
+            label,
+            charged,
+            param: 0,
+            f,
+        };
+        Self::single(PlanOp::Segment(SegmentOp {
+            stages: vec![stage],
+        }))
+    }
+
+    fn branch<L, LO, R, RO>(
+        label: &'static str,
+        kind: BranchKind<'a>,
+        left: FusedPlan<'a, L, LO>,
+        right: FusedPlan<'a, R, RO>,
+    ) -> Self {
+        Self::single(PlanOp::Branch(BranchOp {
+            label,
+            param: 0,
+            kind,
+            left: left.nodes,
+            right: right.nodes,
+        }))
     }
 }
 
 impl<A, B> FusedPlan<'_, A, B> {
-    /// Stamp every node with a structural-parameter hash — called by the
+    /// Stamp every op with a structural-parameter hash — called by the
     /// plan constructors that carry hashable parameters (rotation
     /// amounts, iteration counts, symbol names), right after building
-    /// their single-node plan.
+    /// their single-op plan.
     pub(crate) fn tag_param(&mut self, p: u64) {
-        for node in &mut self.nodes {
-            match node {
-                FusedNode::Compute(st) => st.param = p,
-                FusedNode::Barrier { param, .. } => *param = p,
+        for op in &mut self.nodes {
+            match op {
+                PlanOp::Segment(seg) => seg.stages.iter_mut().for_each(|st| st.param = p),
+                PlanOp::Barrier(b) => b.param = p,
                 // the arms carry their own parameter hashes; the branch
                 // itself takes the stamp
-                FusedNode::Branch(b) => b.param = p,
+                PlanOp::Branch(b) => b.param = p,
             }
         }
     }
 }
 
-/// Concatenate two fused plans across a shared boundary type. Sound
-/// because every constructor builds entry/exit from [`FusePort`], so
-/// `a.exit` and `b.entry` are exact inverses — both are dropped.
+/// Concatenate two fused plans across a shared boundary type, merging the
+/// seam: a segment ending `a` and a segment starting `b` become one, so
+/// segments stay maximal. Sound because every constructor builds entry/exit
+/// from [`FusePort`], so `a.exit` and `b.entry` are exact inverses — both
+/// are dropped.
 pub(crate) fn compose<'a, A, B, C>(
     a: FusedPlan<'a, A, B>,
     b: FusedPlan<'a, B, C>,
 ) -> FusedPlan<'a, A, C> {
     let mut nodes = a.nodes;
-    nodes.extend(b.nodes);
+    for op in b.nodes {
+        match (nodes.last_mut(), op) {
+            (Some(PlanOp::Segment(tail)), PlanOp::Segment(head)) => tail.stages.extend(head.stages),
+            (_, op) => nodes.push(op),
+        }
+    }
     FusedPlan {
         entry: a.entry,
         nodes,
@@ -399,11 +474,10 @@ where
     T: Send + 'static,
     R: Send + 'static,
 {
-    FusedPlan::from_nodes(vec![FusedNode::Compute(ComputeStage {
+    FusedPlan::stage(
         label,
-        charged: true,
-        param: 0,
-        f: Box::new(move |i, v| {
+        true,
+        Box::new(move |i, v| {
             let x = v.downcast::<T>().expect("fused stage input type mismatch");
             // costed stages report their own work: only a wall-clock
             // stage pays for reading the clock
@@ -412,10 +486,11 @@ where
             let secs = t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64());
             (Box::new(r) as PartVal, w, secs)
         }),
-    })])
+    )
 }
 
 /// A part-local stage over a zipped pair boundary ([`Skel::zip_with`]).
+/// Like the eager `Scl::zip_with`, it charges nothing locally.
 ///
 /// [`Skel::zip_with`]: crate::plan::Skel::zip_with
 pub(crate) fn compute_pair_node<'a, A, B, R>(
@@ -427,25 +502,23 @@ where
     B: Send + 'static,
     R: Send + 'static,
 {
-    FusedPlan::from_nodes(vec![FusedNode::Compute(ComputeStage {
+    FusedPlan::stage(
         label,
-        // like the eager `Scl::zip_with`, this charges nothing locally
-        charged: false,
-        param: 0,
-        f: Box::new(move |_, v| {
+        false,
+        Box::new(move |_, v| {
             let pair = v
                 .downcast::<(A, B)>()
                 .expect("fused stage input type mismatch");
             let (r, w) = f(&pair.0, &pair.1);
             (Box::new(r) as PartVal, w, 0.0)
         }),
-    })])
+    )
 }
 
-/// The `pair` combinator as a fused plan: one branch node whose split
-/// unzips the canonical pair encoding and whose join re-zips the arm
-/// outputs. All four conversions are the [`FusePort`] ones, so the node
-/// composes across `.then()` exactly like any single-stage plan.
+/// The `pair` combinator as a fused plan: one branch whose split unzips
+/// the canonical pair encoding and whose join re-zips the arm outputs. All
+/// four conversions are the [`FusePort`] ones, so the op composes across
+/// `.then()` exactly like any single-stage plan.
 pub(crate) fn pair_node<'a, A, B, C, D>(
     left: FusedPlan<'a, A, B>,
     right: FusedPlan<'a, C, D>,
@@ -458,19 +531,14 @@ where
     (A, C): FusePort + 'a,
     (B, D): FusePort + 'a,
 {
-    FusedPlan::from_nodes(vec![FusedNode::Branch(BranchNode {
-        label: "pair",
-        param: 0,
-        kind: BranchKind::Split {
-            split: Box::new(|e| {
-                let (a, c) = <(A, C)>::restore(e);
-                (a.erase(), c.erase())
-            }),
-            join: Box::new(|l, r| (B::restore(l), D::restore(r)).erase()),
-        },
-        left: left.nodes,
-        right: right.nodes,
-    })])
+    let kind = BranchKind::Split {
+        split: Box::new(|e| {
+            let (a, c) = <(A, C)>::restore(e);
+            (a.erase(), c.erase())
+        }),
+        join: Box::new(|l, r| (B::restore(l), D::restore(r)).erase()),
+    };
+    FusedPlan::branch("pair", kind, left, right)
 }
 
 /// The `fanout` combinator as a fused plan: the split clones the input
@@ -485,20 +553,15 @@ where
     C: FusePort + 'a,
     (B, C): FusePort + 'a,
 {
-    FusedPlan::from_nodes(vec![FusedNode::Branch(BranchNode {
-        label: "fanout",
-        param: 0,
-        kind: BranchKind::Split {
-            split: Box::new(|e| {
-                let a = A::restore(e);
-                let twin = a.clone();
-                (a.erase(), twin.erase())
-            }),
-            join: Box::new(|l, r| (B::restore(l), C::restore(r)).erase()),
-        },
-        left: left.nodes,
-        right: right.nodes,
-    })])
+    let kind = BranchKind::Split {
+        split: Box::new(|e| {
+            let a = A::restore(e);
+            let twin = a.clone();
+            (a.erase(), twin.erase())
+        }),
+        join: Box::new(|l, r| (B::restore(l), C::restore(r)).erase()),
+    };
+    FusedPlan::branch("fanout", kind, left, right)
 }
 
 /// The `choice` combinator as a fused plan: the predicate inspects the
@@ -512,17 +575,12 @@ where
     A: FusePort + 'a,
     B: FusePort + 'a,
 {
-    FusedPlan::from_nodes(vec![FusedNode::Branch(BranchNode {
-        label: "choice",
-        param: 0,
-        kind: BranchKind::Choose(Box::new(move |e| {
-            let a = A::restore(e);
-            let take_left = pred(&a);
-            (a.erase(), take_left)
-        })),
-        left: left.nodes,
-        right: right.nodes,
-    })])
+    let kind = BranchKind::Choose(Box::new(move |e| {
+        let a = A::restore(e);
+        let take_left = pred(&a);
+        (a.erase(), take_left)
+    }));
+    FusedPlan::branch("choice", kind, left, right)
 }
 
 /// A whole-configuration stage as a fused plan (a barrier).
@@ -534,11 +592,11 @@ where
     A: FusePort + 'a,
     B: FusePort + 'a,
 {
-    FusedPlan::from_nodes(vec![FusedNode::Barrier {
+    FusedPlan::single(PlanOp::Barrier(BarrierOp {
         label,
         param: 0,
         f: Box::new(move |scl, e| Ok(B::erase(f(scl, A::restore(e))?))),
-    }])
+    }))
 }
 
 // ---- structural fingerprinting ----------------------------------------------
@@ -561,11 +619,11 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Per-node tag bytes keeping compute and barrier stages from colliding
-/// even when labels coincide.
+/// Per-op tag bytes keeping compute stages, barriers and branches from
+/// colliding even when labels coincide.
 const TAG_COMPUTE: &[u8] = &[0x01];
 const TAG_BARRIER: &[u8] = &[0x02];
-// 0x03 / 0x04 are claimed by `fingerprint_with_repr`
+// 0x03 / 0x04 are claimed by `fingerprint_plan`
 const TAG_BRANCH: &[u8] = &[0x05];
 
 /// A structural fingerprint of a plan's fused operator chain — the key of
@@ -626,74 +684,58 @@ impl std::fmt::Debug for PlanFingerprint {
     }
 }
 
-impl ComputeStage<'_> {
-    /// Fold this stage's structure into a running FNV hash: tag, label,
-    /// the charging convention (so conventions that differ only in how
-    /// they charge the machine still hash apart), and the stage's
-    /// structural-parameter hash.
-    fn hash_into(&self, h: u64) -> u64 {
-        let h = fnv(h, TAG_COMPUTE);
-        let h = fnv(h, self.label.as_bytes());
-        let h = fnv(h, &[self.charged as u8]);
-        fnv(h, &self.param.to_le_bytes())
-    }
-}
-
-/// Fold a barrier's structure — tag, label, parameter hash — into a
-/// running FNV hash.
-fn hash_barrier(h: u64, label: &str, param: u64) -> u64 {
-    let h = fnv(h, TAG_BARRIER);
-    let h = fnv(h, label.as_bytes());
-    fnv(h, &param.to_le_bytes())
-}
-
-/// Fold a branch's structure — tag, label, kind discriminant, parameter
-/// hash, then the two arm hashes as fixed-width values — into a running
-/// FNV hash. The arm hashes are complete sub-chain fingerprints (each
-/// restarted from the offset basis), so arm topology is unambiguous:
-/// `pair(f, g)` and `pair(g, f)` differ, as do arms of different depth,
-/// and a stage can never "leak" across an arm boundary.
-fn hash_branch(h: u64, label: &str, kind: u8, param: u64, left: u64, right: u64) -> u64 {
-    let h = fnv(h, TAG_BRANCH);
-    let h = fnv(h, label.as_bytes());
-    let h = fnv(h, &[kind]);
-    let h = fnv(h, &param.to_le_bytes());
-    let h = fnv(h, &left.to_le_bytes());
-    fnv(h, &right.to_le_bytes())
-}
-
 /// Hash a stage-parameter rendering into the value plan constructors
 /// stamp through `FusedPlan::tag_param`.
 pub(crate) fn param_hash(s: &str) -> u64 {
     fnv(FNV_OFFSET, s.as_bytes())
 }
 
-/// Hash a fused node chain. Segment grouping is irrelevant by
-/// construction: nodes are hashed stage by stage, so this agrees with
-/// [`fingerprint_ops`] over the grouped operator list of the same plan.
-pub(crate) fn fingerprint_nodes(nodes: &[FusedNode<'_>]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for node in nodes {
-        h = match node {
-            FusedNode::Compute(st) => st.hash_into(h),
-            FusedNode::Barrier { label, param, .. } => hash_barrier(h, label, *param),
-            FusedNode::Branch(b) => hash_branch(
-                h,
-                b.label,
-                b.kind.tag_byte(),
-                b.param,
-                fingerprint_nodes(&b.left),
-                fingerprint_nodes(&b.right),
-            ),
-        };
+/// The one structural hash: fold an op chain into a running FNV hash,
+/// stage by stage — segment grouping leaves no trace, so a chain hashes
+/// the same however its compute stages were composed.
+///
+/// * a compute stage: tag, label, the charging convention (so conventions
+///   that differ only in how they charge the machine still hash apart),
+///   parameter hash;
+/// * a barrier: tag, label, parameter hash;
+/// * a branch: tag, label, kind discriminant, parameter hash, then the two
+///   arm hashes as fixed-width values. The arm hashes are complete
+///   sub-chain fingerprints (each restarted from the offset basis), so arm
+///   topology is unambiguous: `pair(f, g)` and `pair(g, f)` differ, as do
+///   arms of different depth, and a stage can never "leak" across an arm
+///   boundary.
+fn hash_ops(mut h: u64, ops: &[PlanOp<'_>]) -> u64 {
+    for op in ops {
+        match op {
+            PlanOp::Segment(seg) => {
+                for st in &seg.stages {
+                    h = fnv(h, TAG_COMPUTE);
+                    h = fnv(h, st.label.as_bytes());
+                    h = fnv(h, &[st.charged as u8]);
+                    h = fnv(h, &st.param.to_le_bytes());
+                }
+            }
+            PlanOp::Barrier(b) => {
+                h = fnv(h, TAG_BARRIER);
+                h = fnv(h, b.label.as_bytes());
+                h = fnv(h, &b.param.to_le_bytes());
+            }
+            PlanOp::Branch(b) => {
+                h = fnv(h, TAG_BRANCH);
+                h = fnv(h, b.label.as_bytes());
+                h = fnv(h, &[b.kind.tag_byte()]);
+                h = fnv(h, &b.param.to_le_bytes());
+                h = fnv(h, &hash_ops(FNV_OFFSET, &b.left).to_le_bytes());
+                h = fnv(h, &hash_ops(FNV_OFFSET, &b.right).to_le_bytes());
+            }
+        }
     }
     h
 }
 
-/// Structurally fingerprint a streaming operator list — the
-/// [`PlanOp`]-level hash, usable after
+/// Structurally fingerprint an operator chain — usable after
 /// [`Skel::into_stream_ops`](crate::plan::Skel::into_stream_ops) has
-/// consumed the plan. Hashes the operator chain only;
+/// consumed the plan. Hashes the chain only;
 /// [`Skel::fingerprint`](crate::plan::Skel::fingerprint) additionally
 /// folds in the plan's IR representation (or its absence), so the two
 /// values are related but not equal.
@@ -701,84 +743,52 @@ pub fn fingerprint_ops(ops: &[PlanOp<'_>]) -> PlanFingerprint {
     PlanFingerprint(hash_ops(FNV_OFFSET, ops))
 }
 
-/// The recursive body of [`fingerprint_ops`] — hashes stage by stage, so
-/// it agrees with [`fingerprint_nodes`] over the ungrouped chain of the
-/// same plan (branch arms included).
-fn hash_ops(mut h: u64, ops: &[PlanOp<'_>]) -> u64 {
+/// Feeds formatted output straight into a running FNV hash: hashing a
+/// `Display` rendering without building the string.
+struct FnvWriter(u64);
+
+impl std::fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The plan-level fingerprint: the chain hash combined with the rendering
+/// of the plan's IR, when it has one (the IR distinguishes lowerable
+/// stages whose parameters the chain cannot see).
+pub(crate) fn fingerprint_plan(
+    ops: &[PlanOp<'_>],
+    repr: Option<&dyn std::fmt::Display>,
+) -> PlanFingerprint {
+    use std::fmt::Write;
+    let h = hash_ops(FNV_OFFSET, ops);
+    PlanFingerprint(match repr {
+        Some(text) => {
+            let mut w = FnvWriter(fnv(h, &[0x03]));
+            write!(w, "{text}").expect("hashing cannot fail");
+            w.0
+        }
+        None => fnv(h, &[0x04]),
+    })
+}
+
+/// The chain flattened to `(label, is_barrier)` pairs — what
+/// [`Skel::fused_stages`](crate::plan::Skel::fused_stages) reports. A
+/// branch bounds segments on both sides, so it lists as a barrier.
+pub(crate) fn stage_list(ops: &[PlanOp<'_>]) -> Vec<(&'static str, bool)> {
+    let mut out = Vec::new();
     for op in ops {
         match op {
-            PlanOp::Segment(seg) => {
-                for st in &seg.stages {
-                    h = st.hash_into(h);
-                }
-            }
-            PlanOp::Barrier(b) => h = hash_barrier(h, b.label, b.param),
-            PlanOp::Branch(b) => {
-                h = hash_branch(
-                    h,
-                    b.label,
-                    b.kind.tag_byte(),
-                    b.param,
-                    hash_ops(FNV_OFFSET, &b.left),
-                    hash_ops(FNV_OFFSET, &b.right),
-                )
-            }
+            PlanOp::Segment(seg) => out.extend(seg.stages.iter().map(|st| (st.label, false))),
+            PlanOp::Barrier(b) => out.push((b.label, true)),
+            PlanOp::Branch(b) => out.push((b.label, true)),
         }
     }
-    h
+    out
 }
 
-/// Combine a node-chain hash with a plan's optional IR representation into
-/// the final fingerprint (the IR distinguishes lowerable stages whose
-/// parameters the node chain cannot see, e.g. `rotate(1)` vs `rotate(2)`).
-pub(crate) fn fingerprint_with_repr(nodes_hash: u64, repr: Option<String>) -> PlanFingerprint {
-    let h = match repr {
-        Some(text) => fnv(fnv(nodes_hash, &[0x03]), text.as_bytes()),
-        None => fnv(nodes_hash, &[0x04]),
-    };
-    PlanFingerprint(h)
-}
-
-// ---- streaming introspection ------------------------------------------------
-
-/// One operator of a fused plan, as a streaming runtime consumes it: a
-/// maximal run of part-local compute stages ([`PlanOp::Segment`], pure and
-/// replicable across farm workers) or a whole-configuration barrier
-/// ([`PlanOp::Barrier`], stateful and order-serial). Produced by
-/// [`Skel::into_stream_ops`](crate::plan::Skel::into_stream_ops); barriers
-/// are exactly the stage boundaries of the persistent operator graph.
-pub enum PlanOp<'a> {
-    /// A maximal fused compute segment.
-    Segment(SegmentOp<'a>),
-    /// A fusion barrier.
-    Barrier(BarrierOp<'a>),
-    /// A DAG fork: two independent arm op chains between a split and a
-    /// join (or one of two, for `choice`). A streaming runtime either
-    /// decomposes it into sibling farm stages
-    /// ([`BranchOp::into_pipelined`]) or runs it whole on the pump thread
-    /// ([`BranchOp::try_apply`]).
-    Branch(BranchOp<'a>),
-}
-
-impl PlanOp<'_> {
-    /// Display label: the barrier's stage name, the segment's stage
-    /// names joined with `+`, or the branch's label with its arm labels
-    /// in brackets.
-    pub fn label(&self) -> String {
-        match self {
-            PlanOp::Segment(seg) => seg.label(),
-            PlanOp::Barrier(b) => b.label().to_string(),
-            PlanOp::Branch(b) => b.display_label(),
-        }
-    }
-}
-
-/// A maximal run of part-local compute stages, extracted from a fused
-/// plan. `Send + Sync`: a streaming runtime shares one `SegmentOp` across
-/// all replicas of a farm stage.
-pub struct SegmentOp<'a> {
-    stages: Vec<ComputeStage<'a>>,
-}
+// ---- the segment kernel -----------------------------------------------------
 
 impl SegmentOp<'_> {
     /// Number of fused compute stages in the segment.
@@ -801,147 +811,160 @@ impl SegmentOp<'_> {
         self.stage_labels().join("+")
     }
 
-    /// Run the whole segment over every part of `val`, charging `scl`
-    /// **exactly as the eager layer would**: one compute event per part
-    /// per *charged* stage (all map flavours; `zip_with` stays free), in
-    /// the same per-processor order as the eager stage-by-stage loops —
-    /// so per-item metrics and makespan agree with
-    /// [`Skel::run`](crate::plan::Skel::run) bit-for-bit under
-    /// [`MeasureMode::None`](crate::ctx::MeasureMode)
-    /// and costed stages. (The fused executor instead charges each part
-    /// once with the summed work; same totals, different `compute_steps`.)
-    ///
-    /// # Panics
-    /// Re-raises a stage panic labelled
-    /// `` fused stage `X` panicked on part i ``, like fused execution.
-    pub fn apply(&self, scl: &mut Scl, val: ErasedArr) -> ErasedArr {
-        self.try_apply(scl, val).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`SegmentOp::apply`], but a stage panic is caught and returned
-    /// as a typed [`RequestError::StagePanic`] carrying the stage label,
-    /// part index, and panic payload — failure as a value, for runtimes
-    /// that must not unwind. Charges already recorded for earlier stages
-    /// and parts stay on `scl` (exactly what the panicking path did too).
-    pub fn try_apply(
+    /// Carry part `i` through every stage — the only place a compute stage
+    /// runs. `charge` sees each finished stage's reported work and measured
+    /// host seconds; a panicking stage ends the part as a typed
+    /// [`RequestError::StagePanic`] — boxed, so the per-part results a
+    /// dispatch collects stay as small as the values they carry.
+    fn run_part(
         &self,
-        scl: &mut Scl,
-        val: ErasedArr,
-    ) -> std::result::Result<ErasedArr, RequestError> {
-        let ErasedArr {
-            arr,
-            side,
-            elem_bytes,
-        } = val;
-        let (parts, procs, shape) = arr.into_raw();
-        let mut out = Vec::with_capacity(parts.len());
-        for (i, part) in parts.into_iter().enumerate() {
-            let mut v = part;
-            for st in &self.stages {
-                match std::panic::catch_unwind(AssertUnwindSafe(|| (st.f)(i, v))) {
-                    Ok((nv, w, secs)) => {
-                        if st.charged {
-                            let charged = w + scl.measured_work(secs);
-                            scl.machine.compute(procs[i], charged, st.label);
-                        }
-                        v = nv;
-                    }
-                    Err(payload) => {
-                        return Err(RequestError::StagePanic {
-                            stage: st.label.to_string(),
-                            part: i,
-                            message: panic_message(&*payload).to_string(),
-                        })
-                    }
+        i: usize,
+        part: PartVal,
+        mut charge: impl FnMut(&ComputeStage<'_>, Work, f64),
+    ) -> std::result::Result<PartVal, Box<RequestError>> {
+        let mut v = part;
+        for st in &self.stages {
+            match std::panic::catch_unwind(AssertUnwindSafe(|| (st.f)(i, v))) {
+                Ok((nv, w, secs)) => {
+                    charge(st, w, secs);
+                    v = nv;
+                }
+                Err(payload) => {
+                    return Err(Box::new(RequestError::StagePanic {
+                        stage: st.label.to_string(),
+                        part: i,
+                        message: panic_message(&*payload).to_string(),
+                    }))
                 }
             }
-            out.push(v);
         }
-        Ok(ErasedArr {
-            arr: ParArray::from_raw(out, procs, shape),
-            side,
-            elem_bytes,
-        })
+        Ok(v)
     }
 
-    /// Run the whole segment over every part of `val`, charging `scl`
-    /// **exactly as [`Scl::run_fused`] would**: each part is charged
-    /// *once* with the summed work of every stage, as a single `"fused"`
-    /// compute event — where [`SegmentOp::apply`] replays the eager
-    /// per-stage charges. Same work totals and makespan either way;
-    /// `compute_steps` and trace events differ by design.
+    /// Run the whole segment over every part of `val` — the one segment
+    /// kernel, under either charging convention:
     ///
-    /// A streaming runtime uses this charging mode when its per-item
-    /// reports must agree with solo fused execution
-    /// ([`Scl::run_fused`] / [`Scl::run_optimized`]) rather than solo
-    /// eager execution.
+    /// * `summed = true` charges `scl` **exactly as [`Scl::run_fused`]
+    ///   does**: each part *once*, with the summed work of every stage, as
+    ///   a single `"fused"` compute event. The segment is one dispatch:
+    ///   inline, or fanned out through [`par_pipeline`] when the context's
+    ///   [`ExecPolicy`] schedules more than one thread.
+    /// * `summed = false` charges **exactly as the eager layer would**:
+    ///   one compute event per part per *charged* stage (all map flavours;
+    ///   `zip_with` stays free), as each stage finishes — so it runs on
+    ///   the calling thread, and per-item metrics and makespan agree with
+    ///   [`Skel::run`](crate::plan::Skel::run) bit-for-bit under
+    ///   [`MeasureMode::None`](crate::ctx::MeasureMode) and costed stages.
+    ///
+    /// Same work totals and makespan either way; `compute_steps` and trace
+    /// events differ by design. A streaming runtime picks the convention
+    /// its per-item reports must agree with.
+    ///
+    /// A stage panic is caught and returned as a typed
+    /// [`RequestError::StagePanic`] carrying the stage label, part index,
+    /// and panic payload — failure as a value, for runtimes that must not
+    /// unwind. Charges already recorded for earlier stages and parts stay
+    /// on `scl`.
     ///
     /// [`Scl::run_fused`]: crate::ctx::Scl::run_fused
-    /// [`Scl::run_optimized`]: crate::ctx::Scl::run_optimized
-    ///
-    /// # Panics
-    /// Re-raises a stage panic labelled
-    /// `` fused stage `X` panicked on part i ``, like fused execution.
-    pub fn apply_summed(&self, scl: &mut Scl, val: ErasedArr) -> ErasedArr {
-        self.try_apply_summed(scl, val)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`SegmentOp::apply_summed`], but a stage panic is caught and
-    /// returned as a typed [`RequestError::StagePanic`] instead of
-    /// unwinding. Parts already charged stay charged.
-    pub fn try_apply_summed(
+    pub fn run(
         &self,
         scl: &mut Scl,
         val: ErasedArr,
+        summed: bool,
     ) -> std::result::Result<ErasedArr, RequestError> {
-        let ErasedArr {
-            arr,
-            side,
-            elem_bytes,
-        } = val;
-        let (parts, procs, shape) = arr.into_raw();
-        let mut out = Vec::with_capacity(parts.len());
-        for (i, part) in parts.into_iter().enumerate() {
-            let mut v = part;
-            let mut w = Work::NONE;
-            let mut secs = 0.0;
-            for st in &self.stages {
-                match std::panic::catch_unwind(AssertUnwindSafe(|| (st.f)(i, v))) {
-                    Ok((nv, nw, ns)) => {
-                        v = nv;
-                        w += nw;
-                        secs += ns;
-                    }
-                    Err(payload) => {
-                        return Err(RequestError::StagePanic {
-                            stage: st.label.to_string(),
-                            part: i,
-                            message: panic_message(&*payload).to_string(),
-                        })
-                    }
-                }
-            }
-            let charged = w + scl.measured_work(secs);
-            scl.machine.compute(procs[i], charged, "fused");
-            out.push(v);
-        }
+        let schedule = scl.segment_schedule(val.arr.len(), self.len(), val.elem_bytes);
+        let (parts, procs, shape) = val.arr.into_raw();
+        let out =
+            run_parts(scl, parts, schedule, summed, |i| (i, procs[i], self)).map_err(|e| *e)?;
         Ok(ErasedArr {
             arr: ParArray::from_raw(out, procs, shape),
-            side,
-            elem_bytes,
+            ..val
         })
     }
 }
 
-/// A whole-configuration barrier stage, extracted from a fused plan.
-/// Stateful (`FnMut`, possibly `Rc`-shared with the plan's eager path), so
-/// a streaming runtime must run it on one thread and feed it items in
-/// stream order.
-pub struct BarrierOp<'a> {
-    label: &'static str,
-    param: u64,
-    f: BarrierFn<'a>,
+/// Push `parts` through the segments `route` assigns them: global index →
+/// (index within the segment's own array, owning processor, segment). One
+/// dispatch however many segments share it — [`SegmentOp::run`] routes
+/// everything to itself, a `Split` branch routes each half to its arm.
+/// Charging is in part order in every case, so the machine sees the same
+/// event sequence whatever the dispatch.
+fn run_parts<'s, 'p: 's>(
+    scl: &mut Scl,
+    parts: Vec<PartVal>,
+    (threads, grain): (usize, usize),
+    summed: bool,
+    route: impl Fn(usize) -> (usize, usize, &'s SegmentOp<'p>) + Sync,
+) -> std::result::Result<Vec<PartVal>, Box<RequestError>> {
+    let total = |g: usize, part: PartVal| {
+        let (i, _, seg) = route(g);
+        let (mut w, mut secs) = (Work::NONE, 0.0);
+        let v = seg.run_part(i, part, |_, nw, ns| {
+            w += nw;
+            secs += ns;
+        });
+        v.map(|v| (v, w, secs))
+    };
+    let mut out = Vec::with_capacity(parts.len());
+    if summed && threads > 1 {
+        // the shared pool only grows, so pass the cap: an earlier, wider
+        // dispatch must not over-commit this smaller one
+        let results = par_pipeline(ThreadPool::shared(threads), parts, threads, grain, total);
+        for (g, res) in results.into_iter().enumerate() {
+            let (v, w, secs) = res?;
+            scl.charge(route(g).1, w, secs, "fused");
+            out.push(v);
+        }
+    } else {
+        for (g, part) in parts.into_iter().enumerate() {
+            let (i, proc, seg) = route(g);
+            out.push(if summed {
+                let (v, w, secs) = total(g, part)?;
+                scl.charge(proc, w, secs, "fused");
+                v
+            } else {
+                seg.run_part(i, part, |st, w, secs| {
+                    if st.charged {
+                        scl.charge(proc, w, secs, st.label);
+                    }
+                })?
+            });
+        }
+    }
+    Ok(out)
+}
+
+// ---- the chain walker -------------------------------------------------------
+
+/// A configuration error at a barrier or branch boundary, as the typed
+/// failure the chain walker reports.
+fn barrier_failed(stage: &str) -> impl FnOnce(SclError) -> RequestError + '_ {
+    move |error| RequestError::BarrierFailed {
+        stage: stage.to_string(),
+        error,
+    }
+}
+
+/// Run an op chain on the calling thread — the one chain walker, behind
+/// [`Scl::run_fused`](crate::ctx::Scl::run_fused) and every branch arm.
+/// Segments go through [`SegmentOp::run`] under the given charging
+/// convention; every barrier and branch output is validated against the
+/// machine.
+fn apply_ops(
+    ops: &mut [PlanOp<'_>],
+    scl: &mut Scl,
+    mut val: ErasedArr,
+    summed: bool,
+) -> std::result::Result<ErasedArr, RequestError> {
+    for op in ops {
+        val = match op {
+            PlanOp::Segment(seg) => seg.run(scl, val, summed)?,
+            PlanOp::Barrier(b) => b.apply(scl, val).map_err(barrier_failed(b.label))?,
+            PlanOp::Branch(b) => b.try_apply(scl, val, summed)?,
+        };
+    }
+    Ok(val)
 }
 
 impl BarrierOp<'_> {
@@ -957,27 +980,6 @@ impl BarrierOp<'_> {
         scl.try_check_fits(out.arr.len())?;
         Ok(out)
     }
-}
-
-/// A DAG fork extracted from a fused plan: two arm op chains between a
-/// split and a join (the `Split` kind — `pair` / `fanout`) or a
-/// predicate-selected arm (the `Choose` kind — `choice`).
-///
-/// A streaming runtime has two ways to run one:
-///
-/// * [`BranchOp::into_pipelined`] decomposes a `Split` branch whose arms
-///   are each a single pure segment into five linear ops — split barrier,
-///   left segment, swap barrier, right segment, join barrier — so the arm
-///   segments become *sibling farm stages* and independent arms of
-///   consecutive items overlap on the shared pool;
-/// * [`BranchOp::try_apply`] runs the whole branch on the calling (pump)
-///   thread, for branches whose arms contain barriers or nested branches.
-pub struct BranchOp<'a> {
-    label: &'static str,
-    param: u64,
-    kind: BranchKind<'a>,
-    left: Vec<PlanOp<'a>>,
-    right: Vec<PlanOp<'a>>,
 }
 
 /// The pipelined decomposition of a `Split` branch whose arms are single
@@ -1025,6 +1027,11 @@ impl<'a> BranchOp<'a> {
         self.label
     }
 
+    /// The two arm chains, left then right.
+    pub fn arms(&self) -> (&[PlanOp<'a>], &[PlanOp<'a>]) {
+        (&self.left, &self.right)
+    }
+
     /// Display label with arm structure: `pair[map+imap | rotate]`.
     pub fn display_label(&self) -> String {
         let arm = |ops: &[PlanOp<'_>]| {
@@ -1038,21 +1045,28 @@ impl<'a> BranchOp<'a> {
 
     /// Run the whole branch on the calling thread, charging `scl` per
     /// stage (`summed = false`, eager-equivalent charging) or per segment
-    /// (`summed = true`, fused-equivalent) — the same flag a streaming
-    /// runtime passes to [`SegmentOp::try_apply`] /
-    /// [`SegmentOp::try_apply_summed`]. Arm failures come back as typed
-    /// [`RequestError`]s: a panicking arm stage is a
-    /// [`RequestError::StagePanic`] with the part index *local to the
-    /// arm*, a failing arm barrier a [`RequestError::BarrierFailed`].
-    /// For a `Split` branch the left arm runs first, exactly like fused
-    /// execution, so per-item machine reports agree bit-for-bit.
+    /// (`summed = true`, fused-equivalent) — the same flag
+    /// [`SegmentOp::run`] takes. A `Choose` branch runs exactly one arm; a
+    /// `Split` branch runs both, left arm first — and when both arms are a
+    /// single pure segment under summed charging (the shape
+    /// [`BranchOp::into_pipelined`] accepts, the common `pair`/`fanout`
+    /// one) the two halves go out as **one** dispatch over `left parts ++
+    /// right parts`, each part routed through its own arm's stages, so
+    /// under a multi-thread policy the arms genuinely overlap on distinct
+    /// pool workers. Machine charges are identical either way: each half's
+    /// parts are charged in order, left arm first.
+    ///
+    /// Arm failures come back as typed [`RequestError`]s: a panicking arm
+    /// stage is a [`RequestError::StagePanic`] with the part index *local
+    /// to the arm*, a failing arm barrier — or a join that no longer fits
+    /// the machine — a [`RequestError::BarrierFailed`].
     pub fn try_apply(
         &mut self,
         scl: &mut Scl,
         val: ErasedArr,
         summed: bool,
     ) -> std::result::Result<ErasedArr, RequestError> {
-        match &mut self.kind {
+        let out = match &mut self.kind {
             BranchKind::Choose(decide) => {
                 let (val, take_left) = decide(val);
                 let arm = if take_left {
@@ -1060,15 +1074,25 @@ impl<'a> BranchOp<'a> {
                 } else {
                     &mut self.right
                 };
-                apply_ops(arm, scl, val, summed)
+                apply_ops(arm, scl, val, summed)?
             }
             BranchKind::Split { split, join } => {
                 let (l, r) = split(val);
-                let lo = apply_ops(&mut self.left, scl, l, summed)?;
-                let ro = apply_ops(&mut self.right, scl, r, summed)?;
-                Ok(join(lo, ro))
+                let (lo, ro) = match (&mut self.left[..], &mut self.right[..]) {
+                    ([PlanOp::Segment(ls)], [PlanOp::Segment(rs)]) if summed => {
+                        run_split(scl, ls, rs, l, r)?
+                    }
+                    (left, right) => (
+                        apply_ops(left, scl, l, summed)?,
+                        apply_ops(right, scl, r, summed)?,
+                    ),
+                };
+                join(lo, ro)
             }
-        }
+        };
+        scl.try_check_fits(out.arr.len())
+            .map_err(barrier_failed(self.label))?;
+        Ok(out)
     }
 
     /// Decompose into sibling farm stages, if this is a `Split` branch
@@ -1125,59 +1149,43 @@ impl<'a> BranchOp<'a> {
     }
 }
 
-/// Run an op chain on the calling thread — the recursive body of
+/// Both single-segment arms of a `Split` branch as one dispatch — see
 /// [`BranchOp::try_apply`].
-fn apply_ops<'a>(
-    ops: &mut [PlanOp<'a>],
+fn run_split(
     scl: &mut Scl,
-    mut val: ErasedArr,
-    summed: bool,
-) -> std::result::Result<ErasedArr, RequestError> {
-    for op in ops {
-        val = match op {
-            PlanOp::Segment(seg) => {
-                if summed {
-                    seg.try_apply_summed(scl, val)?
-                } else {
-                    seg.try_apply(scl, val)?
-                }
-            }
-            PlanOp::Barrier(b) => {
-                b.apply(scl, val)
-                    .map_err(|error| RequestError::BarrierFailed {
-                        stage: b.label().to_string(),
-                        error,
-                    })?
-            }
-            PlanOp::Branch(b) => b.try_apply(scl, val, summed)?,
-        };
-    }
-    Ok(val)
-}
-
-/// Group a fused node chain into maximal segments and barriers — the
-/// operator list a streaming runtime builds its graph from.
-pub(crate) fn plan_ops(nodes: Vec<FusedNode<'_>>) -> Vec<PlanOp<'_>> {
-    let mut ops: Vec<PlanOp<'_>> = Vec::new();
-    for node in nodes {
-        match node {
-            FusedNode::Compute(st) => match ops.last_mut() {
-                Some(PlanOp::Segment(seg)) => seg.stages.push(st),
-                _ => ops.push(PlanOp::Segment(SegmentOp { stages: vec![st] })),
-            },
-            FusedNode::Barrier { label, param, f } => {
-                ops.push(PlanOp::Barrier(BarrierOp { label, param, f }))
-            }
-            FusedNode::Branch(b) => ops.push(PlanOp::Branch(BranchOp {
-                label: b.label,
-                param: b.param,
-                kind: b.kind,
-                left: plan_ops(b.left),
-                right: plan_ops(b.right),
-            })),
+    left: &SegmentOp<'_>,
+    right: &SegmentOp<'_>,
+    l: ErasedArr,
+    r: ErasedArr,
+) -> std::result::Result<(ErasedArr, ErasedArr), RequestError> {
+    let ln = l.arr.len();
+    let schedule = scl.segment_schedule(
+        ln + r.arr.len(),
+        left.len().max(right.len()),
+        l.elem_bytes.max(r.elem_bytes),
+    );
+    let (mut parts, lprocs, lshape) = l.arr.into_raw();
+    let (rparts, rprocs, rshape) = r.arr.into_raw();
+    parts.extend(rparts);
+    let mut lout = run_parts(scl, parts, schedule, true, |g| {
+        if g < ln {
+            (g, lprocs[g], left)
+        } else {
+            (g - ln, rprocs[g - ln], right)
         }
-    }
-    ops
+    })
+    .map_err(|e| *e)?;
+    let rout = lout.split_off(ln);
+    Ok((
+        ErasedArr {
+            arr: ParArray::from_raw(lout, lprocs, lshape),
+            ..l
+        },
+        ErasedArr {
+            arr: ParArray::from_raw(rout, rprocs, rshape),
+            ..r
+        },
+    ))
 }
 
 /// Best-effort rendering of a panic payload for the labelled re-raise.
@@ -1197,8 +1205,10 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
 }
 
 impl Scl {
-    /// Execute a fused plan: walk the node chain, running maximal compute
-    /// runs as single partition-resident segments and barriers eagerly.
+    /// Execute a fused plan: the chain walker under summed charging,
+    /// between the plan's entry and exit conversions. A failing barrier
+    /// surfaces as its [`SclError`]; a panicking compute stage is re-raised
+    /// here, labelled with the stage name and part.
     pub(crate) fn exec_fused<A, B>(
         &mut self,
         plan: &mut FusedPlan<'_, A, B>,
@@ -1206,254 +1216,18 @@ impl Scl {
     ) -> Result<B> {
         let val = (plan.entry)(input);
         self.try_check_fits(val.arr.len())?;
-        let out = self.exec_chain(&mut plan.nodes, val)?;
-        Ok((plan.exit)(out))
-    }
-
-    /// Walk one node chain: maximal compute runs execute as fused
-    /// segments, barriers run eagerly, branches recurse into their arms.
-    /// Also the executor for each arm of a [`FusedNode::Branch`].
-    fn exec_chain(&mut self, nodes: &mut [FusedNode<'_>], mut val: ErasedArr) -> Result<ErasedArr> {
-        let mut i = 0;
-        while i < nodes.len() {
-            match &mut nodes[i] {
-                FusedNode::Barrier { f, .. } => {
-                    val = f(self, val)?;
-                    self.try_check_fits(val.arr.len())?;
-                    i += 1;
-                }
-                FusedNode::Branch(_) => {
-                    let FusedNode::Branch(b) = &mut nodes[i] else {
-                        unreachable!()
-                    };
-                    val = self.exec_branch(b, val)?;
-                    self.try_check_fits(val.arr.len())?;
-                    i += 1;
-                }
-                FusedNode::Compute(_) => {
-                    let mut j = i;
-                    while j < nodes.len() && matches!(nodes[j], FusedNode::Compute(_)) {
-                        j += 1;
-                    }
-                    val = self.exec_segment(&nodes[i..j], val);
-                    i = j;
-                }
-            }
-        }
-        Ok(val)
-    }
-
-    /// Execute one branch node. A `Choose` branch runs exactly one arm;
-    /// a `Split` branch runs both — concurrently as **one** dispatch over
-    /// the concatenated halves when both arms are pure compute chains
-    /// (the common `pair`/`fanout` shape), sequentially left-then-right
-    /// otherwise. Machine charges are identical either way: each half's
-    /// parts are charged in order, left arm first.
-    fn exec_branch(&mut self, b: &mut BranchNode<'_>, val: ErasedArr) -> Result<ErasedArr> {
-        match &mut b.kind {
-            BranchKind::Choose(decide) => {
-                let (val, take_left) = decide(val);
-                if take_left {
-                    self.exec_chain(&mut b.left, val)
-                } else {
-                    self.exec_chain(&mut b.right, val)
-                }
-            }
-            BranchKind::Split { split, join } => {
-                let (l, r) = split(val);
-                let pure = |nodes: &[FusedNode<'_>]| {
-                    nodes.iter().all(|n| matches!(n, FusedNode::Compute(_)))
-                };
-                if pure(&b.left) && pure(&b.right) {
-                    let (lo, ro) = self.exec_split_segments(&b.left, &b.right, l, r);
-                    return Ok(join(lo, ro));
-                }
-                let lo = self.exec_chain(&mut b.left, l)?;
-                let ro = self.exec_chain(&mut b.right, r)?;
-                Ok(join(lo, ro))
-            }
+        match apply_ops(&mut plan.nodes, self, val, true) {
+            Ok(out) => Ok((plan.exit)(out)),
+            Err(RequestError::BarrierFailed { error, .. }) => Err(error),
+            Err(stage_panic) => panic!("{stage_panic}"),
         }
     }
 
-    /// The branch-parallel fast path: both arms are pure compute chains,
-    /// so the left half's parts and the right half's parts are mutually
-    /// independent items — run them as a single `par_pipeline` dispatch
-    /// over `left parts ++ right parts`, each item routed through its own
-    /// arm's stages. Under a multi-thread policy the two arms genuinely
-    /// overlap on distinct pool workers. Charging stays deterministic:
-    /// after the dispatch, parts are charged in arm order (left first),
-    /// exactly like sequential arm-at-a-time execution.
-    fn exec_split_segments(
-        &mut self,
-        left: &[FusedNode<'_>],
-        right: &[FusedNode<'_>],
-        l: ErasedArr,
-        r: ErasedArr,
-    ) -> (ErasedArr, ErasedArr) {
-        fn stages_of<'n, 'p>(nodes: &'n [FusedNode<'p>]) -> Vec<(&'static str, &'n ComputeFn<'p>)> {
-            nodes
-                .iter()
-                .map(|n| match n {
-                    FusedNode::Compute(ComputeStage { label, f, .. }) => (*label, f),
-                    _ => unreachable!("pure arms contain only compute nodes"),
-                })
-                .collect()
-        }
-        let lstages = stages_of(left);
-        let rstages = stages_of(right);
-
-        let ErasedArr {
-            arr: larr,
-            side: lside,
-            elem_bytes: lbytes,
-        } = l;
-        let ErasedArr {
-            arr: rarr,
-            side: rside,
-            elem_bytes: rbytes,
-        } = r;
-        let ln = larr.len();
-        let (threads, grain) = self.segment_schedule(
-            ln + rarr.len(),
-            lstages.len().max(rstages.len()),
-            lbytes.max(rbytes),
-        );
-        let (lparts, lprocs, lshape) = larr.into_raw();
-        let (rparts, rprocs, rshape) = rarr.into_raw();
-        let mut parts = lparts;
-        parts.extend(rparts);
-
-        let step = |i: usize, part: PartVal| -> (PartVal, Work, f64) {
-            let (local, stages) = if i < ln {
-                (i, &lstages)
-            } else {
-                (i - ln, &rstages)
-            };
-            let mut v = part;
-            let mut w = Work::NONE;
-            let mut secs = 0.0;
-            for (label, f) in stages {
-                match std::panic::catch_unwind(AssertUnwindSafe(|| f(local, v))) {
-                    Ok((nv, nw, ns)) => {
-                        v = nv;
-                        w += nw;
-                        secs += ns;
-                    }
-                    Err(payload) => panic!(
-                        "fused stage `{label}` panicked on part {local}: {}",
-                        panic_message(&*payload)
-                    ),
-                }
-            }
-            (v, w, secs)
-        };
-
-        let results: Vec<(PartVal, Work, f64)> = if threads <= 1 || parts.is_empty() {
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| step(i, p))
-                .collect()
-        } else {
-            par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step)
-        };
-
-        let mut lout = Vec::with_capacity(ln);
-        let mut rout = Vec::with_capacity(results.len() - ln);
-        for (i, (v, w, secs)) in results.into_iter().enumerate() {
-            let charged = w + self.measured_work(secs);
-            if i < ln {
-                self.machine.compute(lprocs[i], charged, "fused");
-                lout.push(v);
-            } else {
-                self.machine.compute(rprocs[i - ln], charged, "fused");
-                rout.push(v);
-            }
-        }
-        (
-            ErasedArr {
-                arr: ParArray::from_raw(lout, lprocs, lshape),
-                side: lside,
-                elem_bytes: lbytes,
-            },
-            ErasedArr {
-                arr: ParArray::from_raw(rout, rprocs, rshape),
-                side: rside,
-                elem_bytes: rbytes,
-            },
-        )
-    }
-
-    /// Run one fused segment — consecutive compute nodes — over every
-    /// partition, charging each partition's accumulated work once.
-    fn exec_segment(&mut self, segment: &[FusedNode<'_>], val: ErasedArr) -> ErasedArr {
-        let ErasedArr {
-            arr,
-            side,
-            elem_bytes,
-        } = val;
-        if arr.is_empty() {
-            return ErasedArr {
-                arr,
-                side,
-                elem_bytes,
-            };
-        }
-        let stages: Vec<(&'static str, &ComputeFn<'_>)> = segment
-            .iter()
-            .map(|n| match n {
-                FusedNode::Compute(ComputeStage { label, f, .. }) => (*label, f),
-                _ => unreachable!("fused segments contain only compute nodes"),
-            })
-            .collect();
-
-        let n = arr.len();
-        let (threads, grain) = self.segment_schedule(n, stages.len(), elem_bytes);
-        let (parts, procs, shape) = arr.into_raw();
-
-        let step = |i: usize, part: PartVal| -> (PartVal, Work, f64) {
-            let mut v = part;
-            let mut w = Work::NONE;
-            let mut secs = 0.0;
-            for (label, f) in &stages {
-                match std::panic::catch_unwind(AssertUnwindSafe(|| f(i, v))) {
-                    Ok((nv, nw, ns)) => {
-                        v = nv;
-                        w += nw;
-                        secs += ns;
-                    }
-                    Err(payload) => panic!(
-                        "fused stage `{label}` panicked on part {i}: {}",
-                        panic_message(&*payload)
-                    ),
-                }
-            }
-            (v, w, secs)
-        };
-
-        let results: Vec<(PartVal, Work, f64)> = if threads <= 1 {
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| step(i, p))
-                .collect()
-        } else {
-            // the shared pool only grows, so pass the cap: an earlier,
-            // wider dispatch must not over-commit this smaller one
-            par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step)
-        };
-
-        let mut out = Vec::with_capacity(results.len());
-        for (i, (v, w, secs)) in results.into_iter().enumerate() {
-            let charged = w + self.measured_work(secs);
-            self.machine.compute(procs[i], charged, "fused");
-            out.push(v);
-        }
-        ErasedArr {
-            arr: ParArray::from_raw(out, procs, shape),
-            side,
-            elem_bytes,
-        }
+    /// Charge `proc` one compute event: reported work plus measured host
+    /// time per the measure mode.
+    fn charge(&mut self, proc: usize, work: Work, host_seconds: f64, label: &'static str) {
+        let charged = work + self.measured_work(host_seconds);
+        self.machine.compute(proc, charged, label);
     }
 
     /// `(threads, grain)` for a segment under the current [`ExecPolicy`] —

@@ -7,7 +7,7 @@
 //! there is nothing left to transform. A [`Skel<A, B>`] closes that gap: it
 //! is a *value* describing a skeleton program from input `A` to output `B`,
 //! built from typed combinators ([`Skel::map`], [`Skel::fold`],
-//! [`Skel::rotate`], [`Skel::farm`], [`Skel::iter_until`], [`Skel::dc`], …)
+//! [`Skel::rotate`], [`Skel::farm`], [`Skel::iter_until`], [`Skel::dac`], …)
 //! and composed with [`Skel::then`] / [`Skel::pipe`].
 //!
 //! A plan has **three back-ends**:
@@ -15,8 +15,8 @@
 //! 1. [`Skel::run`] executes eagerly by delegating to the existing skeleton
 //!    methods on [`Scl`] — one skeleton dispatch (and one materialised
 //!    intermediate array) per stage;
-//! 2. [`Scl::run_fused`] compiles the plan into per-partition stage chains
-//!    (see [`crate::fused`]): runs of compute skeletons (`map` / `imap` /
+//! 2. [`Scl::run_fused`] walks the plan's fused operator chain (see
+//!    [`crate::fused`]): runs of compute skeletons (`map` / `imap` /
 //!    `zip_with` / `farm` and their costed forms) execute back-to-back on
 //!    the worker that owns each partition with **no** intermediates, while
 //!    communication skeletons (`rotate`, `fetch`, `total_exchange`, …) act
@@ -72,7 +72,8 @@ use std::sync::Arc;
 
 /// The eager interpretation of a plan: a host computation against a
 /// coordination context. `FnMut` so plans may own stateful stages (e.g.
-/// [`Skel::dc`] bases); the `RefCell` in [`Skel`] lets `run` stay `&self`.
+/// [`Skel::iter_until`] solvers); the `RefCell` in [`Skel`] lets `run` stay
+/// `&self`.
 type ExecFn<'a, A, B> = Box<dyn FnMut(&mut Scl, A) -> B + 'a>;
 
 /// A first-class, typed skeleton program from `A` to `B`.
@@ -89,9 +90,9 @@ pub struct Skel<'a, A, B> {
     /// `Some` iff every stage of the plan is in the lowerable fragment;
     /// composition preserves it, any opaque stage forfeits it.
     repr: Option<Expr>,
-    /// `Some` iff every stage supplied a fused form (compute node or
-    /// barrier); composition concatenates the node chains, any stage
-    /// without one forfeits fusion for the whole plan.
+    /// `Some` iff every stage supplied a fused form (compute stage,
+    /// barrier or branch); composition concatenates the op chains, any
+    /// stage without one forfeits fusion for the whole plan.
     fused: Option<RefCell<FusedPlan<'a, A, B>>>,
 }
 
@@ -148,13 +149,9 @@ impl<'a, A, B> Skel<'a, A, B> {
     /// for unfusable plans. Consecutive non-barrier stages execute as one
     /// fused segment.
     pub fn fused_stages(&self) -> Option<Vec<(&'static str, bool)>> {
-        self.fused.as_ref().map(|cell| {
-            cell.borrow()
-                .nodes
-                .iter()
-                .map(|n| (n.label(), n.is_barrier()))
-                .collect()
-        })
+        self.fused
+            .as_ref()
+            .map(|cell| fused::stage_list(&cell.borrow().nodes))
     }
 
     /// Sequential composition: run `self`, feed its output to `next`.
@@ -207,19 +204,17 @@ impl<'a, A, B> Skel<'a, A, B> {
     /// for the equality contract and the salting escape hatch.
     pub fn fingerprint(&self) -> Option<fused::PlanFingerprint> {
         let cell = self.fused.as_ref()?;
-        let nodes_hash = fused::fingerprint_nodes(&cell.borrow().nodes);
-        Some(fused::fingerprint_with_repr(
-            nodes_hash,
-            self.repr.as_ref().map(|e| e.to_string()),
-        ))
+        let repr = self.repr.as_ref().map(|e| e as &dyn std::fmt::Display);
+        Some(fused::fingerprint_plan(&cell.borrow().nodes, repr))
     }
 
-    /// Decompose a fusable plan into its streaming operator list: maximal
-    /// fused compute segments ([`PlanOp::Segment`](fused::PlanOp), pure and
-    /// replicable) separated by barriers
-    /// ([`PlanOp::Barrier`](fused::PlanOp), stateful, order-serial). This
-    /// is the compilation step of the `scl-stream` runtime: each segment
-    /// becomes a long-lived farm stage, each barrier a stage boundary.
+    /// Hand a fusable plan's operator chain to a streaming runtime, as it
+    /// is: maximal fused compute segments
+    /// ([`PlanOp::Segment`](fused::PlanOp), pure and replicable) separated
+    /// by barriers ([`PlanOp::Barrier`](fused::PlanOp), stateful,
+    /// order-serial) and branches. This is the compilation input of the
+    /// `scl-stream` runtime: each segment becomes a long-lived farm stage,
+    /// each barrier a stage boundary.
     ///
     /// Consumes the plan (the ops own the stage closures). Plans with an
     /// unfusable stage are handed back unchanged as `Err` so the caller
@@ -228,7 +223,7 @@ impl<'a, A, B> Skel<'a, A, B> {
     pub fn into_stream_ops(self) -> std::result::Result<Vec<fused::PlanOp<'a>>, Self> {
         let Skel { exec, repr, fused } = self;
         match fused {
-            Some(cell) => Ok(fused::plan_ops(cell.into_inner().nodes)),
+            Some(cell) => Ok(cell.into_inner().nodes),
             None => Err(Skel {
                 exec,
                 repr,
@@ -271,7 +266,7 @@ where
     /// outputs.
     ///
     /// Fusability is preserved when both sides have it — the fused form is
-    /// a single **branch node** whose arms are the two stage chains, and
+    /// a single **branch op** whose arms are the two op chains, and
     /// [`Scl::run_fused`] schedules independent pure arms as siblings of
     /// one pool dispatch (see [`crate::fused`]). Not lowerable (the IR's
     /// branch forms are the symbolic [`Skel::fanout_sym`] /
@@ -423,7 +418,7 @@ impl<'a, A: 'a> Skel<'a, A, A> {
 
 // ---- elementary skeletons ---------------------------------------------------
 
-/// Stamp a stage's structural parameters into its fused node(s), so the
+/// Stamp a stage's structural parameters into its fused op, so the
 /// plan fingerprint distinguishes e.g. `rotate(1)` from `rotate(2)` even
 /// when the surrounding plan is opaque (and the composed IR therefore
 /// dropped). `rendered` is any stable textual rendering of the
@@ -724,46 +719,18 @@ where
     pub fn spmd(factory: impl Fn() -> Vec<SpmdStage<'a, T>> + 'a) -> Self {
         Skel::from_fn(move |scl: &mut Scl, a: ParArray<T>| scl.spmd(factory(), a))
     }
-
-    /// Generic divide-and-conquer ([`Scl::dc`]).
-    pub fn dc(
-        branches: usize,
-        is_base: impl Fn(&ParArray<T>) -> bool + 'a,
-        mut base: impl FnMut(&mut Scl, ParArray<T>) -> ParArray<T> + 'a,
-        mut step: impl FnMut(&mut Scl, ParArray<T>) -> ParArray<T> + 'a,
-    ) -> Self {
-        Skel::from_fn(move |scl: &mut Scl, a: ParArray<T>| {
-            scl.dc(a, branches, &is_base, &mut base, &mut step)
-        })
-    }
-}
-
-impl<'a, X: 'a> Skel<'a, X, X> {
-    /// Condition-driven iteration ([`Scl::iter_until`]): apply `iter_solve`
-    /// until `con` holds, then `final_solve`. The state type `X` is
-    /// anything the loop threads through (arrays, tuples of arrays and
-    /// scalars, …). Not fusable — use [`Skel::iter_until_fused`] when `X`
-    /// implements [`FusePort`] and the plan should compose into fused
-    /// chains.
-    pub fn iter_until(
-        mut iter_solve: impl FnMut(&mut Scl, X) -> X + 'a,
-        mut final_solve: impl FnMut(&mut Scl, X) -> X + 'a,
-        con: impl Fn(&X) -> bool + 'a,
-    ) -> Skel<'a, X, X> {
-        Skel::from_fn(move |scl: &mut Scl, x: X| {
-            scl.iter_until(&mut iter_solve, &mut final_solve, &con, x)
-        })
-    }
 }
 
 impl<'a, X: FusePort + 'a> Skel<'a, X, X> {
-    /// As [`Skel::iter_until`] for state types with a fused boundary form:
-    /// the whole loop participates in fused execution as a single
-    /// **barrier** stage (the loop body is free to run its own skeletons),
-    /// so surrounding compute stages still fuse and
-    /// [`Scl::run_fused`] validates the configuration instead of
-    /// panicking.
-    pub fn iter_until_fused(
+    /// Condition-driven iteration ([`Scl::iter_until`]): apply `iter_solve`
+    /// until `con` holds, then `final_solve`. The state type `X` is
+    /// anything the loop threads through that has a fused boundary form
+    /// (arrays, tuples of arrays and scalars, …). The whole loop
+    /// participates in fused execution as a single **barrier** stage (the
+    /// loop body is free to run its own skeletons), so surrounding compute
+    /// stages still fuse and [`Scl::run_fused`] validates the configuration
+    /// instead of panicking.
+    pub fn iter_until(
         iter_solve: impl FnMut(&mut Scl, X) -> X + 'a,
         final_solve: impl FnMut(&mut Scl, X) -> X + 'a,
         con: impl Fn(&X) -> bool + 'a,
@@ -784,7 +751,7 @@ impl<'a, X: FusePort + 'a> Skel<'a, X, X> {
     ///
     /// The factories are invoked once per node of the unfolded tree
     /// (`divide`/`combine` get the level, `1..=levels`); compare
-    /// [`Skel::dc`], the eager recursion whose structure is rediscovered
+    /// [`Scl::dc`], the eager recursion whose structure is rediscovered
     /// on every run.
     pub fn dac(
         levels: usize,
@@ -871,178 +838,25 @@ fn symbols_resolve(e: &Expr, reg: &Registry) -> bool {
     }
 }
 
-/// Runtime value threaded through [`exec_expr`]: flat or nested (inside a
-/// `split … combine` region).
+/// Runtime value threaded through a nested region: flat, or nested (inside
+/// `split … combine`).
 enum RtVal {
     Flat(ParArray<i64>),
     Nested(ParArray<ParArray<i64>>),
 }
 
-/// Interpret an array→array [`Expr`] through the *runtime* skeleton layer,
-/// one scalar per virtual processor, charging the simulated machine.
-fn exec_expr(e: &Expr, reg: &Registry, scl: &mut Scl, val: RtVal) -> Result<RtVal, String> {
-    let flat = |v: RtVal| -> Result<ParArray<i64>, String> {
-        match v {
-            RtVal::Flat(a) => Ok(a),
-            RtVal::Nested(_) => Err(format!("{e}: needs a flat array")),
-        }
-    };
-    match e {
-        Expr::Id => Ok(val),
-        Expr::Compose(es) => {
-            let mut v = val;
-            for sub in es.iter().rev() {
-                v = exec_expr(sub, reg, scl, v)?;
-            }
-            Ok(v)
-        }
-        Expr::Map(f) => {
-            let a = flat(val)?;
-            // validates the symbol up front; apply_fn below cannot fail
-            let w = reg.fn_work(f)?;
-            let out = scl.map_costed(&a, |x| (reg.apply_fn(f, *x).unwrap_or(0), w));
-            Ok(RtVal::Flat(out))
-        }
-        Expr::Rotate(k) => Ok(RtVal::Flat(scl.rotate_owned(*k as isize, flat(val)?))),
-        Expr::Fetch(h) => {
-            let a = flat(val)?;
-            let n = a.len();
-            // pre-resolve the index map so errors surface as Err
-            let mut idx = Vec::with_capacity(n);
-            for i in 0..n {
-                idx.push(reg.apply_idx(h, i, n)?);
-            }
-            Ok(RtVal::Flat(scl.fetch_owned(|i| idx[i], a)))
-        }
-        Expr::Send(h) => {
-            let a = flat(val)?;
-            let n = a.len();
-            let mut dst = Vec::with_capacity(n);
-            for k in 0..n {
-                dst.push(reg.apply_idx(h, k, n)?);
-            }
-            let inboxes = scl.send_owned(|k| vec![dst[k]], a);
-            // resolve the unordered accumulation with + (the interpreter's
-            // canonical monoid)
-            Ok(RtVal::Flat(scl.map_costed(&inboxes, |v| {
-                (
-                    v.iter().fold(0i64, |acc, x| acc.wrapping_add(*x)),
-                    Work::flops(v.len() as u64),
-                )
-            })))
-        }
-        Expr::Scan(op) => {
-            let a = flat(val)?;
-            reg.op_work(op)?;
-            Ok(RtVal::Flat(
-                scl.scan(&a, |x, y| reg.apply_op(op, *x, *y).unwrap_or(0)),
-            ))
-        }
-        Expr::Split(p) => {
-            let a = flat(val)?;
-            if a.len() < *p {
-                return Err(format!("cannot split {} parts into {p} groups", a.len()));
-            }
-            Ok(RtVal::Nested(scl.split(Pattern::Block(*p), a)))
-        }
-        Expr::MapGroups(body) => match val {
-            RtVal::Nested(groups) => {
-                let mut err: Option<String> = None;
-                let out = scl.map_groups(groups, &mut |scl, g| match exec_expr(
-                    body,
-                    reg,
-                    scl,
-                    RtVal::Flat(g),
-                ) {
-                    Ok(RtVal::Flat(a)) => a,
-                    Ok(RtVal::Nested(_)) => {
-                        err = Some("mapGroups body must stay flat".into());
-                        ParArray::from_parts(vec![])
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        ParArray::from_parts(vec![])
-                    }
-                });
-                match err {
-                    None => Ok(RtVal::Nested(out)),
-                    Some(e) => Err(e),
-                }
-            }
-            RtVal::Flat(_) => Err("mapGroups needs a nested input".into()),
-        },
-        Expr::Combine => match val {
-            RtVal::Nested(groups) => Ok(RtVal::Flat(scl.combine(groups))),
-            RtVal::Flat(_) => Err("combine needs a nested input".into()),
-        },
-        // The flattened segmented forms execute as their nested equivalents
-        // (split ∘ mapGroups ∘ combine) — same routes, same charges.
-        Expr::SegRotate { groups, k } => {
-            let body = Expr::Rotate(*k);
-            seg(reg, scl, flat(val)?, *groups, &body)
-        }
-        Expr::SegFetch { groups, f } => {
-            let body = Expr::Fetch(f.clone());
-            seg(reg, scl, flat(val)?, *groups, &body)
-        }
-        Expr::SegSend { groups, f } => {
-            let body = Expr::Send(f.clone());
-            seg(reg, scl, flat(val)?, *groups, &body)
-        }
-        Expr::Choice { pred, left, right } => {
-            let a = flat(val)?;
-            // validate up front so apply_fn below cannot fail; the probe
-            // itself charges nothing (mirrors the raised Skel::choice_sym)
-            reg.fn_work(pred)?;
-            let probe = a.parts().first().copied().unwrap_or(0);
-            let arm = if reg.apply_fn(pred, probe)? != 0 {
-                left
-            } else {
-                right
-            };
-            exec_expr(arm, reg, scl, RtVal::Flat(a))
-        }
-        Expr::Fanout {
-            left,
-            right,
-            combine,
-        } => {
-            let a = flat(val)?;
-            reg.op_work(combine)?;
-            let twin = a.clone();
-            let l = match exec_expr(left, reg, scl, RtVal::Flat(a))? {
-                RtVal::Flat(arr) => arr,
-                RtVal::Nested(_) => return Err("fanout arms must stay flat".into()),
-            };
-            let r = match exec_expr(right, reg, scl, RtVal::Flat(twin))? {
-                RtVal::Flat(arr) => arr,
-                RtVal::Nested(_) => return Err("fanout arms must stay flat".into()),
-            };
-            if l.len() != r.len() {
-                return Err("fanout arms disagree on length".into());
-            }
-            // like Skel::zip_sym / Scl::zip_with, the zip charges nothing
-            Ok(RtVal::Flat(scl.zip_with(&l, &r, |x, y| {
-                reg.apply_op(combine, *x, *y).unwrap_or(0)
-            })))
-        }
-        Expr::Fold(_) | Expr::FoldrMap(_, _) => Err(format!(
-            "{e}: scalar-producing programs are outside the array→array plan fragment"
-        )),
-    }
-}
-
-/// Execute `body` within each of `groups` block segments.
-fn seg(
-    reg: &Registry,
-    scl: &mut Scl,
-    a: ParArray<i64>,
-    groups: usize,
-    body: &Expr,
-) -> Result<RtVal, String> {
-    let nested = exec_expr(&Expr::Split(groups), reg, scl, RtVal::Flat(a))?;
-    let mapped = exec_expr(&Expr::MapGroups(Box::new(body.clone())), reg, scl, nested)?;
-    exec_expr(&Expr::Combine, reg, scl, mapped)
+/// One step of an IR fragment with no stage form of its own, compiled once
+/// when its barrier is built (`Skel::expr_barrier`). Flat sub-programs
+/// are **raised** — a `mapGroups` body, a leaf inside a nested composition
+/// — and run through their eager form, so every IR leaf has one runtime
+/// meaning: the stage `from_expr` builds for it.
+enum RegionStep<'a> {
+    Split(usize),
+    /// A raised flat stage applied to the whole (flat) array.
+    Flat(Skel<'a, ParArray<i64>, ParArray<i64>>),
+    /// A raised flat body applied to each group of a nested array.
+    MapGroups(Skel<'a, ParArray<i64>, ParArray<i64>>),
+    Combine,
 }
 
 impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
@@ -1231,7 +1045,8 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
     /// [`optimize`].
     ///
     /// The raised plan is built stage by stage, so it is **fusable**: maps
-    /// become compute nodes, everything else becomes a barrier, and
+    /// become compute stages, branches become branch ops with recursively
+    /// raised arms, everything else becomes a barrier, and
     /// [`Scl::run_optimized`] can hand the optimised program to the fused
     /// executor.
     pub fn from_expr(e: &Expr, reg: &'a Registry) -> Result<Self, String> {
@@ -1254,96 +1069,137 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
         // Group the stages so that every emitted piece is array→array:
         // shape-preserving leaves become their own (possibly fusable)
         // stage; a `split … combine` region accumulates until the shape is
-        // flat again and runs as one barrier through the interpreter.
+        // flat again and runs as one barrier.
         let mut plan: Option<Self> = None;
         let mut region: Vec<Expr> = Vec::new(); // execution order
         let mut shape = Shape::Arr;
         for st in elements {
             shape = shape_of(&st, shape)?;
-            if region.is_empty() && shape == Shape::Arr {
-                let stage = Self::expr_stage(st, reg);
-                plan = Some(match plan {
-                    None => stage,
-                    Some(p) => p.then(stage),
-                });
+            let stage = if region.is_empty() && shape == Shape::Arr {
+                Self::expr_stage(st, reg)?
             } else {
                 region.push(st);
-                if shape == Shape::Arr {
-                    let chunk = Expr::pipeline(std::mem::take(&mut region));
-                    let stage = Self::expr_barrier(chunk, reg);
-                    plan = Some(match plan {
-                        None => stage,
-                        Some(p) => p.then(stage),
-                    });
+                if shape != Shape::Arr {
+                    continue;
                 }
-            }
+                Self::expr_barrier(Expr::pipeline(std::mem::take(&mut region)), reg)?
+            };
+            plan = Some(match plan {
+                None => stage,
+                Some(p) => p.then(stage),
+            });
         }
         let mut plan = plan.unwrap_or_else(Skel::identity);
         plan.repr = Some(e.clone());
         Ok(plan)
     }
 
-    /// One shape-preserving IR leaf as a plan stage, fused where the leaf
-    /// is part-local.
-    fn expr_stage(st: Expr, reg: &'a Registry) -> Self {
-        match st {
+    /// One shape-preserving IR form as a plan stage, fused where the form
+    /// is part-local. Branch arms are raised **recursively**, so nested
+    /// maps keep their compute-stage form and the raised plan is a real
+    /// DAG, not a flattened chain.
+    fn expr_stage(st: Expr, reg: &'a Registry) -> Result<Self, String> {
+        Ok(match st {
             Expr::Map(f) => Skel::map_ref(f, reg),
             Expr::Rotate(k) => Skel::rotate(k as isize),
             Expr::Scan(op) => Skel::scan_sym(&op, reg),
             Expr::Fetch(h) => Skel::fetch_ref(h, reg),
             Expr::Send(h) => Skel::send_ref(h, reg),
-            st @ (Expr::Choice { .. } | Expr::Fanout { .. }) => Self::expr_branch(st, reg),
-            other => Self::expr_barrier(other, reg),
-        }
-    }
-
-    /// A branch IR form as a plan stage: both arms are raised
-    /// **recursively** (so nested maps keep their compute-node form and
-    /// the raised plan is a real DAG, not a flattened chain), falling back
-    /// to the interpreter barrier only if an arm fails to raise — raising
-    /// is total either way.
-    fn expr_branch(st: Expr, reg: &'a Registry) -> Self {
-        match st {
-            Expr::Choice { pred, left, right } => {
-                match (Self::from_expr(&left, reg), Self::from_expr(&right, reg)) {
-                    (Ok(l), Ok(r)) => Skel::choice_ref(pred, l, r, reg),
-                    _ => Self::expr_barrier(Expr::Choice { pred, left, right }, reg),
-                }
-            }
+            Expr::Choice { pred, left, right } => Skel::choice_ref(
+                pred,
+                Self::from_expr(&left, reg)?,
+                Self::from_expr(&right, reg)?,
+                reg,
+            ),
             Expr::Fanout {
                 left,
                 right,
                 combine,
-            } => match (Self::from_expr(&left, reg), Self::from_expr(&right, reg)) {
-                (Ok(l), Ok(r)) => Skel::fanout_sym(l, r, &combine, reg),
-                _ => Self::expr_barrier(
-                    Expr::Fanout {
-                        left,
-                        right,
-                        combine,
-                    },
-                    reg,
-                ),
-            },
-            other => Self::expr_barrier(other, reg),
-        }
+            } => Skel::fanout_sym(
+                Self::from_expr(&left, reg)?,
+                Self::from_expr(&right, reg)?,
+                &combine,
+                reg,
+            ),
+            other => Self::expr_barrier(other, reg)?,
+        })
     }
 
-    /// An arbitrary array→array IR fragment as one barrier stage executed
-    /// through the runtime interpreter.
-    fn expr_barrier(st: Expr, reg: &'a Registry) -> Self {
-        let repr = st.clone();
-        let mut plan = Skel::barrier(
-            "expr",
-            move |scl: &mut Scl, a: ParArray<i64>| match exec_expr(&st, reg, scl, RtVal::Flat(a)) {
-                Ok(RtVal::Flat(out)) => out,
-                Ok(RtVal::Nested(_)) => unreachable!("shape-checked to Arr"),
-                Err(err) => panic!("raised plan failed at runtime: {err}"),
-            },
-        );
-        tag_param(&plan, &repr.to_string());
-        plan.repr = Some(repr);
-        plan
+    /// Compile an IR fragment with no stage form of its own into
+    /// [`RegionStep`]s, in execution order.
+    fn region_steps(
+        e: &Expr,
+        reg: &'a Registry,
+        out: &mut Vec<RegionStep<'a>>,
+    ) -> Result<(), String> {
+        // The flattened segmented forms run as their nested equivalents
+        // (split ∘ mapGroups ∘ combine) — same routes, same charges.
+        let seg = |groups: usize, body: Expr| -> Result<[RegionStep<'a>; 3], String> {
+            Ok([
+                RegionStep::Split(groups),
+                RegionStep::MapGroups(Self::expr_stage(body, reg)?),
+                RegionStep::Combine,
+            ])
+        };
+        match e {
+            Expr::Id => {}
+            Expr::Compose(es) => {
+                for sub in es.iter().rev() {
+                    Self::region_steps(sub, reg, out)?;
+                }
+            }
+            Expr::Split(p) => out.push(RegionStep::Split(*p)),
+            Expr::MapGroups(body) => out.push(RegionStep::MapGroups(Self::from_expr(body, reg)?)),
+            Expr::Combine => out.push(RegionStep::Combine),
+            Expr::SegRotate { groups, k } => out.extend(seg(*groups, Expr::Rotate(*k))?),
+            Expr::SegFetch { groups, f } => out.extend(seg(*groups, Expr::Fetch(f.clone()))?),
+            Expr::SegSend { groups, f } => out.extend(seg(*groups, Expr::Send(f.clone()))?),
+            Expr::Fold(_) | Expr::FoldrMap(_, _) => {
+                return Err(format!(
+                    "{e}: scalar-producing programs are outside the array→array plan fragment"
+                ))
+            }
+            staged => out.push(RegionStep::Flat(Self::expr_stage(staged.clone(), reg)?)),
+        }
+        Ok(())
+    }
+
+    /// An array→array IR fragment with no stage form of its own — a
+    /// `split … combine` region, a segmented form — as one barrier stage
+    /// over its compiled [`RegionStep`]s.
+    fn expr_barrier(st: Expr, reg: &'a Registry) -> Result<Self, String> {
+        let mut steps = Vec::new();
+        Self::region_steps(&st, reg, &mut steps)?;
+        let mut plan = Skel::barrier("expr", move |scl: &mut Scl, a: ParArray<i64>| {
+            let mut val = RtVal::Flat(a);
+            for step in &steps {
+                val = match (step, val) {
+                    (RegionStep::Split(p), RtVal::Flat(a)) => {
+                        assert!(
+                            a.len() >= *p,
+                            "raised plan failed at runtime: cannot split {} parts into {p} groups",
+                            a.len()
+                        );
+                        RtVal::Nested(scl.split(Pattern::Block(*p), a))
+                    }
+                    (RegionStep::Flat(stage), RtVal::Flat(a)) => RtVal::Flat(stage.run(scl, a)),
+                    (RegionStep::MapGroups(body), RtVal::Nested(groups)) => {
+                        RtVal::Nested(scl.map_groups(groups, &mut |scl, g| body.run(scl, g)))
+                    }
+                    (RegionStep::Combine, RtVal::Nested(groups)) => {
+                        RtVal::Flat(scl.combine(groups))
+                    }
+                    _ => unreachable!("from_expr shape-checks every fragment it raises"),
+                };
+            }
+            match val {
+                RtVal::Flat(out) => out,
+                RtVal::Nested(_) => unreachable!("shape-checked to Arr"),
+            }
+        });
+        tag_param(&plan, &st.to_string());
+        plan.repr = Some(st);
+        Ok(plan)
     }
 }
 
@@ -1588,26 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_until_plan_loops() {
-        let plan: Skel<'_, i32, i32> = Skel::iter_until(|_, x| x * 2, |_, x| x + 1, |x| *x >= 16);
-        let mut s = unit_ctx(1);
-        assert_eq!(plan.run(&mut s, 1), 17);
-    }
-
-    #[test]
-    fn dc_plan_reaches_bases() {
-        let plan = Skel::dc(
-            2,
-            |g: &ParArray<i64>| g.len() == 1,
-            |scl: &mut Scl, g| scl.map(&g, |x| x * 10),
-            |_scl: &mut Scl, g| g,
-        );
-        let mut s = unit_ctx(8);
-        let out = plan.run(&mut s, arr(8));
-        assert_eq!(out.to_vec(), (0..8).map(|x| x * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn partition_gather_roundtrip_plan() {
         let plan = Skel::partition(Pattern::Block(4)).then(Skel::gather());
         let mut s = Scl::ap1000(4);
@@ -1665,7 +1501,7 @@ mod tests {
 
     #[test]
     fn lowerable_parameters_fingerprint_apart() {
-        // same node chain (one `rotate` barrier), different IR parameter
+        // same op chain (one `rotate` barrier), different IR parameter
         assert_ne!(
             Skel::<'_, ParArray<i64>, ParArray<i64>>::rotate(1)
                 .fingerprint()
@@ -1745,24 +1581,6 @@ mod tests {
         // one opaque stage poisons the chain's fingerprint too
         let chain = Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|_, a: ParArray<i64>| a));
         assert!(chain.fingerprint().is_none());
-    }
-
-    #[test]
-    fn stream_ops_fingerprint_like_the_plan_modulo_repr() {
-        // the PlanOp-level hash sees the node chain only; an opaque plan
-        // (no repr) must fingerprint identically before and after
-        // `into_stream_ops` consumes it
-        let plan = Skel::map(|x: &i64| x + 1)
-            .then(Skel::shift(1, 0))
-            .then(Skel::map_costed(|x: &i64| (x * 3, Work::flops(1))));
-        let fp = plan.fingerprint().unwrap();
-        let ops = plan.into_stream_ops().ok().unwrap();
-        let from_ops = crate::fused::fingerprint_ops(&ops);
-        // plan-level fingerprint folds in the "no repr" marker
-        assert_eq!(
-            crate::fused::fingerprint_with_repr(from_ops.raw(), None),
-            fp
-        );
     }
 
     // ---- fused execution ----------------------------------------------------
@@ -2024,7 +1842,7 @@ mod tests {
 
     #[test]
     fn iter_until_fused_is_a_barrier_stage() {
-        let plan = Skel::iter_until_fused(
+        let plan = Skel::iter_until(
             |scl: &mut Scl, (a, n, r): (ParArray<i64>, usize, f64)| {
                 (scl.map(&a, |x| x + 1), n + 1, r)
             },

@@ -210,13 +210,7 @@ impl Farm {
                 Ok(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
                     Err(RequestError::DeadlineExceeded)
                 }
-                Ok(val) => {
-                    if summed {
-                        seg.try_apply_summed(&mut scl, val)
-                    } else {
-                        seg.try_apply(&mut scl, val)
-                    }
-                }
+                Ok(val) => seg.run(&mut scl, val, summed),
                 poisoned => poisoned,
             };
             stats
@@ -577,13 +571,7 @@ impl Graph {
                         }),
                     }
                 }
-                PumpOp::Inline(seg) => {
-                    if summed {
-                        seg.try_apply_summed(&mut env.scl, val)
-                    } else {
-                        seg.try_apply(&mut env.scl, val)
-                    }
-                }
+                PumpOp::Inline(seg) => seg.run(&mut env.scl, val, summed),
                 PumpOp::Branch(b) => {
                     // compute stages inside the arms already resolve their
                     // own panics to typed errors; the catch here is the

@@ -13,9 +13,9 @@
 //!
 //! ## The operator graph
 //!
-//! [`Skel::into_stream_ops`] decomposes a fusable plan into maximal fused
-//! compute segments separated by barriers, and [`StreamExec::new`] turns
-//! that list into a graph:
+//! [`Skel::into_stream_ops`] hands over a fusable plan's operator chain —
+//! maximal fused compute segments separated by barriers — and
+//! [`StreamExec::new`] turns that chain into a graph:
 //!
 //! * each **segment** becomes a long-lived **farm stage**: an input queue,
 //!   `N` replica workers on a persistent `scl-exec` pool
@@ -46,7 +46,8 @@
 //! Every stream item carries its **own** simulated-machine context,
 //! cloned from the template in [`StreamPolicy`]: segment stages charge it
 //! per part per stage exactly as the eager layer would
-//! ([`SegmentOp::apply`]), and barriers run the very same closures the
+//! ([`SegmentOp::run`] with `summed = false`), and barriers run the very
+//! same closures the
 //! eager path runs. Collecting [`StreamExec::run_stream`] over N inputs
 //! therefore equals N eager [`Skel::run`] calls bit-for-bit, with
 //! identical per-item [`MachineReport`]s (under `MeasureMode::None` /
@@ -79,8 +80,8 @@
 //!   every round without spawning or joining threads.
 //! * **Fused-style charging** — [`StreamPolicy::with_fused_charging`]
 //!   makes segments charge one summed `"fused"` compute event per part
-//!   ([`SegmentOp::apply_summed`]) instead of replaying eager per-stage
-//!   charges, so per-item reports equal solo
+//!   ([`SegmentOp::run`] with `summed = true`) instead of replaying eager
+//!   per-stage charges, so per-item reports equal solo
 //!   [`Scl::run_fused`](scl_core::Scl::run_fused) /
 //!   [`Scl::run_optimized`](scl_core::Scl::run_optimized) calls — what a
 //!   service needs when it compiles *optimized* plans into its cache.
@@ -102,8 +103,7 @@
 //!
 //! [`Skel::run`]: scl_core::Skel::run
 //! [`Skel::into_stream_ops`]: scl_core::Skel::into_stream_ops
-//! [`SegmentOp::apply`]: scl_core::SegmentOp::apply
-//! [`SegmentOp::apply_summed`]: scl_core::SegmentOp::apply_summed
+//! [`SegmentOp::run`]: scl_core::SegmentOp::run
 
 use scl_core::{panic_message, ErasedArr, FusePort, RequestError, Scl, SclError, Skel};
 use scl_exec::ExecPolicy;
@@ -178,7 +178,7 @@ impl StreamPolicy {
 
     /// Charge fused compute segments **fused-style** — one summed
     /// `"fused"` compute event per part per segment
-    /// ([`SegmentOp::apply_summed`](scl_core::SegmentOp::apply_summed)) —
+    /// ([`SegmentOp::run`](scl_core::SegmentOp::run) with `summed = true`) —
     /// instead of replaying the eager per-stage charges. Same work totals
     /// and makespan; choose this when per-item reports must agree with
     /// solo [`Scl::run_fused`](scl_core::Scl::run_fused) /

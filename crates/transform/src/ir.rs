@@ -300,13 +300,27 @@ pub fn shape_of(e: &Expr, inp: Shape) -> Result<Shape, String> {
     }
 }
 
+/// Write `items` joined by the composition dot ` . `, straight into the
+/// formatter — rendering builds no intermediate strings, so hashing a
+/// rendering (plan fingerprints) allocates nothing.
+fn write_composed<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(" . ")?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for FnRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FnRef::Named(n) => write!(f, "{n}"),
             FnRef::Comp(fs) => {
-                let parts: Vec<String> = fs.iter().map(|x| x.to_string()).collect();
-                write!(f, "({})", parts.join(" . "))
+                f.write_str("(")?;
+                write_composed(f, fs)?;
+                f.write_str(")")
             }
         }
     }
@@ -317,8 +331,9 @@ impl fmt::Display for IdxRef {
         match self {
             IdxRef::Named(n) => write!(f, "{n}"),
             IdxRef::Comp(fs) => {
-                let parts: Vec<String> = fs.iter().map(|x| x.to_string()).collect();
-                write!(f, "({})", parts.join(" . "))
+                f.write_str("(")?;
+                write_composed(f, fs)?;
+                f.write_str(")")
             }
         }
     }
@@ -329,10 +344,7 @@ impl fmt::Display for Expr {
         use Expr::*;
         match self {
             Id => write!(f, "id"),
-            Compose(es) => {
-                let parts: Vec<String> = es.iter().map(|e| e.to_string()).collect();
-                write!(f, "{}", parts.join(" . "))
-            }
+            Compose(es) => write_composed(f, es),
             Map(fr) => write!(f, "map({fr})"),
             Fold(op) => write!(f, "fold({op})"),
             FoldrMap(op, g) => write!(f, "foldr({op} . {g})"),
