@@ -1,6 +1,8 @@
 //! Queue-layer micro-benchmark: throughput of the lock-free SPSC ring
-//! and its MPMC lane-matrix composition against the mutex+condvar
-//! [`Bounded`] channel and `std::sync::mpsc::sync_channel`, emitted as
+//! and its MPMC lane-matrix composition — the only transport under the
+//! stream farms — against two baselines nothing in the runtime sends
+//! through: the mutex+condvar [`Bounded`] channel (kept for exactly this
+//! measurement) and `std::sync::mpsc::sync_channel`. Emitted as
 //! `BENCH_queue.json`.
 //!
 //! ```text

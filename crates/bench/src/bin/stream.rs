@@ -14,15 +14,19 @@
 //!   `Threads(max(host, 4))` (the same budget `BENCH_fused.json` uses):
 //!   every stage of every item is its own fork-join dispatch;
 //! * **stream** — `StreamExec::run_stream` over the same items: replicas
-//!   and channels persist, items overlap across stages (fixed farm
+//!   and ring links persist, items overlap across stages (fixed farm
 //!   widths, autonomic control off, so each `(capacity, width)` cell
 //!   measures exactly one configuration).
 //!
-//! A stream cell's worker-thread count is `farms × width` (each farm
-//! owns its replicas), so per-cell `workers` is reported and the
-//! headline `speedup_stream_vs_eager` is taken over **budget-matched**
-//! cells only (`workers ≤` the eager thread budget); the unconstrained
-//! best is reported separately as `speedup_stream_vs_eager_best`.
+//! Every cell runs on the one link family there is, lock-free ring lane
+//! matrices. A ring needs one slot per lane, so a farm spawns
+//! `min(width, capacity)` replicas: the `(2, 4)` cell runs 2-wide farms.
+//! A cell's worker-thread count is therefore read back from the graph
+//! (`stage_stats()`: each farm owns its replicas), reported per cell as
+//! `workers`, and the headline `speedup_stream_vs_eager` is taken over
+//! **budget-matched** cells only (`workers ≤` the eager thread budget);
+//! the unconstrained best is reported separately as
+//! `speedup_stream_vs_eager_best`.
 
 use scl_core::prelude::*;
 use scl_stream::{StreamExec, StreamPolicy};
@@ -128,7 +132,12 @@ fn main() {
                 .with_capacity(capacity)
                 .with_adaptive(false);
             let exec = StreamExec::new(plan(stages), policy);
-            let workers = exec.farm_stages() * width;
+            let workers: usize = exec
+                .stage_stats()
+                .iter()
+                .filter(|st| st.farm)
+                .map(|st| st.max_width)
+                .sum();
             let t0 = Instant::now();
             let mut outputs = exec.run_stream(data.iter().cloned());
             let first = outputs.next().expect("stream yields every item");

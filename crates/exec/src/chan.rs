@@ -1,27 +1,26 @@
-//! A bounded multi-producer / multi-consumer channel.
+//! The mutex+condvar baseline the rings are measured against.
 //!
-//! `std::sync::mpsc` is single-consumer, which rules it out for farm
-//! stages where several replica workers pull items off one queue. This is
-//! the minimal MPMC complement: a [`Bounded<T>`] channel over a
-//! `Mutex<VecDeque>` and two condvars, with
+//! [`Bounded<T>`] is the textbook bounded multi-producer / multi-consumer
+//! channel — a `Mutex<VecDeque>` and two condvars — and nothing in the
+//! runtime sends a message through it: every stage-to-stage link is a
+//! lock-free ring ([`spsc`](crate::spsc), [`mpmc`](crate::mpmc)). It stays
+//! as the **measured baseline**: `scl-bench --bin queue` and the benchmark
+//! ladder's `exec.bounded_ns_per_msg` probe drive the same traffic through
+//! it and through the rings, so what the lock-free path buys is a number.
+//! Its surface is what those measurements use:
 //!
 //! * a hard **capacity** — [`Bounded::send`] blocks while the queue is
-//!   full, which is what gives a streaming operator graph backpressure
-//!   (memory stays O(capacity) regardless of stream length);
+//!   full;
 //! * a **close** bit — [`Bounded::close`] wakes every blocked sender and
 //!   receiver; receivers drain the remaining items and then observe
-//!   disconnection, the standard shutdown protocol for persistent stage
-//!   workers;
-//! * a **depth gauge** — [`Bounded::len`] reads the current queue depth
-//!   without disturbing it, which is what an autonomic controller samples
-//!   to decide whether a stage is keeping up.
+//!   disconnection.
 //!
 //! Handles are cheap clones sharing one queue (`Arc` internally); any
-//! handle may send, receive, or close.
+//! handle may send, receive, or close. [`TryRecv`], the outcome type of
+//! the rings' non-blocking and timed receives, is defined here too.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 struct State<T> {
     buf: VecDeque<T>,
@@ -48,7 +47,7 @@ impl<T> Clone for Bounded<T> {
     }
 }
 
-/// Outcome of a non-blocking receive.
+/// Outcome of a non-blocking or timed receive on a ring.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TryRecv<T> {
     /// An item was dequeued.
@@ -75,28 +74,8 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// The capacity the channel was created with.
-    pub fn capacity(&self) -> usize {
-        self.inner.cap
-    }
-
-    /// Current queue depth (racy by nature; a gauge, not a guarantee).
-    pub fn len(&self) -> usize {
-        self.inner.state.lock().expect("poisoned channel").buf.len()
-    }
-
-    /// True when the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True once [`Bounded::close`] has been called on any handle.
-    pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().expect("poisoned channel").closed
-    }
-
     /// Close the channel: blocked senders fail, receivers drain what is
-    /// left and then observe [`TryRecv::Closed`] / `None`.
+    /// left and then observe `None`.
     pub fn close(&self) {
         self.inner.state.lock().expect("poisoned channel").closed = true;
         self.inner.not_empty.notify_all();
@@ -120,17 +99,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Enqueue without blocking. `Err(item)` when full or closed.
-    pub fn try_send(&self, item: T) -> Result<(), T> {
-        let mut st = self.inner.state.lock().expect("poisoned channel");
-        if st.closed || st.buf.len() >= self.inner.cap {
-            return Err(item);
-        }
-        st.buf.push_back(item);
-        self.inner.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Dequeue, blocking while the channel is open and empty. `None` once
     /// the channel is closed *and* drained.
     pub fn recv(&self) -> Option<T> {
@@ -146,92 +114,6 @@ impl<T> Bounded<T> {
             st = self.inner.not_empty.wait(st).expect("poisoned channel");
         }
     }
-
-    /// [`Bounded::recv`] that gives up at a **deadline**, returning
-    /// [`TryRecv::Empty`]: the total wait never exceeds `timeout` (plus
-    /// scheduling noise), no matter how many spurious or item-less
-    /// notified wakeups occur in between — each loop iteration re-arms
-    /// the wait with the *remaining* budget, not the full one.
-    pub fn recv_timeout(&self, timeout: Duration) -> TryRecv<T> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().expect("poisoned channel");
-        loop {
-            if let Some(x) = st.buf.pop_front() {
-                self.inner.not_full.notify_one();
-                return TryRecv::Item(x);
-            }
-            if st.closed {
-                return TryRecv::Closed;
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return TryRecv::Empty;
-            };
-            let (guard, _) = self
-                .inner
-                .not_empty
-                .wait_timeout(st, remaining)
-                .expect("poisoned channel");
-            st = guard;
-        }
-    }
-
-    /// Single-wait receive: block until an item arrives, the channel
-    /// closes, **or any wakeup at all** (a [`Bounded::wake_all`], a
-    /// spurious wake, or `timeout` as a safety net), returning
-    /// [`TryRecv::Empty`] on a wakeup that finds the buffer empty.
-    ///
-    /// This is the stage-worker idle primitive: unlike
-    /// [`Bounded::recv_timeout`], which absorbs wakeups until its
-    /// deadline, this hands control back on the *first* one so the
-    /// caller can re-check out-of-band state (its width gate) that the
-    /// waker changed.
-    pub fn recv_or_wake(&self, timeout: Duration) -> TryRecv<T> {
-        let mut st = self.inner.state.lock().expect("poisoned channel");
-        if let Some(x) = st.buf.pop_front() {
-            self.inner.not_full.notify_one();
-            return TryRecv::Item(x);
-        }
-        if st.closed {
-            return TryRecv::Closed;
-        }
-        let (mut st, _) = self
-            .inner
-            .not_empty
-            .wait_timeout(st, timeout)
-            .expect("poisoned channel");
-        match st.buf.pop_front() {
-            Some(x) => {
-                self.inner.not_full.notify_one();
-                TryRecv::Item(x)
-            }
-            None if st.closed => TryRecv::Closed,
-            None => TryRecv::Empty,
-        }
-    }
-
-    /// Wake every blocked receiver without enqueuing anything — the hook
-    /// a width gate's waker uses so workers parked in
-    /// [`Bounded::recv_or_wake`] re-check their admission promptly
-    /// instead of waiting out a park interval.
-    pub fn wake_all(&self) {
-        // taking the lock orders this notify against any receiver
-        // between its buffer check and its wait: no missed wakeups
-        let _st = self.inner.state.lock().expect("poisoned channel");
-        self.inner.not_empty.notify_all();
-    }
-
-    /// Dequeue without blocking.
-    pub fn try_recv(&self) -> TryRecv<T> {
-        let mut st = self.inner.state.lock().expect("poisoned channel");
-        match st.buf.pop_front() {
-            Some(x) => {
-                self.inner.not_full.notify_one();
-                TryRecv::Item(x)
-            }
-            None if st.closed => TryRecv::Closed,
-            None => TryRecv::Empty,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -241,26 +123,12 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn fifo_order_and_depth() {
+    fn fifo_order() {
         let ch = Bounded::new(4);
-        assert_eq!(ch.capacity(), 4);
         ch.send(1).unwrap();
         ch.send(2).unwrap();
-        assert_eq!(ch.len(), 2);
-        assert!(!ch.is_empty());
         assert_eq!(ch.recv(), Some(1));
         assert_eq!(ch.recv(), Some(2));
-        assert!(ch.is_empty());
-    }
-
-    #[test]
-    fn try_send_observes_capacity() {
-        let ch = Bounded::new(2);
-        ch.try_send(1).unwrap();
-        ch.try_send(2).unwrap();
-        assert_eq!(ch.try_send(3), Err(3));
-        assert_eq!(ch.recv(), Some(1));
-        ch.try_send(3).unwrap();
     }
 
     #[test]
@@ -268,75 +136,9 @@ mod tests {
         let ch = Bounded::new(4);
         ch.send("a").unwrap();
         ch.close();
-        assert!(ch.is_closed());
         assert_eq!(ch.send("b"), Err("b"));
         assert_eq!(ch.recv(), Some("a"));
         assert_eq!(ch.recv(), None);
-        assert_eq!(ch.try_recv(), TryRecv::Closed);
-    }
-
-    #[test]
-    fn try_recv_distinguishes_empty_and_closed() {
-        let ch: Bounded<u8> = Bounded::new(1);
-        assert_eq!(ch.try_recv(), TryRecv::Empty);
-        ch.close();
-        assert_eq!(ch.try_recv(), TryRecv::Closed);
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let ch: Bounded<u8> = Bounded::new(1);
-        assert_eq!(ch.recv_timeout(Duration::from_millis(1)), TryRecv::Empty);
-        ch.send(9).unwrap();
-        assert_eq!(ch.recv_timeout(Duration::from_millis(1)), TryRecv::Item(9));
-    }
-
-    /// Regression (issue 7): `recv_timeout` used to re-arm the *full*
-    /// timeout after every item-less wakeup, so a storm of notifies kept
-    /// a 50 ms wait alive indefinitely. Deadline-based now: the total
-    /// wait stays within ~2× the request even while another thread
-    /// hammers the not-empty condvar.
-    #[test]
-    fn recv_timeout_is_deadline_bound_under_notify_storm() {
-        let ch: Bounded<u8> = Bounded::new(1);
-        let storm_ch = ch.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let storm = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                storm_ch.wake_all(); // notify with nothing enqueued
-                std::thread::yield_now();
-            }
-        });
-        let t0 = std::time::Instant::now();
-        assert_eq!(ch.recv_timeout(Duration::from_millis(50)), TryRecv::Empty);
-        let waited = t0.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        storm.join().unwrap();
-        assert!(waited >= Duration::from_millis(45), "{waited:?}");
-        assert!(
-            waited <= Duration::from_millis(100),
-            "recv_timeout overshot its deadline under a notify storm: {waited:?}"
-        );
-    }
-
-    #[test]
-    fn recv_or_wake_returns_on_first_empty_wakeup() {
-        let ch: Bounded<u8> = Bounded::new(1);
-        let waker = ch.clone();
-        let w = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            waker.wake_all();
-        });
-        let t0 = std::time::Instant::now();
-        // a 10 s budget, but the wake (no item) hands control back early
-        assert_eq!(ch.recv_or_wake(Duration::from_secs(10)), TryRecv::Empty);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        w.join().unwrap();
-        ch.send(3).unwrap();
-        assert_eq!(ch.recv_or_wake(Duration::from_secs(10)), TryRecv::Item(3));
-        ch.close();
-        assert_eq!(ch.recv_or_wake(Duration::from_secs(10)), TryRecv::Closed);
     }
 
     #[test]

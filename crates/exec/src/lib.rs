@@ -33,34 +33,30 @@
 //!   transpose, `gather` concat, `partition` scatter) when the cost model
 //!   says the payload justifies fanning out.
 //! * [`ThreadPool`] — the persistent workers themselves, also usable
-//!   directly for `'static` jobs with joinable [`JobHandle`]s (the stage
-//!   crews below). Idle workers spin, then yield, then sleep on a condvar
-//!   that releases the queue lock; a submitter pays a wake-up only when
-//!   nobody awake is free to take its job.
+//!   directly for `'static` jobs with joinable [`JobHandle`]s. Idle
+//!   workers spin, then yield, then sleep on a condvar that releases the
+//!   queue lock; a submitter pays a wake-up only when nobody awake is free
+//!   to take its job.
 //!
-//! For *streaming* execution (the `scl-stream` crate) two queue families
-//! live here, behind one trait face:
+//! For *streaming* execution (the `scl-stream` crate) one queue family
+//! lives here — lock-free rings — and every stage-to-stage link is built
+//! from it:
 //!
-//! * the **lock-free fast path** — a cache-padded SPSC ring
-//!   ([`ring`], [`spsc`]) and its MPMC composition into per-producer /
-//!   per-consumer lane matrices ([`ring_mpmc`], [`mpmc`]), with
-//!   spin-then-park waiting ([`Backoff`], [`backoff`]): stage-to-stage
-//!   links whose hot path takes no lock and whose idle path costs
-//!   nothing;
-//! * [`Bounded`] — the mutex+condvar MPMC fallback with a depth gauge
-//!   and a close protocol, for links whose topology or capacity split
-//!   doesn't fit the rings;
-//! * [`LinkTx`] / [`LinkRx`] ([`link`]) — the common face, so pumps and
-//!   replica loops are written once over either family;
-//! * [`spawn_stage_workers`] — long-lived pipeline-stage workers on a
-//!   [`ThreadPool`], each looping `take → work → emit` over a shared
-//!   [`Bounded`] input, gated by an atomic width so an autonomic
-//!   controller can widen/narrow a farm without spawning threads — and
-//!   [`spawn_farm_workers`], the lock-free counterpart where each
-//!   replica owns a private ring pair and admission control lives in the
-//!   pump's routing;
+//! * a cache-padded SPSC ring ([`ring`], [`spsc`]) and its MPMC
+//!   composition into per-producer / per-consumer lane matrices
+//!   ([`ring_mpmc`], [`mpmc`]), with spin-then-park waiting ([`Backoff`],
+//!   [`backoff`]): links whose hot path takes no lock and whose idle path
+//!   costs nothing;
+//! * [`spawn_farm_workers`] — long-lived farm replicas on a
+//!   [`ThreadPool`], each owning a private ring pair and looping
+//!   `recv → work → send`; admission control lives in the pump's routing
+//!   ([`RingSender::try_send_within`]), so an autonomic controller widens
+//!   or narrows a farm by storing one integer;
 //! * [`StealRange`] ([`deque`]) — the per-worker stealing deques under
-//!   [`par_pipeline`].
+//!   [`par_pipeline`];
+//! * [`Bounded`] — the textbook mutex+condvar channel, carried by no
+//!   runtime path: the baseline `scl-bench --bin queue` and the benchmark
+//!   ladder measure the rings against.
 //!
 //! When several such runtimes share one process — a multi-tenant plan
 //! service running many graphs against one machine — [`ThreadBudget`]
@@ -83,7 +79,6 @@ pub mod backoff;
 pub mod budget;
 pub mod chan;
 pub mod deque;
-pub mod link;
 pub mod mpmc;
 pub mod policy;
 pub mod pool;
@@ -95,7 +90,6 @@ pub use backoff::Backoff;
 pub use budget::{BudgetLease, ThreadBudget};
 pub use chan::{Bounded, TryRecv};
 pub use deque::StealRange;
-pub use link::{LinkRx, LinkTx};
 pub use mpmc::{ring_mpmc, RingReceiver, RingSender};
 pub use policy::{host_threads, ExecPolicy, POLICY_ENV_VAR};
 pub use pool::{JobHandle, ThreadPool};
@@ -103,4 +97,4 @@ pub use scope::{
     par_concat, par_for_each, par_map, par_map_indexed, par_permute, par_pipeline, par_scatter,
 };
 pub use spsc::{ring, SpscReceiver, SpscSender};
-pub use stage::{spawn_farm_workers, spawn_stage_workers, StageCrew, WidthGate};
+pub use stage::spawn_farm_workers;

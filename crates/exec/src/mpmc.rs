@@ -23,8 +23,8 @@
 //!
 //! Capacity: each lane holds `max(1, capacity / max(P, C))` items, so the
 //! 1×C and P×1 matrices a farm actually builds (emitter→replicas,
-//! replicas→collector) hold ≈ `capacity` items in total, matching the
-//! backpressure bound of a [`Bounded`](crate::Bounded) link they replace.
+//! replicas→collector) hold ≈ `capacity` items in total — the farm's
+//! backpressure bound — as long as the farm has at most `capacity` lanes.
 //! A general P×C matrix (both > 1) holds up to `min(P, C) × capacity`.
 //!
 //! Handles are `Send` but neither `Clone` nor `Sync` — the type system

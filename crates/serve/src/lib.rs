@@ -126,7 +126,6 @@ pub struct ServePolicy {
     plan_cache_cap: usize,
     capacity: usize,
     adaptive: bool,
-    locked_links: bool,
     quarantine_after: u32,
 }
 
@@ -144,7 +143,6 @@ impl ServePolicy {
             plan_cache_cap: 32,
             capacity: 8,
             adaptive: true,
-            locked_links: false,
             quarantine_after: 3,
         }
     }
@@ -185,7 +183,8 @@ impl ServePolicy {
         self
     }
 
-    /// Set the per-graph channel capacity (backpressure bound) — see
+    /// Set the per-graph link capacity: the backpressure bound, and the
+    /// most replicas any one farm runs — see
     /// [`StreamPolicy::with_capacity`](scl_stream::StreamPolicy::with_capacity).
     pub fn with_capacity(mut self, capacity: usize) -> ServePolicy {
         self.capacity = capacity.max(1);
@@ -197,17 +196,6 @@ impl ServePolicy {
     /// Either way the shard scheduler's per-round cap bounds the width.
     pub fn with_adaptive(mut self, adaptive: bool) -> ServePolicy {
         self.adaptive = adaptive;
-        self
-    }
-
-    /// Force every cached graph's stage-to-stage links onto the locked
-    /// [`Bounded`](scl_exec::Bounded) channel instead of the lock-free
-    /// ring matrices — see
-    /// [`StreamPolicy::with_locked_links`](scl_stream::StreamPolicy::with_locked_links).
-    /// Exists for differential testing of the two queue families at the
-    /// service layer; answers and reports are identical either way.
-    pub fn with_locked_links(mut self, locked_links: bool) -> ServePolicy {
-        self.locked_links = locked_links;
         self
     }
 
@@ -235,7 +223,6 @@ impl ServePolicy {
             .with_capacity(self.capacity)
             .with_adaptive(self.adaptive)
             .with_fused_charging(fused_charging)
-            .with_locked_links(self.locked_links)
     }
 }
 

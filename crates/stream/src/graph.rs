@@ -1,7 +1,7 @@
 //! The persistent operator graph behind [`StreamExec`](crate::StreamExec):
-//! farm stages (segment replicas over bounded queues) linked by pump-side
-//! hops (barrier chains), plus the pump loop and the autonomic width
-//! controller.
+//! farm stages (segment replicas over bounded lock-free rings) linked by
+//! pump-side hops (barrier chains), plus the pump loop and the autonomic
+//! width controller.
 //!
 //! Threading model: farm replicas are the only worker threads; everything
 //! else — barrier execution, reordering, relaying between stages,
@@ -14,13 +14,12 @@
 use crate::{Envelope, FarmStats, StageStat};
 use scl_core::{panic_message, BarrierOp, BranchOp, ErasedArr, PlanOp, RequestError, SegmentOp};
 use scl_exec::{
-    ring_mpmc, spawn_farm_workers, spawn_stage_workers, Bounded, ExecPolicy, RingReceiver,
-    RingSender, ThreadPool, TryRecv, WidthGate,
+    ring_mpmc, spawn_farm_workers, ExecPolicy, RingReceiver, RingSender, ThreadPool, TryRecv,
 };
 use scl_machine::Machine;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,51 +76,32 @@ impl Hop {
     }
 }
 
-/// A farm's stage-to-stage links: the lock-free ring fast path, or the
-/// mutex+condvar fallback.
+/// One farm stage: a fused compute segment replicated across workers,
+/// with the pump-side reorder buffer that restores stream order.
 ///
-/// **Rings** exploit the farm's known topology — exactly one pumping
+/// The links exploit the farm's known topology — exactly one pumping
 /// thread on each side — as two SPSC lane matrices: a 1×W input matrix
-/// (pump → replicas, the pump holds the [`RingSender`]) and a W×1 output
-/// matrix (replicas → pump). Each replica owns its private (receiver,
-/// sender) lane pair, so the whole `take → work → emit` loop is
-/// lock-free; the width gate steers the **pump's routing**
-/// ([`RingSender::try_send_within`]) instead of gating the workers — a
-/// narrowed-off replica just stops receiving new items, drains its own
-/// ring, and parks in `recv` for free.
-///
-/// **Locked** ([`Bounded`]) remains for link shapes the rings can't
-/// honour — a per-link capacity smaller than the replica count would
-/// weaken the backpressure bound (lanes must hold ≥ 1 item each) — and
-/// as the explicitly selectable fallback
-/// ([`with_locked_links`](crate::StreamPolicy::with_locked_links)).
-enum FarmLinks {
-    Rings {
-        in_tx: RingSender<Envelope>,
-        out_rx: RingReceiver<Envelope>,
-    },
-    Locked {
-        in_q: Bounded<Envelope>,
-        out_q: Bounded<Envelope>,
-    },
-}
-
-/// One farm stage: a fused compute segment replicated across gated
-/// workers, with the pump-side reorder buffer that restores stream order.
+/// (pump → replicas) and a W×1 output matrix (replicas → pump). Each
+/// replica owns its private (receiver, sender) lane pair, so the whole
+/// `take → work → emit` loop is lock-free; the width gate steers the
+/// **pump's routing** ([`RingSender::try_send_within`]) instead of gating
+/// the workers — a narrowed-off replica just stops receiving new items,
+/// drains its own ring, and parks in `recv` for free.
 pub(crate) struct Farm {
     label: String,
     seg: Arc<SegmentOp<'static>>,
-    links: FarmLinks,
-    /// The replicas' private lane ends (ring farms only), moved out by
-    /// [`Farm::spawn`].
+    /// The pump's row of the input matrix.
+    in_tx: RingSender<Envelope>,
+    /// The pump's column of the output matrix.
+    out_rx: RingReceiver<Envelope>,
+    /// The replicas' private lane ends, moved out by [`Farm::spawn`].
     worker_links: Vec<(RingReceiver<Envelope>, RingSender<Envelope>)>,
-    /// Replicas currently allowed to claim work (the autonomic gate;
-    /// with ring links it steers the pump's routing, with locked links
-    /// workers past the width park on its condvar).
-    active: Arc<WidthGate>,
+    /// Replicas the pump currently routes to (the autonomic gate). Like
+    /// every field below it is pump-thread state: replicas never read it.
+    active: usize,
     /// Current ceiling for `active` (≤ `spawned`): the policy/cost-model
     /// ceiling clamped by the graph's external width cap.
-    max_width: AtomicUsize,
+    max_width: usize,
     /// The policy-side ceiling alone (exec policy cap, possibly lowered by
     /// the cost model at calibration) — kept so an external cap change can
     /// recompute `max_width` without re-calibrating.
@@ -139,46 +119,28 @@ pub(crate) struct Farm {
 }
 
 impl Farm {
+    /// A farm of `width_cap.min(capacity)` replicas: the rings need one
+    /// slot per lane, and `capacity` is the backpressure bound, so a farm
+    /// is never wider than its links are deep.
     fn new(
         seg: Arc<SegmentOp<'static>>,
         capacity: usize,
         width_cap: usize,
         adaptive: bool,
-        locked_links: bool,
     ) -> Farm {
-        // rings only when each of the `width_cap` lanes can hold at
-        // least one item without exceeding the configured capacity —
-        // otherwise the lane split would either starve replicas or
-        // weaken the backpressure bound — and when not explicitly
-        // overridden
-        let (links, worker_links) = if !locked_links && capacity >= width_cap {
-            let (mut in_txs, in_rxs) = ring_mpmc(1, width_cap, capacity);
-            let (out_txs, mut out_rxs) = ring_mpmc(width_cap, 1, capacity);
-            (
-                FarmLinks::Rings {
-                    in_tx: in_txs.remove(0),
-                    out_rx: out_rxs.remove(0),
-                },
-                in_rxs.into_iter().zip(out_txs).collect(),
-            )
-        } else {
-            (
-                FarmLinks::Locked {
-                    in_q: Bounded::new(capacity),
-                    out_q: Bounded::new(capacity),
-                },
-                Vec::new(),
-            )
-        };
+        let width = width_cap.min(capacity);
+        let (mut in_txs, in_rxs) = ring_mpmc(1, width, capacity);
+        let (out_txs, mut out_rxs) = ring_mpmc(width, 1, capacity);
         Farm {
             label: seg.label(),
             seg,
-            links,
-            worker_links,
-            active: WidthGate::new(if adaptive { 1 } else { width_cap }),
-            max_width: AtomicUsize::new(width_cap),
-            policy_cap: width_cap,
-            spawned: width_cap,
+            in_tx: in_txs.remove(0),
+            out_rx: out_rxs.remove(0),
+            worker_links: in_rxs.into_iter().zip(out_txs).collect(),
+            active: if adaptive { 1 } else { width },
+            max_width: width,
+            policy_cap: width,
+            spawned: width,
             stats: Arc::new(FarmStats::default()),
             reorder: BTreeMap::new(),
             expect: 0,
@@ -224,59 +186,35 @@ impl Farm {
                 payload,
             }
         };
-        // crew handles dropped in both arms: replicas never panic
-        // (poison instead), and the pool joins the threads on shutdown
-        match &self.links {
-            FarmLinks::Rings { .. } => {
-                // each replica owns a private lane pair: its loop is
-                // lock-free end to end, and admission happens upstream
-                // in the pump's routing (no gate in the loop)
-                let links = std::mem::take(&mut self.worker_links);
-                drop(spawn_farm_workers(
-                    pool,
-                    links,
-                    Arc::new(move |_replica, env| process(env)),
-                ));
-            }
-            FarmLinks::Locked { in_q, out_q } => {
-                let out = out_q.clone();
-                drop(spawn_stage_workers(
-                    pool,
-                    self.spawned,
-                    Arc::clone(&self.active),
-                    in_q.clone(),
-                    Arc::new(move |_replica, env| {
-                        // a closed output means the graph is shutting
-                        // down: drop the result
-                        let _ = out.send(process(env));
-                    }),
-                ));
-            }
-        }
+        // each replica owns a private lane pair: its loop is lock-free
+        // end to end, and admission happens upstream in the pump's
+        // routing (no gate in the loop). Replicas never panic (they
+        // poison instead), and the pool joins the threads on shutdown.
+        let links = std::mem::take(&mut self.worker_links);
+        spawn_farm_workers(pool, links, Arc::new(move |_replica, env| process(env)));
     }
 
     /// Items queued toward the replicas right now (racy gauge).
     fn in_depth(&self) -> usize {
-        match &self.links {
-            FarmLinks::Rings { in_tx, .. } => in_tx.len(),
-            FarmLinks::Locked { in_q, .. } => in_q.len(),
-        }
+        self.in_tx.len()
     }
 
-    /// Input capacity the pump can currently route into: for ring links
-    /// only the gate-admitted lanes count (each lane holds
-    /// `capacity / spawned`), for a locked link it is the whole queue.
-    /// The controller's widen threshold is relative to this, so a
-    /// narrow farm still detects backlog when its few admitted lanes
-    /// fill up.
+    /// Input capacity the pump can currently route into: only the
+    /// gate-admitted lanes count (each lane holds `capacity / spawned`).
+    /// The controller's widen threshold is relative to this, so a narrow
+    /// farm still detects backlog when its few admitted lanes fill up.
     fn in_routable_capacity(&self) -> usize {
-        match &self.links {
-            FarmLinks::Rings { in_tx, .. } => {
-                let lane = (in_tx.capacity() / self.spawned).max(1);
-                lane * self.active.width().min(self.spawned)
-            }
-            FarmLinks::Locked { in_q, .. } => in_q.capacity(),
-        }
+        self.in_tx.capacity() / self.spawned * self.active
+    }
+
+    /// Recompute the width ceiling from the policy-side cap and the
+    /// graph's external cap, and bring the gate under it: an adaptive farm
+    /// keeps its current width if that still fits, a fixed-width farm runs
+    /// at the ceiling.
+    fn clamp_width(&mut self, extern_cap: usize, adaptive: bool) {
+        let cap = self.policy_cap.min(extern_cap).clamp(1, self.spawned);
+        self.max_width = cap;
+        self.active = if adaptive { self.active.min(cap) } else { cap };
     }
 }
 
@@ -304,22 +242,22 @@ pub(crate) struct Graph {
     adaptive: bool,
     /// The persistent worker pool, held for its drop (which joins the
     /// replica threads); `None` when the graph has no farms. The `Graph`
-    /// drop impl closes every channel first, so the workers the pool
-    /// joins are guaranteed to exit.
+    /// drop impl closes every ring first, so the workers the pool joins
+    /// are guaranteed to exit.
     _pool: Option<ThreadPool>,
 }
 
 impl Graph {
     /// Compile an operator list into a live graph. A 1-thread policy
     /// inlines every segment on the pump (zero worker threads); otherwise
-    /// each segment becomes a farm capped at the policy's thread count.
+    /// each segment becomes a farm capped at the policy's thread count
+    /// and at `capacity` (see [`Farm::new`]).
     pub(crate) fn build(
         ops: Vec<PlanOp<'static>>,
         capacity: usize,
         exec: ExecPolicy,
         adaptive: bool,
         summed_charging: bool,
-        locked_links: bool,
     ) -> Graph {
         let exec_cap = match exec {
             ExecPolicy::Sequential => 1,
@@ -341,7 +279,7 @@ impl Graph {
                             .expect("hops start non-empty")
                             .push_op(PumpOp::Inline(seg));
                     } else {
-                        farms.push(Farm::new(seg, capacity, exec_cap, adaptive, locked_links));
+                        farms.push(Farm::new(seg, capacity, exec_cap, adaptive));
                         hops.push(Hop::new());
                     }
                 }
@@ -356,24 +294,12 @@ impl Graph {
                         hops.last_mut()
                             .expect("hops start non-empty")
                             .push_op(PumpOp::Barrier(p.enter));
-                        farms.push(Farm::new(
-                            Arc::new(p.left),
-                            capacity,
-                            exec_cap,
-                            adaptive,
-                            locked_links,
-                        ));
+                        farms.push(Farm::new(Arc::new(p.left), capacity, exec_cap, adaptive));
                         hops.push(Hop::new());
                         hops.last_mut()
                             .expect("hops grow with farms")
                             .push_op(PumpOp::Barrier(p.swap));
-                        farms.push(Farm::new(
-                            Arc::new(p.right),
-                            capacity,
-                            exec_cap,
-                            adaptive,
-                            locked_links,
-                        ));
+                        farms.push(Farm::new(Arc::new(p.right), capacity, exec_cap, adaptive));
                         hops.push(Hop::new());
                         hops.last_mut()
                             .expect("hops grow with farms")
@@ -428,11 +354,7 @@ impl Graph {
     pub(crate) fn set_width_cap(&mut self, cap: usize) {
         self.extern_cap = cap.max(1);
         for farm in &mut self.farms {
-            let eff = farm.policy_cap.min(self.extern_cap).clamp(1, farm.spawned);
-            farm.max_width.store(eff, Ordering::Relaxed);
-            let active = farm.active.width();
-            let want = if self.adaptive { active.min(eff) } else { eff };
-            farm.active.set(want.max(1));
+            farm.clamp_width(self.extern_cap, self.adaptive);
         }
     }
 
@@ -462,11 +384,7 @@ impl Graph {
                 self.exec_cap,
             );
             farm.policy_cap = d.threads.clamp(1, farm.spawned);
-            let cap = farm.policy_cap.min(self.extern_cap).clamp(1, farm.spawned);
-            farm.max_width.store(cap, Ordering::Relaxed);
-            let active = farm.active.width();
-            let want = if self.adaptive { active.min(cap) } else { cap };
-            farm.active.set(want.max(1));
+            farm.clamp_width(self.extern_cap, self.adaptive);
         }
     }
 
@@ -514,17 +432,8 @@ impl Graph {
         let farm = &mut self.farms[h - 1];
         // drain whatever the replicas have finished into the reorder
         // buffer; release only the next item in stream order
-        match &farm.links {
-            FarmLinks::Rings { out_rx, .. } => {
-                while let TryRecv::Item(env) = out_rx.try_recv() {
-                    farm.reorder.insert(env.seq, env);
-                }
-            }
-            FarmLinks::Locked { out_q, .. } => {
-                while let TryRecv::Item(env) = out_q.try_recv() {
-                    farm.reorder.insert(env.seq, env);
-                }
-            }
+        while let TryRecv::Item(env) = farm.out_rx.try_recv() {
+            farm.reorder.insert(env.seq, env);
         }
         match farm.reorder.remove(&farm.expect) {
             Some(env) => {
@@ -600,29 +509,21 @@ impl Graph {
     fn accept(&mut self, h: usize, env: Envelope) -> Result<(), Envelope> {
         if h < self.farms.len() {
             let farm = &self.farms[h];
-            match &farm.links {
-                // ring farms enforce the width gate here, in the pump's
-                // routing: only the first `width` replicas' lanes are
-                // eligible, so narrowed-off replicas drain dry and park
-                FarmLinks::Rings { in_tx, out_rx } => {
-                    // Occupancy window: a shared locked queue hands items
-                    // to replicas in FIFO order, so nothing falls far
-                    // behind; private lanes can park an item deep in one
-                    // busy lane while the others race ahead into the
-                    // reorder buffer — and on through it, admitting ever
-                    // more pushes. Capping admitted-minus-released at the
-                    // farm's static buffer space (in + out + one in hand
-                    // per replica) keeps the reorder buffer — and the
-                    // whole stream's in-flight gauge — bounded by
-                    // O(capacity), exactly as with locked links.
-                    let window = (in_tx.capacity() + out_rx.capacity() + farm.spawned) as u64;
-                    if env.seq - farm.expect >= window {
-                        return Err(env);
-                    }
-                    in_tx.try_send_within(env, farm.active.width())
-                }
-                FarmLinks::Locked { in_q, .. } => in_q.try_send(env),
+            // Occupancy window: private lanes can park an item deep in
+            // one busy lane while the others race ahead into the reorder
+            // buffer — and on through it, admitting ever more pushes.
+            // Capping admitted-minus-released at the farm's static buffer
+            // space (in + out + one in hand per replica) keeps the reorder
+            // buffer — and the whole stream's in-flight gauge — bounded by
+            // O(capacity).
+            let window = (farm.in_tx.capacity() + farm.out_rx.capacity() + farm.spawned) as u64;
+            if env.seq - farm.expect >= window {
+                return Err(env);
             }
+            // the width gate is enforced here, in the pump's routing: only
+            // the first `active` replicas' lanes are eligible, so
+            // narrowed-off replicas drain dry and park
+            farm.in_tx.try_send_within(env, farm.active)
         } else {
             self.completed.push_back(env);
             Ok(())
@@ -633,7 +534,7 @@ impl Graph {
     /// utilisation since the last tick; widen a backlogged stage (depth ≥
     /// ¾ capacity) by one replica up to its ceiling, narrow a starved one
     /// (empty queue, active replicas under 25 % busy) down to one. Width
-    /// changes only flip the atomic gate — no threads spawn or join.
+    /// changes only move the routing gate — no threads spawn or join.
     pub(crate) fn tick_controller(&mut self) {
         let now = Instant::now();
         for farm in &mut self.farms {
@@ -645,14 +546,14 @@ impl Graph {
             let dbusy = busy.saturating_sub(farm.last_busy);
             farm.last_busy = busy;
             farm.last_tick = now;
-            let active = farm.active.width();
-            let cap = farm.max_width.load(Ordering::Relaxed);
+            let active = farm.active;
+            let cap = farm.max_width;
             let depth = farm.in_depth();
             let util = dbusy as f64 / (dt as f64 * active.max(1) as f64);
             if depth * 4 >= farm.in_routable_capacity() * 3 && active < cap {
-                farm.active.set(active + 1);
+                farm.active = active + 1;
             } else if depth == 0 && util < 0.25 && active > 1 {
-                farm.active.set(active - 1);
+                farm.active = active - 1;
             }
         }
     }
@@ -678,8 +579,8 @@ impl Graph {
                 out.push(StageStat {
                     label: farm.label.clone(),
                     farm: true,
-                    width: farm.active.width(),
-                    max_width: farm.max_width.load(Ordering::Relaxed),
+                    width: farm.active,
+                    max_width: farm.max_width,
                     queue_depth: farm.in_depth(),
                     items,
                     mean_service_secs: mean_secs(
@@ -700,20 +601,10 @@ impl Drop for Graph {
         // and exit, letting the pool's drop join them. In-flight
         // envelopes are dropped with the queues.
         for farm in &self.farms {
-            match &farm.links {
-                FarmLinks::Rings { in_tx, out_rx } => {
-                    // closing the pump's row/column closes every lane of
-                    // both matrices (1×W and W×1) and wakes parked ends
-                    in_tx.close();
-                    out_rx.close();
-                }
-                FarmLinks::Locked { in_q, out_q } => {
-                    in_q.close();
-                    out_q.close();
-                }
-            }
-            // wake parked (gated-off) replicas so they observe the close
-            farm.active.open_all();
+            // closing the pump's row/column closes every lane of both
+            // matrices (1×W and W×1) and wakes parked ends
+            farm.in_tx.close();
+            farm.out_rx.close();
         }
     }
 }

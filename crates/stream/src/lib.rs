@@ -19,7 +19,7 @@
 //!
 //! * each **segment** becomes a long-lived **farm stage**: an input queue,
 //!   `N` replica workers on a persistent `scl-exec` pool
-//!   ([`spawn_stage_workers`](scl_exec::spawn_stage_workers)), and an
+//!   ([`spawn_farm_workers`](scl_exec::spawn_farm_workers)), and an
 //!   output queue. Segments are pure and part-local (`Fn + Send + Sync`),
 //!   so replicas process *different stream items* concurrently; a reorder
 //!   buffer restores stream order on collection (emitter / N replicas /
@@ -31,12 +31,11 @@
 //! * stages are linked by **bounded queues** of `capacity` items, so
 //!   backpressure propagates all the way to [`StreamExec::push`] and
 //!   in-flight memory stays **O(capacity × stages)** regardless of stream
-//!   length. The links default to **lock-free SPSC ring matrices**
+//!   length. Every link is a **lock-free SPSC ring matrix**
 //!   ([`scl_exec::ring_mpmc`]) — each replica owns a private lane pair,
-//!   FastFlow-style, and the width gate steers the pump's routing — and
-//!   fall back to the mutex+condvar [`Bounded`](scl_exec::Bounded)
-//!   channel when `capacity` can't give every replica a lane (or when
-//!   [`StreamPolicy::with_locked_links`] forces it).
+//!   FastFlow-style, and the width gate steers the pump's routing. A
+//!   ring needs one slot per lane, so a farm runs at most `capacity`
+//!   replicas ([`StreamPolicy::with_capacity`]).
 //!
 //! Plans with a stage that has no fused form fall back to per-item eager
 //! execution (same answers, no pipeline overlap).
@@ -63,8 +62,9 @@
 //! [`StreamPolicy::with_tick_items`] completions) and widens a backlogged
 //! stage / narrows an underutilised one, within bounds derived from the
 //! [`ExecPolicy`] thread cap and — under `ExecPolicy::CostDriven` — the
-//! machine's `CostModel::fused_decision`. Replicas beyond the gate idle
-//! without claiming work, so adaptation never spawns or joins threads.
+//! machine's `CostModel::fused_decision`. Replicas beyond the gate are
+//! routed nothing and park on their empty rings, so adaptation never
+//! spawns or joins threads.
 //!
 //! ## Serving integration
 //!
@@ -76,7 +76,7 @@
 //!   ([`scl_exec::ThreadBudget`]). The cap composes with the
 //!   policy/cost-model ceiling and with the autonomic controller (which
 //!   keeps adapting *within* it); replicas beyond the cap park on their
-//!   width gates, so a scheduler can re-shard capacity between tenants
+//!   empty rings, so a scheduler can re-shard capacity between tenants
 //!   every round without spawning or joining threads.
 //! * **Fused-style charging** — [`StreamPolicy::with_fused_charging`]
 //!   makes segments charge one summed `"fused"` compute event per part
@@ -127,7 +127,6 @@ pub struct StreamPolicy {
     tick_items: u64,
     adaptive: bool,
     fused_charging: bool,
-    locked_links: bool,
 }
 
 impl StreamPolicy {
@@ -142,22 +141,30 @@ impl StreamPolicy {
             tick_items: 32,
             adaptive: true,
             fused_charging: false,
-            locked_links: false,
         }
     }
 
     /// Set the execution policy. `Sequential` (or a 1-thread cap) runs the
     /// whole graph inline on the pumping thread — zero worker threads,
     /// fully deterministic scheduling; `Threads(t)` caps every farm at `t`
-    /// replicas; `CostDriven` additionally lets the machine's cost model
-    /// refine each stage's ceiling from the first item's payload.
+    /// replicas (and at the link capacity, see
+    /// [`StreamPolicy::with_capacity`]); `CostDriven` additionally lets the
+    /// machine's cost model refine each stage's ceiling from the first
+    /// item's payload.
     pub fn with_exec(mut self, exec: ExecPolicy) -> StreamPolicy {
         self.exec = exec;
         self
     }
 
-    /// Set the per-channel capacity (≥ 1): the backpressure bound. Peak
+    /// Set the per-link capacity (≥ 1): the backpressure bound. Peak
     /// in-flight items are O(capacity × stages).
+    ///
+    /// The capacity also bounds farm width: links are ring lane matrices
+    /// with one lane per replica and at least one slot per lane, so a farm
+    /// spawns `min(policy threads, capacity)` replicas — the default
+    /// capacity of 8 gives at most 8 replicas per farm however many cores
+    /// the host has. A caller who wants 16-wide farms asks for
+    /// `with_capacity(16)`; [`StageStat::max_width`] reports the result.
     pub fn with_capacity(mut self, capacity: usize) -> StreamPolicy {
         self.capacity = capacity.max(1);
         self
@@ -187,17 +194,6 @@ impl StreamPolicy {
     /// submissions.
     pub fn with_fused_charging(mut self, fused_charging: bool) -> StreamPolicy {
         self.fused_charging = fused_charging;
-        self
-    }
-
-    /// Force every stage-to-stage link onto the mutex+condvar
-    /// [`Bounded`](scl_exec::Bounded) channel instead of the default
-    /// lock-free SPSC ring matrices. Same semantics (bounded,
-    /// close-then-drain, identical outputs and reports) — this exists as
-    /// an escape hatch and for differential testing of the two queue
-    /// families; the rings are the fast path.
-    pub fn with_locked_links(mut self, locked_links: bool) -> StreamPolicy {
-        self.locked_links = locked_links;
         self
     }
 }
@@ -299,18 +295,10 @@ where
             tick_items,
             adaptive,
             fused_charging,
-            locked_links,
         } = policy;
         let mode = match plan.into_stream_ops() {
             Err(plan) => Mode::Eager(plan),
-            Ok(ops) => Mode::Graph(Graph::build(
-                ops,
-                capacity,
-                exec,
-                adaptive,
-                fused_charging,
-                locked_links,
-            )),
+            Ok(ops) => Mode::Graph(Graph::build(ops, capacity, exec, adaptive, fused_charging)),
         };
         StreamExec {
             mode,
@@ -372,7 +360,7 @@ where
     /// ([`scl_exec::ThreadBudget`]). Composes with the policy/cost-model
     /// ceiling (the effective ceiling is the minimum); widening again
     /// restores headroom without forcing replicas active. Replicas beyond
-    /// the cap park on their width gates — no threads spawn or join. A
+    /// the cap park on their empty rings — no threads spawn or join. A
     /// no-op for eager-fallback executors (no farms to cap).
     pub fn set_width_cap(&mut self, cap: usize) {
         if let Mode::Graph(g) = &mut self.mode {

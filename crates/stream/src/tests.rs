@@ -246,71 +246,79 @@ fn barrier_panic_poisons_the_item_with_its_label() {
 
 #[test]
 fn backpressure_bounds_in_flight_items() {
-    let capacity = 4;
-    let width = 2;
-    let plan = Skel::map(|x: &i64| x + 1)
-        .then(Skel::rotate(1))
-        .then(Skel::map(|x: &i64| x * 2))
-        .then(Skel::rotate(-1))
-        .then(Skel::map(|x: &i64| x - 3));
-    let s = StreamExec::new(
-        plan,
-        StreamPolicy::new(unit_machine(4))
-            .with_exec(ExecPolicy::Threads(width))
-            .with_capacity(capacity),
-    );
-    let n_farms = s.farm_stages();
-    assert_eq!(n_farms, 3);
-    let mut iter = s.run_stream((0..2000).map(arr));
-    let mut count = 0usize;
-    let mut peak = 0u64;
-    while iter.next().is_some() {
-        count += 1;
-        peak = peak.max(iter.executor().peak_in_flight());
-    }
-    assert_eq!(count, 2000);
-    // per farm: in-queue + replicas + out-queue + reorder (≤ width +
-    // capacity) + the hop's park slot; plus the entry slot. All bounds are
-    // O(capacity × stages) — nothing scales with the 2000-item stream.
-    let per_farm = (3 * capacity + 2 * width + 1) as u64;
-    let bound = per_farm * n_farms as u64 + 2;
-    assert!(
-        peak <= bound,
-        "peak in-flight {peak} exceeded the capacity bound {bound}"
-    );
-    assert!(peak >= 2, "pipeline never overlapped items");
-}
-
-#[test]
-fn ring_links_match_locked_links_bit_for_bit() {
-    // the lock-free fast path is a pure transport swap: outputs AND
-    // per-item machine reports must be identical to the mutex+condvar
-    // fallback, item for item
-    let run = |locked: bool| -> Vec<(Vec<i64>, scl_machine::MachineReport)> {
-        let mut s = StreamExec::new(
-            mixed_plan(),
-            StreamPolicy::new(unit_machine(4))
-                .with_exec(ExecPolicy::Threads(3))
-                .with_locked_links(locked),
-        );
-        for k in 0..60 {
-            s.push(arr(k)).unwrap();
-        }
-        s.drain_with_reports()
-            .into_iter()
-            .map(|(a, r)| (a.to_vec(), r))
-            .collect()
+    let plan = || {
+        Skel::map(|x: &i64| x + 1)
+            .then(Skel::rotate(1))
+            .then(Skel::map(|x: &i64| x * 2))
+            .then(Skel::rotate(-1))
+            .then(Skel::map(|x: &i64| x - 3))
     };
-    assert_eq!(run(false), run(true));
+    // (4, 2): every replica's lane holds two items. (2, 4) and (1, 3):
+    // fewer slots than policy threads — the farm is clamped to `capacity`
+    // replicas and `capacity` stays the backpressure bound.
+    for (capacity, width) in [(4usize, 2usize), (2, 4), (1, 3)] {
+        let mut s = StreamExec::new(
+            plan(),
+            StreamPolicy::new(unit_machine(4))
+                .with_exec(ExecPolicy::Threads(width))
+                .with_capacity(capacity),
+        );
+        let n_farms = s.farm_stages();
+        assert_eq!(n_farms, 3);
+        for st in s.stage_stats().iter().filter(|st| st.farm) {
+            assert_eq!(
+                st.max_width,
+                width.min(capacity),
+                "{capacity}x{width}: {st:?}"
+            );
+        }
+        let mut streamed = Vec::new();
+        for k in 0..2000 {
+            s.push(arr(k)).unwrap();
+            while let Some(done) = s.try_pop_with_report() {
+                streamed.push(done);
+            }
+        }
+        streamed.extend(s.drain_with_reports());
+        assert_eq!(streamed.len(), 2000);
+        let peak = s.peak_in_flight();
+        // per farm: in-queue + replicas + out-queue + reorder (≤ width +
+        // capacity) + the hop's park slot; plus the entry slot. All bounds
+        // are O(capacity × stages) — nothing scales with the 2000-item
+        // stream.
+        let per_farm = (3 * capacity + 2 * width + 1) as u64;
+        let bound = per_farm * n_farms as u64 + 2;
+        assert!(
+            peak <= bound,
+            "{capacity}x{width}: peak in-flight {peak} exceeded the capacity bound {bound}"
+        );
+        assert!(
+            peak >= 2,
+            "{capacity}x{width}: pipeline never overlapped items"
+        );
+        // the clamp changes how many replicas run, never what they compute
+        // or charge
+        let eager = plan();
+        let mut scl = Scl::new(unit_machine(4));
+        for (k, (out, report)) in streamed.into_iter().enumerate() {
+            scl.reset();
+            assert_eq!(
+                out,
+                eager.run(&mut scl, arr(k as i64)),
+                "{capacity}x{width} item {k}"
+            );
+            assert_eq!(report, scl.machine.report(), "{capacity}x{width} item {k}");
+        }
+    }
 }
 
 #[test]
 fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
     // companion to the 200k two-thread soak in `scl-exec::spsc`: the same
     // lock-free rings, now carrying poisoned envelopes mid-stream. Dozens
-    // of stage panics scattered through a long stream over
-    // `FarmLinks::Rings` must each resolve exactly once at the pop side
-    // as a typed error — never a lost item, never a double report, and
+    // of stage panics scattered through a long stream over the ring
+    // links must each resolve exactly once at the pop side as a typed
+    // error — never a lost item, never a double report, and
     // never a stranded pump or private lane (a regression here hangs this
     // test or miscounts the outcomes).
     const N: i64 = 5_000;
@@ -325,14 +333,12 @@ fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
         .then(Skel::rotate(1))
         .then(Skel::map_costed(|x: &i64| (x + 1, Work::flops(1))))
     };
-    // full-width non-adaptive farms with capacity ≥ width: the ring
-    // transport, per the `Farm::new` selection rule
+    // full-width non-adaptive farms: every lane of both matrices in use
     let mut s = StreamExec::new(
         plan(),
         StreamPolicy::new(unit_machine(4))
             .with_exec(ExecPolicy::Threads(4))
-            .with_adaptive(false)
-            .with_locked_links(false),
+            .with_adaptive(false),
     );
     for k in 0..N {
         s.push(arr(k)).unwrap();

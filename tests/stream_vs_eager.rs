@@ -272,49 +272,87 @@ fn psrs_batches_stream_like_eager() {
 
 #[test]
 fn backpressure_keeps_ten_thousand_items_bounded() {
-    // 10k items through a capacity-8 graph: peak in-flight items must be
-    // bounded by the graph's structural capacity — channels, replicas,
+    // 10k items through a small-capacity graph: peak in-flight items must
+    // be bounded by the graph's structural capacity — channels, replicas,
     // reorder buffers, park slots — and never scale with the stream.
-    let capacity = 8usize;
-    let width = 4usize;
-    let plan = Skel::map(|x: &i64| x.wrapping_mul(31))
-        .then(Skel::rotate(1))
-        .then(Skel::map(|x: &i64| x.wrapping_add(7)))
-        .then(Skel::rotate(-1))
-        .then(Skel::map_costed(|x: &i64| (x ^ 0x55, Work::flops(1))));
-    let exec = StreamExec::new(
-        plan,
-        StreamPolicy::new(Machine::ap1000(4))
-            .with_exec(ExecPolicy::Threads(width))
-            .with_capacity(capacity),
-    );
-    let stages = exec.farm_stages().max(1);
-    let mut iter =
-        exec.run_stream((0..10_000).map(|k| ParArray::from_parts(vec![k, k + 1, k + 2, k + 3])));
-    let mut count = 0u64;
-    while iter.next().is_some() {
-        count += 1;
+    // (8, 4) gives every replica a two-item lane; (2, 4) and (1, 3) have
+    // fewer slots than policy threads, so each farm is clamped to
+    // `capacity` replicas and `capacity` stays the bound.
+    let plan = || {
+        Skel::map(|x: &i64| x.wrapping_mul(31))
+            .then(Skel::rotate(1))
+            .then(Skel::map(|x: &i64| x.wrapping_add(7)))
+            .then(Skel::rotate(-1))
+            .then(Skel::map_costed(|x: &i64| (x ^ 0x55, Work::flops(1))))
+    };
+    let input = |k: i64| ParArray::from_parts(vec![k, k + 1, k + 2, k + 3]);
+    let eager_plan = plan();
+    let mut scl = Scl::new(Machine::ap1000(4));
+    let eager: Vec<_> = (0..10_000)
+        .map(|k| {
+            scl.reset();
+            let out = eager_plan.run(&mut scl, input(k));
+            (out, scl.machine.report())
+        })
+        .collect();
+    for (capacity, width) in [(8usize, 4usize), (2, 4), (1, 3)] {
+        let make = || {
+            StreamExec::new(
+                plan(),
+                StreamPolicy::new(Machine::ap1000(4))
+                    .with_exec(ExecPolicy::Threads(width))
+                    .with_capacity(capacity),
+            )
+        };
+        let exec = make();
+        let stages = exec.farm_stages().max(1);
+        for st in exec.stage_stats().iter().filter(|st| st.farm) {
+            assert_eq!(
+                st.max_width,
+                width.min(capacity),
+                "{capacity}x{width}: {st:?}"
+            );
+        }
+        let mut iter = exec.run_stream((0..10_000).map(input));
+        let mut count = 0usize;
+        for out in iter.by_ref() {
+            assert_eq!(out, eager[count].0, "{capacity}x{width} item {count}");
+            count += 1;
+        }
+        let exec = iter.into_executor();
+        assert_eq!(count, 10_000);
+        assert_eq!(exec.in_flight(), 0);
+        // per farm stage: in-queue (cap) + out-queue (cap) + busy replicas
+        // (width) + reorder buffer (≤ cap + width) + park slot, plus the
+        // entry slot — O(capacity × stages), independent of the 10k length
+        let per_stage = (3 * capacity + 2 * width + 1) as u64;
+        let bound = per_stage * stages as u64 + 2;
+        let peak = exec.peak_in_flight();
+        assert!(
+            peak <= bound,
+            "{capacity}x{width}: peak in-flight {peak} exceeded O(capacity × stages) bound {bound}"
+        );
+        // and the pipeline genuinely overlapped items
+        if exec.farm_stages() > 0 {
+            assert!(
+                peak > 1,
+                "{capacity}x{width}: graph never held more than one item"
+            );
+        }
+        let t = exec.throughput();
+        assert_eq!(t.items, 10_000);
+        assert!(t.items_per_sec() > 0.0);
+        // the clamped farm charges exactly what eager does, item for item
+        if (capacity, width) == (2, 4) {
+            let mut exec = make();
+            for k in 0..500 {
+                exec.push(input(k)).unwrap();
+            }
+            for (k, done) in exec.drain_with_reports().into_iter().enumerate() {
+                assert_eq!(done, eager[k], "{capacity}x{width} item {k}");
+            }
+        }
     }
-    let exec = iter.into_executor();
-    assert_eq!(count, 10_000);
-    assert_eq!(exec.in_flight(), 0);
-    // per farm stage: in-queue (cap) + out-queue (cap) + busy replicas
-    // (width) + reorder buffer (≤ cap + width) + park slot, plus the
-    // entry slot — O(capacity × stages), independent of the 10k length
-    let per_stage = (3 * capacity + 2 * width + 1) as u64;
-    let bound = per_stage * stages as u64 + 2;
-    let peak = exec.peak_in_flight();
-    assert!(
-        peak <= bound,
-        "peak in-flight {peak} exceeded O(capacity × stages) bound {bound}"
-    );
-    // and the pipeline genuinely overlapped items
-    if exec.farm_stages() > 0 {
-        assert!(peak > 1, "graph never held more than one item");
-    }
-    let t = exec.throughput();
-    assert_eq!(t.items, 10_000);
-    assert!(t.items_per_sec() > 0.0);
 }
 
 #[test]
