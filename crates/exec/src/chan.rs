@@ -4,9 +4,10 @@
 //! channel — a `Mutex<VecDeque>` and two condvars — and nothing in the
 //! runtime sends a message through it: every stage-to-stage link is a
 //! lock-free ring ([`spsc`](crate::spsc), [`mpmc`](crate::mpmc)). It stays
-//! as the **measured baseline**: `scl-bench --bin queue` and the benchmark
-//! ladder's `exec.bounded_ns_per_msg` probe drive the same traffic through
-//! it and through the rings, so what the lock-free path buys is a number.
+//! as the **measured baseline**: the benchmark ladder's
+//! `exec.bounded_ns_per_msg` probe drives the same traffic through it that
+//! `exec.ring_ns_per_msg` drives through a ring, so what the lock-free path
+//! buys is a number.
 //! Its surface is what those measurements use:
 //!
 //! * a hard **capacity** — [`Bounded::send`] blocks while the queue is

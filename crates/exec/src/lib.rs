@@ -55,8 +55,8 @@
 //! * [`StealRange`] ([`deque`]) — the per-worker stealing deques under
 //!   [`par_pipeline`];
 //! * [`Bounded`] — the textbook mutex+condvar channel, carried by no
-//!   runtime path: the baseline `scl-bench --bin queue` and the benchmark
-//!   ladder measure the rings against.
+//!   runtime path: the baseline the benchmark ladder's
+//!   `exec.bounded_ns_per_msg` measures beside `exec.ring_ns_per_msg`.
 //!
 //! When several such runtimes share one process — a multi-tenant plan
 //! service running many graphs against one machine — [`ThreadBudget`]

@@ -77,7 +77,7 @@ impl CostModel {
     }
 
     /// All communication is free; computation costs remain. Used by the
-    /// ablation benches to isolate communication overheads.
+    /// `ablations` and `models` binaries to isolate communication overheads.
     pub fn zero_comm() -> CostModel {
         CostModel {
             t_msg: Time::ZERO,

@@ -508,16 +508,12 @@ where
     }
 
     /// Next completed output in stream order, pumping the graph until one
-    /// is ready. `None` only when nothing is in flight.
+    /// is ready. `None` only when nothing is in flight. A poisoned item
+    /// re-raises its panic as in [`StreamExec::try_pop_with_report`].
     pub fn pop_with_report(&mut self) -> Option<(B, MachineReport)> {
-        loop {
-            if let Some(out) = self.try_pop_with_report() {
-                return Some(out);
-            }
-            if self.in_flight() == 0 {
-                return None;
-            }
-            std::thread::sleep(IDLE_BACKOFF);
+        match self.pop_outcome()? {
+            Ok(out) => Some(out),
+            Err(e) => panic!("{e}"),
         }
     }
 

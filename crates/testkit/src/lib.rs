@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # scl-testkit — deterministic randomness without external crates
 //!
-//! The workspace's tests, benches and workload generators need seeded,
+//! The workspace's tests, benchmark and workload generators need seeded,
 //! reproducible pseudo-randomness. The container this repo builds in has no
 //! crates-io access, so instead of `rand`/`proptest` this crate provides:
 //!
@@ -283,40 +283,6 @@ pub mod alloc {
     pub fn allocated_bytes() -> u64 {
         BYTES.load(Ordering::Relaxed)
     }
-}
-
-/// Time a closure and print a one-line `criterion`-style report.
-///
-/// The harness warms up once, then runs timed batches until at least
-/// `MIN_DURATION` has elapsed (or `MAX_ITERS` iterations have run) and
-/// reports the mean and best per-iteration time. Use from a
-/// `harness = false` bench target:
-///
-/// ```no_run
-/// scl_testkit::bench("map/64", || { /* work */ });
-/// ```
-pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
-    use std::time::{Duration, Instant};
-    const MIN_DURATION: Duration = Duration::from_millis(200);
-    const MAX_ITERS: u32 = 10_000;
-
-    std::hint::black_box(f()); // warm-up
-    let mut iters = 0u32;
-    let mut total = Duration::ZERO;
-    let mut best = Duration::MAX;
-    while total < MIN_DURATION && iters < MAX_ITERS {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let dt = t0.elapsed();
-        total += dt;
-        best = best.min(dt);
-        iters += 1;
-    }
-    let mean = total / iters.max(1);
-    println!(
-        "{label:<40} mean {:>12?}  best {:>12?}  ({iters} iters)",
-        mean, best
-    );
 }
 
 /// Run `body` for `n` independently seeded cases. On panic, the failing

@@ -13,8 +13,8 @@
 //! * [`rules`] — the paper's laws: **map fusion**, **map distribution**,
 //!   the **communication algebra** (`send`/`fetch`/`rotate` fusion), and
 //!   nested-SPMD **flattening**;
-//! * [`rewrite`] — a fixpoint engine, plus greedy **cost-directed**
-//!   optimisation against a machine model;
+//! * [`rewrite`] — normalisation and a fixpoint engine that applies the
+//!   rules until none fires;
 //! * [`cost`] — a static estimator sharing the simulator's collective
 //!   formulas;
 //! * [`interp`] — a reference interpreter used to property-test that every
@@ -58,7 +58,7 @@ pub use interp::{eval, Value};
 pub use ir::{shape_of, Expr, FnRef, IdxRef, Shape};
 pub use parse::{parse, ParseError};
 pub use registry::Registry;
-pub use rewrite::{normalize, optimize, optimize_costed, rewrite_fixpoint, Applied, OptReport};
+pub use rewrite::{normalize, optimize, rewrite_fixpoint, Applied};
 pub use rules::Rule;
 
 /// Everything a transformation client usually needs.
@@ -68,6 +68,6 @@ pub mod prelude {
     pub use crate::ir::{shape_of, Expr, FnRef, IdxRef, Shape};
     pub use crate::parse::parse;
     pub use crate::registry::Registry;
-    pub use crate::rewrite::{normalize, optimize, optimize_costed};
+    pub use crate::rewrite::{normalize, optimize};
     pub use crate::rules::Rule;
 }

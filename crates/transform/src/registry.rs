@@ -51,7 +51,7 @@ impl Registry {
     }
 
     /// The standard library of test functions used throughout the crate's
-    /// tests, benches and examples.
+    /// tests and examples and by the §4 ablations.
     pub fn standard() -> Registry {
         let mut r = Registry::new();
         r.scalar("inc", |x| x.wrapping_add(1), Work::flops(1));

@@ -1,11 +1,8 @@
-//! The rewrite engine: normalisation, fixpoint rewriting, candidate
-//! enumeration and cost-directed optimisation.
+//! The rewrite engine: normalisation and fixpoint rewriting.
 
-use crate::cost::{estimate, CostParams};
 use crate::ir::Expr;
 use crate::registry::Registry;
 use crate::rules::Rule;
-use scl_machine::Time;
 
 /// A record of one applied rewrite.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,162 +147,13 @@ pub fn optimize(e: Expr, reg: &Registry) -> (Expr, Vec<Applied>) {
     rewrite_fixpoint(e, &Rule::ALL, reg)
 }
 
-/// Enumerate every expression reachable from `e` by a *single* rule
-/// application at any position, tagged with the rule that produced it.
-pub fn single_step_candidates(e: &Expr, reg: &Registry) -> Vec<(&'static str, Expr)> {
-    let mut out = Vec::new();
-    for rule in &Rule::ALL {
-        collect_applications(e, *rule, reg, &mut |rewritten| {
-            out.push((rule.name(), normalize(rewritten)));
-        });
-    }
-    out
-}
-
-/// Apply `rule` at every position of `e`, calling `sink` with each whole
-/// rewritten expression. (`dyn` rather than `impl` — the recursion wraps
-/// the sink in a new closure per level, which would otherwise monomorphise
-/// forever.)
-fn collect_applications(e: &Expr, rule: Rule, reg: &Registry, sink: &mut dyn FnMut(Expr)) {
-    for out in rule.apply_all(e, reg) {
-        sink(out);
-    }
-    match e {
-        Expr::Compose(es) => {
-            for (i, sub) in es.iter().enumerate() {
-                let mut wrap = |rewritten: Expr| {
-                    let mut copy = es.clone();
-                    copy[i] = rewritten;
-                    sink(Expr::Compose(copy));
-                };
-                collect_applications(sub, rule, reg, &mut wrap);
-            }
-        }
-        Expr::MapGroups(b) => {
-            let mut wrap = |rewritten: Expr| sink(Expr::MapGroups(Box::new(rewritten)));
-            collect_applications(b, rule, reg, &mut wrap);
-        }
-        Expr::Choice { pred, left, right } => {
-            let mut wrap = |rewritten: Expr| {
-                sink(Expr::Choice {
-                    pred: pred.clone(),
-                    left: Box::new(rewritten),
-                    right: right.clone(),
-                })
-            };
-            collect_applications(left, rule, reg, &mut wrap);
-            let mut wrap = |rewritten: Expr| {
-                sink(Expr::Choice {
-                    pred: pred.clone(),
-                    left: left.clone(),
-                    right: Box::new(rewritten),
-                })
-            };
-            collect_applications(right, rule, reg, &mut wrap);
-        }
-        Expr::Fanout {
-            left,
-            right,
-            combine,
-        } => {
-            let mut wrap = |rewritten: Expr| {
-                sink(Expr::Fanout {
-                    left: Box::new(rewritten),
-                    right: right.clone(),
-                    combine: combine.clone(),
-                })
-            };
-            collect_applications(left, rule, reg, &mut wrap);
-            let mut wrap = |rewritten: Expr| {
-                sink(Expr::Fanout {
-                    left: left.clone(),
-                    right: Box::new(rewritten),
-                    combine: combine.clone(),
-                })
-            };
-            collect_applications(right, rule, reg, &mut wrap);
-        }
-        _ => {}
-    }
-}
-
-/// Report from the cost-directed optimiser.
-#[derive(Debug, Clone)]
-pub struct OptReport {
-    /// Estimated cost of the input program.
-    pub initial_cost: Time,
-    /// Estimated cost of the chosen program.
-    pub final_cost: Time,
-    /// The greedy steps taken (rule name, cost after the step).
-    pub steps: Vec<(&'static str, Time)>,
-}
-
-/// Greedy cost-directed optimisation: repeatedly take the single rewrite
-/// that most reduces the estimated cost on the given machine, stopping at a
-/// local optimum. Because all shipped rules are semantics-preserving, any
-/// stopping point is a valid program.
-pub fn optimize_costed(
-    e: Expr,
-    reg: &Registry,
-    params: &CostParams,
-) -> Result<(Expr, OptReport), String> {
-    let mut cur = normalize(e);
-    let initial_cost = estimate(&cur, reg, params)?;
-    let mut cur_cost = initial_cost;
-    let mut steps = Vec::new();
-    loop {
-        // Strictly decreasing (cost, size) lexicographic measure: equal-cost
-        // rewrites that shrink the term (e.g. rotate(0) → id) still apply,
-        // and termination is guaranteed.
-        let cur_key = (cur_cost, cur.size());
-        let mut best: Option<(&'static str, Expr, (Time, usize))> = None;
-        for (rule, cand) in single_step_candidates(&cur, reg) {
-            let key = (estimate(&cand, reg, params)?, cand.size());
-            let improves = key.0 < cur_key.0 || (key.0 == cur_key.0 && key.1 < cur_key.1);
-            let beats_best = best
-                .as_ref()
-                .map(|(_, _, bk)| key.0 < bk.0 || (key.0 == bk.0 && key.1 < bk.1))
-                .unwrap_or(true);
-            if improves && beats_best {
-                best = Some((rule, cand, key));
-            }
-        }
-        match best {
-            Some((rule, cand, key)) => {
-                steps.push((rule, key.0));
-                cur = cand;
-                cur_cost = key.0;
-            }
-            None => break,
-        }
-    }
-    Ok((
-        cur,
-        OptReport {
-            initial_cost,
-            final_cost: cur_cost,
-            steps,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{FnRef, IdxRef};
-    use scl_machine::{CostModel, Topology};
+    use crate::ir::FnRef;
 
     fn reg() -> Registry {
         Registry::standard()
-    }
-
-    fn params() -> CostParams {
-        CostParams {
-            n: 16,
-            elem_bytes: 8,
-            model: CostModel::ap1000(),
-            topo: Topology::Torus2D { rows: 4, cols: 4 },
-        }
     }
 
     #[test]
@@ -388,38 +236,6 @@ mod tests {
         ])));
         let (_, log) = optimize(e, &reg());
         assert!(log.iter().any(|a| a.rule == "map-fusion"));
-    }
-
-    #[test]
-    fn candidates_enumerate_all_positions() {
-        let e = Expr::Compose(vec![
-            Expr::Map(FnRef::named("inc")),
-            Expr::Map(FnRef::named("double")),
-            Expr::Map(FnRef::named("square")),
-        ]);
-        let cands = single_step_candidates(&e, &reg());
-        // two adjacent map pairs can fuse
-        let fusions: Vec<_> = cands.iter().filter(|(r, _)| *r == "map-fusion").collect();
-        assert_eq!(fusions.len(), 2);
-    }
-
-    #[test]
-    fn cost_directed_never_worse() {
-        let e = Expr::pipeline(vec![
-            Expr::Map(FnRef::named("inc")),
-            Expr::Map(FnRef::named("double")),
-            Expr::Rotate(2),
-            Expr::Rotate(-2),
-            Expr::Fetch(IdxRef::named("succ")),
-            Expr::Fetch(IdxRef::named("succ")),
-        ]);
-        let (out, report) = optimize_costed(e, &reg(), &params()).unwrap();
-        assert!(report.final_cost <= report.initial_cost);
-        assert!(!report.steps.is_empty());
-        // rotations cancel entirely; fetches fuse; maps fuse
-        assert!(out.count(&|x| matches!(x, Expr::Rotate(_))) == 0, "{out}");
-        assert!(out.count(&|x| matches!(x, Expr::Fetch(_))) == 1, "{out}");
-        assert!(out.count(&|x| matches!(x, Expr::Map(_))) == 1, "{out}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! (each strictly reduces node count or the lexicographic measure used in
 //! the engine's iteration cap).
 
-use crate::ir::{Expr, IdxRef};
+use crate::ir::Expr;
 use crate::registry::Registry;
 
 /// Identifier of a rewrite rule.
@@ -72,33 +72,6 @@ impl Rule {
             Rule::RotateIdentity => "rotate-identity",
             Rule::Flatten => "flatten",
             Rule::MapCommCommute => "map-comm-commute",
-        }
-    }
-
-    /// All distinct single applications of this rule at the root of `e`
-    /// (window rules can fire at several positions of one composition).
-    pub fn apply_all(&self, e: &Expr, reg: &Registry) -> Vec<Expr> {
-        match self {
-            Rule::MapFusion => window_rule_all(e, |a, b| match (a, b) {
-                (Expr::Map(f), Expr::Map(g)) => Some(Expr::Map(f.clone().then_after(g.clone()))),
-                _ => None,
-            }),
-            Rule::SendFusion => window_rule_all(e, |a, b| match (a, b) {
-                (Expr::Send(f), Expr::Send(g)) => Some(Expr::Send(f.clone().then_after(g.clone()))),
-                _ => None,
-            }),
-            Rule::FetchFusion => window_rule_all(e, |a, b| match (a, b) {
-                (Expr::Fetch(f), Expr::Fetch(g)) => {
-                    Some(Expr::Fetch(g.clone().then_after(f.clone())))
-                }
-                _ => None,
-            }),
-            Rule::RotateFusion => window_rule_all(e, |a, b| match (a, b) {
-                (Expr::Rotate(x), Expr::Rotate(y)) => Some(Expr::Rotate(x + y)),
-                _ => None,
-            }),
-            Rule::MapCommCommute => window_rule_all(e, commute_window),
-            _ => self.apply(e, reg).into_iter().collect(),
         }
     }
 
@@ -165,23 +138,16 @@ fn commute_window(a: &Expr, b: &Expr) -> Option<Expr> {
 }
 
 /// Apply a two-element window rule inside a composition:
-/// `Compose([.., a, b, ..])` where `a` runs **after** `b`.
+/// `Compose([.., a, b, ..])` where `a` runs **after** `b`. The leftmost
+/// window that fires is rewritten.
 fn window_rule(e: &Expr, f: impl Fn(&Expr, &Expr) -> Option<Expr>) -> Option<Expr> {
-    window_rule_all(e, f).into_iter().next()
-}
-
-/// All positions at which a two-element window rule fires.
-fn window_rule_all(e: &Expr, f: impl Fn(&Expr, &Expr) -> Option<Expr>) -> Vec<Expr> {
-    let Expr::Compose(es) = e else { return vec![] };
-    let mut out = Vec::new();
-    for i in 0..es.len().saturating_sub(1) {
-        if let Some(merged) = f(&es[i], &es[i + 1]) {
-            let mut copy = es.clone();
-            copy.splice(i..i + 2, [merged]);
-            out.push(Expr::Compose(copy));
-        }
-    }
-    out
+    let Expr::Compose(es) = e else { return None };
+    (0..es.len().saturating_sub(1)).find_map(|i| {
+        let merged = f(&es[i], &es[i + 1])?;
+        let mut out = es.clone();
+        out.splice(i..i + 2, [merged]);
+        Some(Expr::Compose(out))
+    })
 }
 
 /// Translate a group-local body into its segmented (flat) equivalent, if
@@ -225,15 +191,10 @@ fn flatten_rule(e: &Expr) -> Option<Expr> {
     None
 }
 
-/// Helper used in tests and benches: an `IdxRef` for the identity.
-pub fn idx_id() -> IdxRef {
-    IdxRef::named("id")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::FnRef;
+    use crate::ir::{FnRef, IdxRef};
 
     fn reg() -> Registry {
         Registry::standard()

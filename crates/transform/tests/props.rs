@@ -1,6 +1,6 @@
 //! The crate's central guarantee, property-tested: **every transformation
 //! preserves meaning**. Random well-typed skeleton programs are generated,
-//! optimised by both engines, and checked against the reference interpreter
+//! optimised to a fixpoint, and checked against the reference interpreter
 //! on random data. (Randomised via `scl-testkit`, the workspace's
 //! zero-dependency proptest replacement.)
 #![allow(clippy::explicit_auto_deref)] // clippy's suggestion breaks inference on pick()
@@ -91,21 +91,6 @@ fn optimize_preserves_semantics() {
         let data = arb_input(rng);
         let reg = Registry::standard();
         let (opt, _) = optimize(e.clone(), &reg);
-        let before = eval(&e, &reg, Value::Arr(data.clone()));
-        let after = eval(&opt, &reg, Value::Arr(data));
-        assert_eq!(before, after, "program: {} => {}", e, opt);
-    });
-}
-
-#[test]
-fn optimize_costed_preserves_semantics_and_cost() {
-    cases(192, 0x72, |rng| {
-        let e = arb_program(rng);
-        let data = arb_input(rng);
-        let reg = Registry::standard();
-        let params = CostParams::ap1000(data.len());
-        let (opt, report) = optimize_costed(e.clone(), &reg, &params).unwrap();
-        assert!(report.final_cost <= report.initial_cost);
         let before = eval(&e, &reg, Value::Arr(data.clone()));
         let after = eval(&opt, &reg, Value::Arr(data));
         assert_eq!(before, after, "program: {} => {}", e, opt);

@@ -81,13 +81,4 @@ fn main() {
     for step in &nested_log {
         println!("  [{}] {} => {}", step.rule, step.before, step.after);
     }
-
-    // Cost-directed greedy search reaches the same place here:
-    let (best, report) = optimize_costed(program, &reg, &params).unwrap();
-    println!(
-        "\ncost-directed search: {} steps, {} -> {}\n  final: {best}",
-        report.steps.len(),
-        report.initial_cost,
-        report.final_cost
-    );
 }

@@ -13,8 +13,8 @@
 //!   plus the first-class [`Skel`](scl_core::Skel) plan API (write a
 //!   skeleton program once, run it eagerly or optimise-then-execute).
 //! * [`transform`] (`scl-transform`) — the §4 transformation engine: map
-//!   fusion, map distribution, communication algebra, flattening, and a
-//!   cost-directed optimiser.
+//!   fusion, map distribution, communication algebra and flattening,
+//!   applied to a fixpoint, plus a static cost estimator.
 //! * [`stream`] (`scl-stream`) — the streaming runtime: compile a plan
 //!   into a persistent pipeline/farm operator graph and serve unbounded
 //!   input through it with backpressure and autonomic farm widths.
@@ -29,8 +29,10 @@
 //! See `examples/quickstart.rs` for a guided tour, `examples/streaming.rs`
 //! for the streaming runtime, `examples/serving.rs` for the multi-tenant
 //! service, and the `scl-bench` crate for the binaries regenerating the
-//! paper's Table 1 and Figure 3. `docs/ARCHITECTURE.md` maps the paper's
-//! sections onto this crate graph, with the life of a request end to end.
+//! paper's Table 1, Figure 3, cost-model comparison and §4 ablations
+//! (`ladder/`, a separate package, is the benchmark that measures every
+//! layer). `docs/ARCHITECTURE.md` maps the paper's sections onto this
+//! crate graph, with the life of a request end to end.
 
 pub use scl_apps as apps;
 pub use scl_core as core;
@@ -47,6 +49,6 @@ pub mod prelude {
     pub use scl_serve::{Serve, ServePolicy};
     pub use scl_stream::{StreamExec, StreamPolicy};
     pub use scl_transform::prelude::{
-        estimate, eval, optimize, optimize_costed, CostParams, Expr, FnRef, IdxRef, Registry, Value,
+        estimate, eval, optimize, CostParams, Expr, FnRef, IdxRef, Registry, Value,
     };
 }
