@@ -97,7 +97,8 @@ pub enum RequestError {
         /// The configuration error the barrier raised.
         error: SclError,
     },
-    /// A plan panicked outside any attributable stage (eager fallback).
+    /// A plan panicked outside any attributable stage (a serving layer's
+    /// uncached eager run).
     Panicked {
         /// The panic payload, rendered as a string.
         message: String,

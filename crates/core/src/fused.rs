@@ -1,4 +1,4 @@
-//! The fused form of a plan: one operator chain, four interpreters.
+//! The executable form of a plan: one operator chain, five interpreters.
 //!
 //! The eager interpretation of a [`Skel`](crate::plan::Skel) plan executes
 //! one skeleton at a time: every `.then()` materialises a full
@@ -9,15 +9,19 @@
 //! execute back-to-back on the worker that owns each partition, with no
 //! intermediate arrays and a single dispatch.
 //!
-//! A fusable plan therefore carries, next to its eager closure, a chain of
-//! type-erased [`PlanOp`]s — the **only** fused representation:
+//! Both are walks of the same data. A plan whose stages all have an op
+//! form *is* a chain of type-erased [`PlanOp`]s — its one executable form
+//! (only a plan built from a stage with no op form, such as `from_fn`, is
+//! an opaque closure instead):
 //!
 //! * [`PlanOp::Segment`] — a maximal run of part-local compute stages.
 //!   Composition merges the seam (`… Segment] ++ [Segment …` becomes one
 //!   segment), so segments are maximal by construction, at every depth;
 //! * [`PlanOp::Barrier`] — anything that needs the whole configuration
 //!   (communication skeletons like `rotate` / `fetch` / `total_exchange`,
-//!   scans and reductions, repartitioning, opaque whole-array stages);
+//!   scans and reductions, repartitioning, opaque whole-array stages — an
+//!   opaque plan composed into a branch or handed to a stream enters as one
+//!   barrier labelled `"opaque"`);
 //! * [`PlanOp::Branch`] — a DAG fork (`pair` / `fanout` / `choice`): two
 //!   arm chains between a split and a join.
 //!
@@ -25,6 +29,7 @@
 //!
 //! | interpreter | entry point | per op |
 //! |---|---|---|
+//! | eager run | [`Skel::run`](crate::plan::Skel::run) | the chain walker with per-stage charging |
 //! | fused run | [`Scl::run_fused`](crate::ctx::Scl::run_fused) | the chain walker with summed charging |
 //! | stream compile | [`Skel::into_stream_ops`](crate::plan::Skel::into_stream_ops) | hands the chain over as it is; `scl-stream` turns segments into farms and runs the rest through [`SegmentOp::run`] / [`BarrierOp::apply`] / [`BranchOp::try_apply`] |
 //! | fingerprint | [`Skel::fingerprint`](crate::plan::Skel::fingerprint), [`fingerprint_ops`] | one structural hash |
@@ -44,10 +49,11 @@
 //! machine's
 //! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision)
 //! decides whether fanning out is worth it and at what grain). *Per-stage*
-//! charging replays exactly the eager layer's compute events. Either way
-//! the simulated machine is charged the same *totals* as eager execution —
-//! makespan, flops / cmps / moves, message counts agree; only
-//! `compute_steps` and per-stage trace events differ, by design.
+//! charging (what [`Skel::run`](crate::plan::Skel::run) uses) dispatches
+//! each stage once, at the eager skeletons' schedule, and replays exactly
+//! their compute events. Either way the simulated machine is charged the
+//! same *totals* — makespan, flops / cmps / moves, message counts agree;
+//! only `compute_steps` and per-stage trace events differ, by design.
 //!
 //! Values flow between ops in an erased form, [`ErasedArr`]: one boxed
 //! payload per partition plus an optional *side* value for non-distributed
@@ -333,9 +339,8 @@ pub struct SegmentOp<'a> {
     stages: Vec<ComputeStage<'a>>,
 }
 
-/// A whole-configuration barrier stage. Stateful (`FnMut`, possibly
-/// `Rc`-shared with the plan's eager path), so a streaming runtime must run
-/// it on one thread and feed it items in stream order.
+/// A whole-configuration barrier stage. Stateful (`FnMut`), so a streaming
+/// runtime must run it on one thread and feed it items in stream order.
 pub struct BarrierOp<'a> {
     label: &'static str,
     /// Hash of the barrier's structural parameters (rotation amount,
@@ -379,6 +384,9 @@ pub(crate) struct FusedPlan<'a, A, B> {
     entry: Box<dyn Fn(A) -> ErasedArr + 'a>,
     pub(crate) nodes: Vec<PlanOp<'a>>,
     exit: Box<dyn Fn(ErasedArr) -> B + 'a>,
+    /// True when some op runs an opaque closure ([`opaque_node`]): the
+    /// chain then has no complete structure to fingerprint.
+    pub(crate) opaque: bool,
 }
 
 impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
@@ -387,6 +395,7 @@ impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
             entry: Box::new(A::erase),
             nodes: vec![op],
             exit: Box::new(B::restore),
+            opaque: false,
         }
     }
 
@@ -409,13 +418,17 @@ impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
         left: FusedPlan<'a, L, LO>,
         right: FusedPlan<'a, R, RO>,
     ) -> Self {
-        Self::single(PlanOp::Branch(BranchOp {
-            label,
-            param: 0,
-            kind,
-            left: left.nodes,
-            right: right.nodes,
-        }))
+        let opaque = left.opaque || right.opaque;
+        FusedPlan {
+            opaque,
+            ..Self::single(PlanOp::Branch(BranchOp {
+                label,
+                param: 0,
+                kind,
+                left: left.nodes,
+                right: right.nodes,
+            }))
+        }
     }
 }
 
@@ -457,6 +470,7 @@ pub(crate) fn compose<'a, A, B, C>(
         entry: a.entry,
         nodes,
         exit: b.exit,
+        opaque: a.opaque || b.opaque,
     }
 }
 
@@ -478,13 +492,22 @@ where
         label,
         true,
         Box::new(move |i, v| {
-            let x = v.downcast::<T>().expect("fused stage input type mismatch");
+            let mut x = v.downcast::<T>().expect("fused stage input type mismatch");
             // costed stages report their own work: only a wall-clock
             // stage pays for reading the clock
             let t0 = timed.then(Instant::now);
             let (r, w) = f(i, &x);
             let secs = t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64());
-            (Box::new(r) as PartVal, w, secs)
+            // a stage mapping a type to itself writes its result into the
+            // spent input's box instead of allocating a new one
+            let out: PartVal = match (&mut *x as &mut dyn Any).downcast_mut::<R>() {
+                Some(slot) => {
+                    *slot = r;
+                    x
+                }
+                None => Box::new(r),
+            };
+            (out, w, secs)
         }),
     )
 }
@@ -567,7 +590,7 @@ where
 /// The `choice` combinator as a fused plan: the predicate inspects the
 /// (restored) value and exactly one arm runs.
 pub(crate) fn choice_node<'a, A, B>(
-    pred: std::sync::Arc<dyn Fn(&A) -> bool + 'a>,
+    pred: impl Fn(&A) -> bool + 'a,
     left: FusedPlan<'a, A, B>,
     right: FusedPlan<'a, A, B>,
 ) -> FusedPlan<'a, A, B>
@@ -597,6 +620,19 @@ where
         param: 0,
         f: Box::new(move |scl, e| Ok(B::erase(f(scl, A::restore(e))?))),
     }))
+}
+
+/// An opaque closure as a fused plan: one barrier labelled `"opaque"`,
+/// flagged so the plan never fingerprints.
+pub(crate) fn opaque_node<'a, A, B>(mut f: impl FnMut(&mut Scl, A) -> B + 'a) -> FusedPlan<'a, A, B>
+where
+    A: FusePort + 'a,
+    B: FusePort + 'a,
+{
+    FusedPlan {
+        opaque: true,
+        ..barrier_node("opaque", move |scl, a| Ok(f(scl, a)))
+    }
 }
 
 // ---- structural fingerprinting ----------------------------------------------
@@ -811,36 +847,6 @@ impl SegmentOp<'_> {
         self.stage_labels().join("+")
     }
 
-    /// Carry part `i` through every stage — the only place a compute stage
-    /// runs. `charge` sees each finished stage's reported work and measured
-    /// host seconds; a panicking stage ends the part as a typed
-    /// [`RequestError::StagePanic`] — boxed, so the per-part results a
-    /// dispatch collects stay as small as the values they carry.
-    fn run_part(
-        &self,
-        i: usize,
-        part: PartVal,
-        mut charge: impl FnMut(&ComputeStage<'_>, Work, f64),
-    ) -> std::result::Result<PartVal, Box<RequestError>> {
-        let mut v = part;
-        for st in &self.stages {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| (st.f)(i, v))) {
-                Ok((nv, w, secs)) => {
-                    charge(st, w, secs);
-                    v = nv;
-                }
-                Err(payload) => {
-                    return Err(Box::new(RequestError::StagePanic {
-                        stage: st.label.to_string(),
-                        part: i,
-                        message: panic_message(&*payload).to_string(),
-                    }))
-                }
-            }
-        }
-        Ok(v)
-    }
-
     /// Run the whole segment over every part of `val` — the one segment
     /// kernel, under either charging convention:
     ///
@@ -849,11 +855,14 @@ impl SegmentOp<'_> {
     ///   a single `"fused"` compute event. The segment is one dispatch:
     ///   inline, or fanned out through [`par_pipeline`] when the context's
     ///   [`ExecPolicy`] schedules more than one thread.
-    /// * `summed = false` charges **exactly as the eager layer would**:
-    ///   one compute event per part per *charged* stage (all map flavours;
-    ///   `zip_with` stays free), as each stage finishes — so it runs on
-    ///   the calling thread, and per-item metrics and makespan agree with
-    ///   [`Skel::run`](crate::plan::Skel::run) bit-for-bit under
+    /// * `summed = false` charges **exactly as [`Skel::run`]** — and the
+    ///   skeleton methods it replaces, [`Scl::imap`], [`Scl::imap_costed`]
+    ///   and [`Scl::zip_with`] — do: stage by stage, each stage one
+    ///   dispatch at [`ExecPolicy::effective_threads`] (the eager
+    ///   skeletons' schedule, not the cost model's), then one compute
+    ///   event per part per *charged* stage (all map flavours; `zip_with`
+    ///   stays free), in part order. Per-item metrics and makespan agree
+    ///   with the eager skeletons bit-for-bit under
     ///   [`MeasureMode::None`](crate::ctx::MeasureMode) and costed stages.
     ///
     /// Same work totals and makespan either way; `compute_steps` and trace
@@ -867,72 +876,107 @@ impl SegmentOp<'_> {
     /// on `scl`.
     ///
     /// [`Scl::run_fused`]: crate::ctx::Scl::run_fused
+    /// [`Skel::run`]: crate::plan::Skel::run
     pub fn run(
         &self,
         scl: &mut Scl,
         val: ErasedArr,
         summed: bool,
     ) -> std::result::Result<ErasedArr, RequestError> {
-        let schedule = scl.segment_schedule(val.arr.len(), self.len(), val.elem_bytes);
-        let (parts, procs, shape) = val.arr.into_raw();
-        let out =
-            run_parts(scl, parts, schedule, summed, |i| (i, procs[i], self)).map_err(|e| *e)?;
+        let (mut parts, procs, shape) = val.arr.into_raw();
+        if summed {
+            let schedule = scl.segment_schedule(parts.len(), self.len(), val.elem_bytes);
+            parts = run_parts(scl, parts, schedule, |i| (i, procs[i], self)).map_err(|e| *e)?;
+        } else {
+            let schedule = (scl.policy.effective_threads(parts.len()), 1);
+            for st in &self.stages {
+                let charge = |i: usize, (v, w, secs): (PartVal, Work, f64)| {
+                    if st.charged {
+                        scl.charge(procs[i], w, secs, st.label);
+                    }
+                    v
+                };
+                parts = dispatch(parts, schedule, |i, v| st.apply(i, v), charge).map_err(|e| *e)?;
+            }
+        }
         Ok(ErasedArr {
-            arr: ParArray::from_raw(out, procs, shape),
+            arr: ParArray::from_raw(parts, procs, shape),
             ..val
         })
     }
 }
 
-/// Push `parts` through the segments `route` assigns them: global index →
-/// (index within the segment's own array, owning processor, segment). One
-/// dispatch however many segments share it — [`SegmentOp::run`] routes
-/// everything to itself, a `Split` branch routes each half to its arm.
-/// Charging is in part order in every case, so the machine sees the same
-/// event sequence whatever the dispatch.
+/// A part's failure inside a dispatch — boxed, so the per-part results a
+/// dispatch collects stay as small as the values they carry.
+type PartResult<T> = std::result::Result<T, Box<RequestError>>;
+
+impl ComputeStage<'_> {
+    /// Run the stage on part `i` — the only place a compute stage runs. A
+    /// panicking stage ends the part as a typed [`RequestError::StagePanic`].
+    fn apply(&self, i: usize, v: PartVal) -> PartResult<(PartVal, Work, f64)> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| (self.f)(i, v))).map_err(|payload| {
+            Box::new(RequestError::StagePanic {
+                stage: self.label.to_string(),
+                part: i,
+                message: panic_message(&*payload).to_string(),
+            })
+        })
+    }
+}
+
+/// Run `step` over `parts` — inline, or fanned out through
+/// [`par_pipeline`] when `threads > 1` — and hand each result to `collect`
+/// in part order, stopping at the first failure. Charging happens in
+/// `collect`, on the calling thread, so the machine sees the same event
+/// sequence whatever the dispatch.
+fn dispatch<T: Send>(
+    parts: Vec<PartVal>,
+    (threads, grain): (usize, usize),
+    step: impl Fn(usize, PartVal) -> PartResult<T> + Sync,
+    mut collect: impl FnMut(usize, T) -> PartVal,
+) -> PartResult<Vec<PartVal>> {
+    if threads <= 1 {
+        // collected in place: the output reuses the input vector
+        return parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, part)| Ok(collect(i, step(i, part)?)))
+            .collect();
+    }
+    // the shared pool only grows, so pass the cap: an earlier, wider
+    // dispatch must not over-commit this smaller one
+    let results = par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step);
+    let mut out = Vec::with_capacity(results.len());
+    for (i, res) in results.into_iter().enumerate() {
+        out.push(collect(i, res?));
+    }
+    Ok(out)
+}
+
+/// Push `parts` through the segments `route` assigns them, summed: global
+/// index → (index within the segment's own array, owning processor,
+/// segment). One dispatch however many segments share it —
+/// [`SegmentOp::run`] routes everything to itself, a `Split` branch routes
+/// each half to its arm — and one `"fused"` event per part.
 fn run_parts<'s, 'p: 's>(
     scl: &mut Scl,
     parts: Vec<PartVal>,
-    (threads, grain): (usize, usize),
-    summed: bool,
+    schedule: (usize, usize),
     route: impl Fn(usize) -> (usize, usize, &'s SegmentOp<'p>) + Sync,
-) -> std::result::Result<Vec<PartVal>, Box<RequestError>> {
-    let total = |g: usize, part: PartVal| {
+) -> PartResult<Vec<PartVal>> {
+    let total = |g: usize, mut v: PartVal| {
         let (i, _, seg) = route(g);
         let (mut w, mut secs) = (Work::NONE, 0.0);
-        let v = seg.run_part(i, part, |_, nw, ns| {
-            w += nw;
-            secs += ns;
-        });
-        v.map(|v| (v, w, secs))
+        for st in &seg.stages {
+            let (nv, nw, ns) = st.apply(i, v)?;
+            (v, w, secs) = (nv, w + nw, secs + ns);
+        }
+        Ok((v, w, secs))
     };
-    let mut out = Vec::with_capacity(parts.len());
-    if summed && threads > 1 {
-        // the shared pool only grows, so pass the cap: an earlier, wider
-        // dispatch must not over-commit this smaller one
-        let results = par_pipeline(ThreadPool::shared(threads), parts, threads, grain, total);
-        for (g, res) in results.into_iter().enumerate() {
-            let (v, w, secs) = res?;
-            scl.charge(route(g).1, w, secs, "fused");
-            out.push(v);
-        }
-    } else {
-        for (g, part) in parts.into_iter().enumerate() {
-            let (i, proc, seg) = route(g);
-            out.push(if summed {
-                let (v, w, secs) = total(g, part)?;
-                scl.charge(proc, w, secs, "fused");
-                v
-            } else {
-                seg.run_part(i, part, |st, w, secs| {
-                    if st.charged {
-                        scl.charge(proc, w, secs, st.label);
-                    }
-                })?
-            });
-        }
-    }
-    Ok(out)
+    dispatch(parts, schedule, total, |g, (v, w, secs)| {
+        scl.charge(route(g).1, w, secs, "fused");
+        v
+    })
 }
 
 // ---- the chain walker -------------------------------------------------------
@@ -1167,7 +1211,7 @@ fn run_split(
     let (mut parts, lprocs, lshape) = l.arr.into_raw();
     let (rparts, rprocs, rshape) = r.arr.into_raw();
     parts.extend(rparts);
-    let mut lout = run_parts(scl, parts, schedule, true, |g| {
+    let mut lout = run_parts(scl, parts, schedule, |g| {
         if g < ln {
             (g, lprocs[g], left)
         } else {
@@ -1190,8 +1234,8 @@ fn run_split(
 
 /// Best-effort rendering of a panic payload for the labelled re-raise.
 /// Non-string payloads (`panic_any` tokens) are flattened to a
-/// placeholder: fused execution trades payload identity for the stage
-/// label, unlike the eager path which propagates payloads verbatim.
+/// placeholder: the chain walker trades payload identity for the stage
+/// label, unlike an opaque closure, whose panics propagate verbatim.
 /// Public so downstream executors (the streaming runtime's poison
 /// envelopes) render payloads identically.
 pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
@@ -1205,18 +1249,23 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
 }
 
 impl Scl {
-    /// Execute a fused plan: the chain walker under summed charging,
-    /// between the plan's entry and exit conversions. A failing barrier
+    /// Execute an op chain: the chain walker under the given charging
+    /// convention (summed for [`Scl::run_fused`], per stage for
+    /// [`Skel::run`](crate::plan::Skel::run)), between the plan's entry and
+    /// exit conversions. A configuration that does not fit the machine
     /// surfaces as its [`SclError`]; a panicking compute stage is re-raised
     /// here, labelled with the stage name and part.
-    pub(crate) fn exec_fused<A, B>(
+    ///
+    /// [`Scl::run_fused`]: crate::ctx::Scl::run_fused
+    pub(crate) fn exec_ops<A, B>(
         &mut self,
         plan: &mut FusedPlan<'_, A, B>,
         input: A,
+        summed: bool,
     ) -> Result<B> {
         let val = (plan.entry)(input);
         self.try_check_fits(val.arr.len())?;
-        match apply_ops(&mut plan.nodes, self, val, true) {
+        match apply_ops(&mut plan.nodes, self, val, summed) {
             Ok(out) => Ok((plan.exit)(out)),
             Err(RequestError::BarrierFailed { error, .. }) => Err(error),
             Err(stage_panic) => panic!("{stage_panic}"),

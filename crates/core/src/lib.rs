@@ -34,10 +34,10 @@
 //!
 //! ## Fused, partition-resident execution
 //!
-//! Eager execution dispatches each skeleton separately: every `.then()`
-//! materialises a full [`ParArray`] and pays its own fork-join dispatch.
-//! [`Scl::run_fused`] instead compiles a plan into per-partition stage
-//! chains (module [`fused`]): runs of part-local **compute** skeletons
+//! A plan is one operator chain (module [`fused`]), and [`Skel::run`] walks
+//! it stage by stage: every `.then()` materialises a full [`ParArray`] and
+//! pays its own fork-join dispatch. [`Scl::run_fused`] walks the same
+//! chain partition-resident: runs of part-local **compute** skeletons
 //! (`map`, `imap`, `zip_with`, `farm`, their costed forms) execute
 //! back-to-back on the worker owning each partition — no intermediate
 //! arrays, one persistent-pool dispatch per run — while
@@ -59,8 +59,9 @@
 //! per segment, falling back to sequential execution when a segment's
 //! estimated work is within a few multiples of the dispatch overhead.
 //! Opaque whole-array stages join fused chains as explicit barriers via
-//! [`Skel::barrier`]; plans containing a stage with no fused form fall
-//! back to eager execution (same answer). [`Scl::run_optimized`] executes
+//! [`Skel::barrier`]; a plan composed with a stage that has no op form
+//! ([`Skel::from_fn`], …) is an opaque closure, which both entry points
+//! run as it is (same answer). [`Scl::run_optimized`] executes
 //! the rewritten program through this executor, so §4 optimisation and
 //! fusion compose.
 //!

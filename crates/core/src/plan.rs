@@ -10,18 +10,21 @@
 //! [`Skel::rotate`], [`Skel::farm`], [`Skel::iter_until`], [`Skel::dac`], …)
 //! and composed with [`Skel::then`] / [`Skel::pipe`].
 //!
-//! A plan has **three back-ends**:
+//! A plan has **one executable form**: the operator chain of
+//! [`crate::fused`] — compute stages, barriers and branches — whenever
+//! every stage has an op form, or an opaque closure for plans built from a
+//! stage that has none ([`Skel::from_fn`], [`Skel::fold`], [`Skel::spmd`],
+//! [`Skel::identity`]). The back-ends interpret that one form:
 //!
-//! 1. [`Skel::run`] executes eagerly by delegating to the existing skeleton
-//!    methods on [`Scl`] — one skeleton dispatch (and one materialised
-//!    intermediate array) per stage;
-//! 2. [`Scl::run_fused`] walks the plan's fused operator chain (see
-//!    [`crate::fused`]): runs of compute skeletons (`map` / `imap` /
-//!    `zip_with` / `farm` and their costed forms) execute back-to-back on
-//!    the worker that owns each partition with **no** intermediates, while
-//!    communication skeletons (`rotate`, `fetch`, `total_exchange`, …) act
-//!    as the only barriers. Same results bit-for-bit, one thread-pool
-//!    dispatch per fused segment instead of one spawn per skeleton;
+//! 1. [`Skel::run`] walks the chain eagerly: one dispatch (and one
+//!    materialised intermediate) per stage, charged per stage — the same
+//!    events the skeleton methods on [`Scl`] emit;
+//! 2. [`Scl::run_fused`] walks the same chain partition-resident: runs of
+//!    compute skeletons (`map` / `imap` / `zip_with` / `farm` and their
+//!    costed forms) execute back-to-back on the worker that owns each
+//!    partition with **no** intermediates, while communication skeletons
+//!    (`rotate`, `fetch`, `total_exchange`, …) act as the only barriers.
+//!    Same results bit-for-bit, one thread-pool dispatch per fused segment;
 //! 3. [`Skel::lower`] bridges the *lowerable fragment* (maps over registered
 //!    function symbols, rotations, fetches/sends over registered index
 //!    functions, scans, and pipelines thereof) into the `scl-transform`
@@ -30,7 +33,7 @@
 //!    raises the optimised program back into an executable plan.
 //!
 //! [`Scl::run_optimized`] wires the full path: plan → lower → optimise →
-//! raise → **fused** execute, falling back to eager execution for plans
+//! raise → **fused** execute, falling back to [`Skel::run`] for plans
 //! outside the lowerable fragment.
 //!
 //! ```
@@ -60,131 +63,161 @@ use crate::array::ParArray;
 use crate::bytes::Bytes;
 use crate::ctx::Scl;
 use crate::error::Result as SclResult;
-use crate::fused::{self, FusePort, FusedPlan};
+use crate::fused::{self, FusePort, FusedPlan, PlanOp};
 use crate::partition::Pattern;
 use crate::skeletons::SpmdStage;
 use scl_machine::Work;
 use scl_transform::rewrite::Applied;
 use scl_transform::{optimize, shape_of, Expr, FnRef, IdxRef, Registry, Shape};
 use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
+use std::convert::Infallible;
 
-/// The eager interpretation of a plan: a host computation against a
-/// coordination context. `FnMut` so plans may own stateful stages (e.g.
-/// [`Skel::iter_until`] solvers); the `RefCell` in [`Skel`] lets `run` stay
-/// `&self`.
+/// An opaque stage: a host computation against a coordination context.
+/// `FnMut` so plans may own stateful stages; the `RefCell` in [`Skel`] lets
+/// `run` stay `&self`.
 type ExecFn<'a, A, B> = Box<dyn FnMut(&mut Scl, A) -> B + 'a>;
+
+/// The one executable form of a plan.
+enum Body<'a, A, B> {
+    /// Every stage has an op form: the chain every back-end interprets.
+    Ops(FusedPlan<'a, A, B>),
+    /// Some stage has none: one closure running the whole plan.
+    Opaque(ExecFn<'a, A, B>),
+}
+
+impl<'a, A: 'a, B: 'a> Body<'a, A, B> {
+    /// The body as a closure; an op chain runs as [`Skel::run`] runs it.
+    fn into_fn(self) -> ExecFn<'a, A, B> {
+        match self {
+            Body::Ops(mut plan) => Box::new(move |scl: &mut Scl, x| run_ops(scl, &mut plan, x)),
+            Body::Opaque(f) => f,
+        }
+    }
+}
+
+/// [`Skel::run`] over an op chain: the chain walker with per-stage
+/// charging. A configuration that does not fit the machine panics, as the
+/// skeleton methods on [`Scl`] do.
+fn run_ops<A, B>(scl: &mut Scl, plan: &mut FusedPlan<'_, A, B>, input: A) -> B {
+    scl.exec_ops(plan, input, false)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// A first-class, typed skeleton program from `A` to `B`.
 ///
 /// Built by the constructors in this module and composed with
-/// [`Skel::then`]; executed with [`Skel::run`] (eager, one dispatch per
-/// stage) or [`Scl::run_fused`] (partition-resident, see [`crate::fused`]);
-/// optimised through [`Skel::lower`] / [`Skel::from_expr`] when it stays
-/// inside the lowerable fragment. The lifetime `'a` bounds everything the
-/// plan borrows (closures, a [`Registry`] for symbolic stages); plans over
-/// owned closures are `'static`.
+/// [`Skel::then`]. A plan holds one executable form — an op chain (see
+/// [`crate::fused`]), or an opaque closure when a stage has no op form —
+/// and two interpreters run it: [`Skel::run`] (one dispatch per stage) and
+/// [`Scl::run_fused`] (partition-resident). Optimised through
+/// [`Skel::lower`] / [`Skel::from_expr`] when it stays inside the lowerable
+/// fragment. The lifetime `'a` bounds everything the plan borrows
+/// (closures, a [`Registry`] for symbolic stages); plans over owned
+/// closures are `'static`.
 pub struct Skel<'a, A, B> {
-    exec: RefCell<ExecFn<'a, A, B>>,
+    body: RefCell<Body<'a, A, B>>,
     /// `Some` iff every stage of the plan is in the lowerable fragment;
     /// composition preserves it, any opaque stage forfeits it.
     repr: Option<Expr>,
-    /// `Some` iff every stage supplied a fused form (compute stage,
-    /// barrier or branch); composition concatenates the op chains, any
-    /// stage without one forfeits fusion for the whole plan.
-    fused: Option<RefCell<FusedPlan<'a, A, B>>>,
 }
 
 impl<'a, A, B> Skel<'a, A, B> {
+    fn with_body(body: Body<'a, A, B>, repr: Option<Expr>) -> Skel<'a, A, B> {
+        Skel {
+            body: RefCell::new(body),
+            repr,
+        }
+    }
+
+    fn from_ops(plan: FusedPlan<'a, A, B>) -> Skel<'a, A, B> {
+        Skel::with_body(Body::Ops(plan), None)
+    }
+
     /// A plan from an opaque stage: any host computation over the context.
-    /// Opaque stages execute fine but are neither lowerable nor fusable —
+    /// Opaque stages run fine but are neither lowerable nor fusable, and
+    /// [`Skel::then`] makes any plan containing one an opaque closure too —
     /// use [`Skel::barrier`] for an opaque stage that should still compose
     /// into fused chains.
     pub fn from_fn(f: impl FnMut(&mut Scl, A) -> B + 'a) -> Skel<'a, A, B> {
-        Skel {
-            exec: RefCell::new(Box::new(f)),
-            repr: None,
-            fused: None,
-        }
+        Skel::with_body(Body::Opaque(Box::new(f)), None)
     }
 
     /// As [`Skel::from_fn`] but carrying an explicit IR representation —
     /// the escape hatch for callers extending the lowerable fragment.
     pub fn from_fn_repr(f: impl FnMut(&mut Scl, A) -> B + 'a, repr: Expr) -> Skel<'a, A, B> {
-        Skel {
-            exec: RefCell::new(Box::new(f)),
-            repr: Some(repr),
-            fused: None,
-        }
+        Skel::with_body(Body::Opaque(Box::new(f)), Some(repr))
     }
 
-    /// Run the plan eagerly on `scl`, consuming `input`.
+    /// Run the plan eagerly on `scl`, consuming `input`: the op chain's
+    /// walker with one dispatch per stage — scheduled as [`Scl::imap`] is,
+    /// at [`ExecPolicy::effective_threads`](scl_exec::ExecPolicy::effective_threads)
+    /// — and per-stage charging, or the opaque closure. A panicking compute
+    /// stage re-raises labelled, with the text [`Skel::run_fused`] uses.
     pub fn run(&self, scl: &mut Scl, input: A) -> B {
-        (self.exec.borrow_mut())(scl, input)
-    }
-
-    /// Run the plan through the fused executor (see [`crate::fused`]),
-    /// falling back to eager execution when any stage lacks a fused form —
-    /// same answer either way. Usually called as [`Scl::run_fused`].
-    ///
-    /// The `Err(MachineTooSmall)` contract applies to the fused path
-    /// (every fusable plan); the eager fallback keeps the eager layer's
-    /// panicking semantics, so only [`Skel::fusable`] plans are guaranteed
-    /// to surface oversized configurations as errors.
-    pub fn run_fused(&self, scl: &mut Scl, input: A) -> SclResult<B> {
-        match &self.fused {
-            Some(cell) => scl.exec_fused(&mut cell.borrow_mut(), input),
-            None => Ok(self.run(scl, input)),
+        match &mut *self.body.borrow_mut() {
+            Body::Ops(plan) => run_ops(scl, plan, input),
+            Body::Opaque(f) => f(scl, input),
         }
     }
 
-    /// True when every stage supplied a fused form, so [`Skel::run_fused`]
-    /// takes the partition-resident path rather than falling back.
+    /// Run the plan through the fused executor (see [`crate::fused`]): the
+    /// op chain under summed charging, or an opaque plan's closure exactly
+    /// as [`Skel::run`] runs it — same answer either way. Usually called as
+    /// [`Scl::run_fused`].
+    ///
+    /// The `Err(MachineTooSmall)` contract applies to op chains (every
+    /// [`Skel::fusable`] plan); an opaque closure keeps the eager layer's
+    /// panicking semantics.
+    pub fn run_fused(&self, scl: &mut Scl, input: A) -> SclResult<B> {
+        match &mut *self.body.borrow_mut() {
+            Body::Ops(plan) => scl.exec_ops(plan, input, true),
+            Body::Opaque(f) => Ok(f(scl, input)),
+        }
+    }
+
+    /// True when the plan is an op chain, so [`Skel::run_fused`] takes the
+    /// partition-resident path; false for an opaque closure.
     pub fn fusable(&self) -> bool {
-        self.fused.is_some()
+        matches!(*self.body.borrow(), Body::Ops(_))
     }
 
     /// The fused stage structure as `(label, is_barrier)` pairs, or `None`
-    /// for unfusable plans. Consecutive non-barrier stages execute as one
+    /// for opaque plans. Consecutive non-barrier stages execute as one
     /// fused segment.
     pub fn fused_stages(&self) -> Option<Vec<(&'static str, bool)>> {
-        self.fused
-            .as_ref()
-            .map(|cell| fused::stage_list(&cell.borrow().nodes))
+        match &*self.body.borrow() {
+            Body::Ops(plan) => Some(fused::stage_list(&plan.nodes)),
+            Body::Opaque(_) => None,
+        }
     }
 
     /// Sequential composition: run `self`, feed its output to `next`.
-    /// Lowerability and fusability are each preserved when both sides have
-    /// them.
+    /// Lowerability is preserved when both sides have it; two op chains
+    /// concatenate, and if either side is opaque the result is one closure
+    /// running both.
     pub fn then<C>(self, next: Skel<'a, B, C>) -> Skel<'a, A, C>
     where
         A: 'a,
         B: 'a,
         C: 'a,
     {
-        let mut f = self.exec.into_inner();
-        let mut g = next.exec.into_inner();
         let repr = match (self.repr, next.repr) {
             // `next` applies after `self`: composition order is next ∘ self.
             // Normalised so identity seeds (Skel::pipe) leave no `id` term.
             (Some(a), Some(b)) => Some(scl_transform::normalize(b.after(a))),
             _ => None,
         };
-        let fused = match (self.fused, next.fused) {
-            (Some(a), Some(b)) => {
-                Some(RefCell::new(fused::compose(a.into_inner(), b.into_inner())))
+        let body = match (self.body.into_inner(), next.body.into_inner()) {
+            (Body::Ops(a), Body::Ops(b)) => Body::Ops(fused::compose(a, b)),
+            (f, g) => {
+                let (mut f, mut g) = (f.into_fn(), g.into_fn());
+                Body::Opaque(Box::new(move |scl: &mut Scl, x| {
+                    let mid = f(scl, x);
+                    g(scl, mid)
+                }))
             }
-            _ => None,
         };
-        Skel {
-            exec: RefCell::new(Box::new(move |scl: &mut Scl, x| {
-                let mid = f(scl, x);
-                g(scl, mid)
-            })),
-            repr,
-            fused,
-        }
+        Skel::with_body(body, repr)
     }
 
     /// The IR of this plan, if every stage was lowerable (no symbol
@@ -194,41 +227,22 @@ impl<'a, A, B> Skel<'a, A, B> {
     }
 
     /// The plan's structural fingerprint — the key `scl-serve`'s plan
-    /// cache compiles under — or `None` for plans with an unfusable stage
-    /// (nothing to compile, so nothing to cache).
+    /// cache compiles under — or `None` for a plan with an opaque stage: a
+    /// closure has no structure to hash, so caching it would let different
+    /// closures alias.
     ///
-    /// The fingerprint hashes the fused stage chain (stage kinds, labels,
-    /// order, charging conventions) and, when the plan is in the lowerable
+    /// The fingerprint hashes the op chain (stage kinds, labels, order,
+    /// charging conventions) and, when the plan is in the lowerable
     /// fragment, its IR representation. It deliberately does **not** hash
     /// closure bodies — see [`PlanFingerprint`](fused::PlanFingerprint)
     /// for the equality contract and the salting escape hatch.
     pub fn fingerprint(&self) -> Option<fused::PlanFingerprint> {
-        let cell = self.fused.as_ref()?;
-        let repr = self.repr.as_ref().map(|e| e as &dyn std::fmt::Display);
-        Some(fused::fingerprint_plan(&cell.borrow().nodes, repr))
-    }
-
-    /// Hand a fusable plan's operator chain to a streaming runtime, as it
-    /// is: maximal fused compute segments
-    /// ([`PlanOp::Segment`](fused::PlanOp), pure and replicable) separated
-    /// by barriers ([`PlanOp::Barrier`](fused::PlanOp), stateful,
-    /// order-serial) and branches. This is the compilation input of the
-    /// `scl-stream` runtime: each segment becomes a long-lived farm stage,
-    /// each barrier a stage boundary.
-    ///
-    /// Consumes the plan (the ops own the stage closures). Plans with an
-    /// unfusable stage are handed back unchanged as `Err` so the caller
-    /// can fall back to eager per-item execution.
-    #[allow(clippy::result_large_err)] // Err is the unconsumed plan, by design
-    pub fn into_stream_ops(self) -> std::result::Result<Vec<fused::PlanOp<'a>>, Self> {
-        let Skel { exec, repr, fused } = self;
-        match fused {
-            Some(cell) => Ok(cell.into_inner().nodes),
-            None => Err(Skel {
-                exec,
-                repr,
-                fused: None,
-            }),
+        match &*self.body.borrow() {
+            Body::Ops(plan) if !plan.opaque => {
+                let repr = self.repr.as_ref().map(|e| e as &dyn std::fmt::Display);
+                Some(fused::fingerprint_plan(&plan.nodes, repr))
+            }
+            _ => None,
         }
     }
 }
@@ -238,24 +252,41 @@ where
     A: FusePort + 'a,
     B: FusePort + 'a,
 {
+    /// The plan as an op chain: an opaque closure becomes one barrier
+    /// labelled `"opaque"`.
+    fn into_ops(self) -> FusedPlan<'a, A, B> {
+        match self.body.into_inner() {
+            Body::Ops(plan) => plan,
+            Body::Opaque(f) => fused::opaque_node(f),
+        }
+    }
+
+    /// Hand the plan's operator chain to a streaming runtime, as it is:
+    /// maximal fused compute segments ([`PlanOp::Segment`], pure and
+    /// replicable) separated by barriers ([`PlanOp::Barrier`], stateful,
+    /// order-serial) and branches; an opaque plan is one barrier labelled
+    /// `"opaque"` running its closure. This is the compilation input of
+    /// the `scl-stream` runtime: each segment becomes a long-lived farm
+    /// stage, each barrier a stage boundary.
+    ///
+    /// Consumes the plan (the ops own the stage closures). Never fails —
+    /// the error type is [`Infallible`], so `let Ok(ops) = …;` is
+    /// irrefutable.
+    pub fn into_stream_ops(self) -> Result<Vec<PlanOp<'a>>, Infallible> {
+        Ok(self.into_ops().nodes)
+    }
+
     /// An opaque whole-configuration stage that still composes into fused
     /// chains — as a **barrier** between fused segments. This is the fused
     /// counterpart of [`Skel::from_fn`]: use it for global phases (gathers,
     /// broadcasts, anything touching the whole configuration) inside plans
     /// whose other stages should fuse. `label` names the stage in
     /// [`Skel::fused_stages`] and in panic messages.
-    pub fn barrier(label: &'static str, f: impl FnMut(&mut Scl, A) -> B + 'a) -> Skel<'a, A, B> {
-        let shared = Rc::new(RefCell::new(f));
-        let exec = Rc::clone(&shared);
-        Skel {
-            exec: RefCell::new(Box::new(move |scl: &mut Scl, a| {
-                (exec.borrow_mut())(scl, a)
-            })),
-            repr: None,
-            fused: Some(RefCell::new(fused::barrier_node(label, move |scl, a| {
-                Ok((shared.borrow_mut())(scl, a))
-            }))),
-        }
+    pub fn barrier(
+        label: &'static str,
+        mut f: impl FnMut(&mut Scl, A) -> B + 'a,
+    ) -> Skel<'a, A, B> {
+        Skel::from_ops(fused::barrier_node(label, move |scl, a| Ok(f(scl, a))))
     }
 
     // ---- arrow combinators: plans as DAGs -----------------------------------
@@ -265,11 +296,11 @@ where
     /// input is the pair of both inputs; its output the pair of both
     /// outputs.
     ///
-    /// Fusability is preserved when both sides have it — the fused form is
-    /// a single **branch op** whose arms are the two op chains, and
-    /// [`Scl::run_fused`] schedules independent pure arms as siblings of
-    /// one pool dispatch (see [`crate::fused`]). Not lowerable (the IR's
-    /// branch forms are the symbolic [`Skel::fanout_sym`] /
+    /// Always an op chain: a single **branch op** whose arms are the two
+    /// sides' op chains (an opaque side enters as one `"opaque"` barrier),
+    /// and [`Scl::run_fused`] schedules independent pure arms as siblings
+    /// of one pool dispatch (see [`crate::fused`]). Not lowerable (the
+    /// IR's branch forms are the symbolic [`Skel::fanout_sym`] /
     /// [`Skel::choice_sym`]).
     ///
     /// ```
@@ -289,32 +320,12 @@ where
         (A, C): FusePort + 'a,
         (B, D): FusePort + 'a,
     {
-        let mut f = self.exec.into_inner();
-        let mut g = other.exec.into_inner();
-        let fused = match (self.fused, other.fused) {
-            (Some(l), Some(r)) => Some(RefCell::new(fused::pair_node(
-                l.into_inner(),
-                r.into_inner(),
-            ))),
-            _ => None,
-        };
-        Skel {
-            exec: RefCell::new(Box::new(move |scl: &mut Scl, (a, c): (A, C)| {
-                // left arm first, then right — the fused executor charges
-                // the machine in the same order, so reports agree.
-                let b = f(scl, a);
-                let d = g(scl, c);
-                (b, d)
-            })),
-            repr: None,
-            fused,
-        }
+        Skel::from_ops(fused::pair_node(self.into_ops(), other.into_ops()))
     }
 
     /// Fan-out composition (the arrow `&&&`): feed one input to both
     /// `self` and `other` (the second arm receives a clone) and pair the
-    /// results. Fusability is preserved when both sides have it, exactly
-    /// as for [`Skel::pair`].
+    /// results. Always an op chain, exactly as for [`Skel::pair`].
     ///
     /// ```
     /// use scl_core::prelude::*;
@@ -331,77 +342,30 @@ where
         C: FusePort + 'a,
         (B, C): FusePort + 'a,
     {
-        let mut f = self.exec.into_inner();
-        let mut g = other.exec.into_inner();
-        let fused = match (self.fused, other.fused) {
-            (Some(l), Some(r)) => Some(RefCell::new(fused::fanout_node(
-                l.into_inner(),
-                r.into_inner(),
-            ))),
-            _ => None,
-        };
-        Skel {
-            exec: RefCell::new(Box::new(move |scl: &mut Scl, a: A| {
-                // clone-then-run order matches the fused split closure
-                let twin = a.clone();
-                let b = f(scl, a);
-                let c = g(scl, twin);
-                (b, c)
-            })),
-            repr: None,
-            fused,
-        }
+        Skel::from_ops(fused::fanout_node(self.into_ops(), other.into_ops()))
     }
 
     /// Predicate-driven branching (Either-style choice): inspect the input
     /// with `pred`, run `left` when it holds, `right` otherwise. Exactly
-    /// one arm executes (and is charged). Fusability is preserved when
-    /// both arms have it.
+    /// one arm executes (and is charged). Always an op chain, as for
+    /// [`Skel::pair`].
     pub fn choice(
         pred: impl Fn(&A) -> bool + 'a,
         left: Skel<'a, A, B>,
         right: Skel<'a, A, B>,
     ) -> Skel<'a, A, B> {
-        let pred: Arc<dyn Fn(&A) -> bool + 'a> = Arc::new(pred);
-        let p = Arc::clone(&pred);
-        let mut f = left.exec.into_inner();
-        let mut g = right.exec.into_inner();
-        let fused = match (left.fused, right.fused) {
-            (Some(l), Some(r)) => Some(RefCell::new(fused::choice_node(
-                pred,
-                l.into_inner(),
-                r.into_inner(),
-            ))),
-            _ => None,
-        };
-        Skel {
-            exec: RefCell::new(Box::new(
-                move |scl: &mut Scl, a: A| {
-                    if p(&a) {
-                        f(scl, a)
-                    } else {
-                        g(scl, a)
-                    }
-                },
-            )),
-            repr: None,
-            fused,
-        }
+        Skel::from_ops(fused::choice_node(pred, left.into_ops(), right.into_ops()))
     }
 }
 
 impl<'a, A: 'a> Skel<'a, A, A> {
-    /// The identity plan. Lowerable ([`Expr::Id`]) but **not** fusable —
-    /// `A` is unconstrained here, so no [`FusePort`] boundary exists;
-    /// composing a fusable plan with `identity()` forfeits fusion for the
-    /// whole chain ([`Skel::pipe`] therefore seeds from its first stage
-    /// instead of an identity).
+    /// The identity plan: an opaque closure, lowerable ([`Expr::Id`]) but
+    /// **not** fusable — `A` is unconstrained here, so no [`FusePort`]
+    /// boundary exists; composing a fusable plan with `identity()` makes
+    /// the whole chain opaque ([`Skel::pipe`] therefore seeds from its
+    /// first stage instead of an identity).
     pub fn identity() -> Skel<'a, A, A> {
-        Skel {
-            exec: RefCell::new(Box::new(|_, x| x)),
-            repr: Some(Expr::Id),
-            fused: None,
-        }
+        Skel::with_body(Body::Opaque(Box::new(|_, x| x)), Some(Expr::Id))
     }
 
     /// Compose a pipeline of same-typed stages given in **execution order**
@@ -424,28 +388,8 @@ impl<'a, A: 'a> Skel<'a, A, A> {
 /// dropped). `rendered` is any stable textual rendering of the
 /// parameters.
 fn tag_param<A, B>(plan: &Skel<'_, A, B>, rendered: &str) {
-    if let Some(cell) = &plan.fused {
-        cell.borrow_mut().tag_param(fused::param_hash(rendered));
-    }
-}
-
-/// Build a compute-stage plan: the eager path delegates to `eager`, the
-/// fused path runs `node` per part (both share the same user closure, so
-/// the two executions are identical arithmetic).
-fn compute_stage<'a, T, R>(
-    label: &'static str,
-    timed: bool,
-    eager: impl FnMut(&mut Scl, ParArray<T>) -> ParArray<R> + 'a,
-    node: impl Fn(usize, &T) -> (R, Work) + Send + Sync + 'a,
-) -> Skel<'a, ParArray<T>, ParArray<R>>
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-{
-    Skel {
-        exec: RefCell::new(Box::new(eager)),
-        repr: None,
-        fused: Some(RefCell::new(fused::compute_node(label, timed, node))),
+    if let Body::Ops(ops) = &mut *plan.body.borrow_mut() {
+        ops.tag_param(fused::param_hash(rendered));
     }
 }
 
@@ -457,63 +401,34 @@ where
     /// The paper's `map f`: apply `f` to every part ([`Scl::map`]).
     /// Part-local, so runs of these fuse under [`Scl::run_fused`].
     pub fn map(f: impl Fn(&T) -> R + Send + Sync + 'a) -> Self {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        compute_stage(
-            "map",
-            true,
-            move |scl, a| scl.map(&a, &*f),
-            move |_, x| (g(x), Work::NONE),
-        )
+        Skel::from_ops(fused::compute_node("map", true, move |_, x| {
+            (f(x), Work::NONE)
+        }))
     }
 
     /// Index-aware map ([`Scl::imap`]).
     pub fn imap(f: impl Fn(usize, &T) -> R + Send + Sync + 'a) -> Self {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        compute_stage(
-            "imap",
-            true,
-            move |scl, a| scl.imap(&a, &*f),
-            move |i, x| (g(i, x), Work::NONE),
-        )
+        Skel::from_ops(fused::compute_node("imap", true, move |i, x| {
+            (f(i, x), Work::NONE)
+        }))
     }
 
     /// Map with self-reported cost ([`Scl::map_costed`]).
     pub fn map_costed(f: impl Fn(&T) -> (R, Work) + Send + Sync + 'a) -> Self {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        compute_stage(
-            "map_costed",
-            false,
-            move |scl, a| scl.map_costed(&a, &*f),
-            move |_, x| g(x),
-        )
+        Skel::from_ops(fused::compute_node("map_costed", false, move |_, x| f(x)))
     }
 
     /// Index-aware costed map ([`Scl::imap_costed`]).
     pub fn imap_costed(f: impl Fn(usize, &T) -> (R, Work) + Send + Sync + 'a) -> Self {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        compute_stage(
-            "imap_costed",
-            false,
-            move |scl, a| scl.imap_costed(&a, &*f),
-            move |i, x| g(i, x),
-        )
+        Skel::from_ops(fused::compute_node("imap_costed", false, f))
     }
 
     /// The paper's `farm f env`: map with a shared environment
     /// ([`Scl::farm`]).
     pub fn farm<E: Send + Sync + 'a>(f: impl Fn(&E, &T) -> R + Send + Sync + 'a, env: E) -> Self {
-        let shared = Arc::new((f, env));
-        let node = Arc::clone(&shared);
-        compute_stage(
-            "farm",
-            true,
-            move |scl, a| scl.farm(&shared.0, &shared.1, &a),
-            move |_, x| ((node.0)(&node.1, x), Work::NONE),
-        )
+        Skel::from_ops(fused::compute_node("farm", true, move |_, x| {
+            (f(&env, x), Work::NONE)
+        }))
     }
 }
 
@@ -527,20 +442,9 @@ where
     /// ([`Scl::zip_with`]). The plan's input is the pair of arrays.
     /// Part-local, so it fuses with neighbouring compute stages.
     pub fn zip_with(f: impl Fn(&A2, &B2) -> R + Send + Sync + 'a) -> Self {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        Skel {
-            exec: RefCell::new(Box::new(
-                move |scl: &mut Scl, (a, b): (ParArray<A2>, ParArray<B2>)| {
-                    scl.zip_with(&a, &b, &*f)
-                },
-            )),
-            repr: None,
-            fused: Some(RefCell::new(fused::compute_pair_node(
-                "zip_with",
-                move |x, y| (g(x, y), Work::NONE),
-            ))),
-        }
+        Skel::from_ops(fused::compute_pair_node("zip_with", move |x, y| {
+            (f(x, y), Work::NONE)
+        }))
     }
 }
 
@@ -667,15 +571,10 @@ where
     /// surfaces as [`SclError::MachineTooSmall`](crate::error::SclError)
     /// instead of panicking.
     pub fn partition(pattern: Pattern) -> Self {
-        let exec = move |scl: &mut Scl, data: Vec<T>| scl.partition_owned(pattern, data);
-        let plan = Skel {
-            exec: RefCell::new(Box::new(exec)),
-            repr: None,
-            fused: Some(RefCell::new(fused::barrier_node(
-                "partition",
-                move |scl: &mut Scl, data: Vec<T>| scl.try_partition_owned(pattern, data),
-            ))),
-        };
+        let plan = Skel::from_ops(fused::barrier_node(
+            "partition",
+            move |scl: &mut Scl, data: Vec<T>| scl.try_partition_owned(pattern, data),
+        ));
         tag_param(&plan, &format!("partition({pattern:?})"));
         plan
     }
@@ -848,7 +747,7 @@ enum RtVal {
 /// One step of an IR fragment with no stage form of its own, compiled once
 /// when its barrier is built (`Skel::expr_barrier`). Flat sub-programs
 /// are **raised** — a `mapGroups` body, a leaf inside a nested composition
-/// — and run through their eager form, so every IR leaf has one runtime
+/// — and run through [`Skel::run`], so every IR leaf has one runtime
 /// meaning: the stage `from_expr` builds for it.
 enum RegionStep<'a> {
     Split(usize),
@@ -877,18 +776,12 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
     /// Part-local, so it fuses with neighbouring compute stages.
     pub fn map_ref(f: FnRef, reg: &'a Registry) -> Self {
         let repr = Expr::Map(f.clone());
-        let node_f = f.clone();
         // the registry is borrowed immutably for 'a, so the per-application
         // work is a constant of the stage — resolve it once, not per element
         let w = reg.fn_work(&f).unwrap_or(Work::NONE);
-        let mut plan = compute_stage(
-            "map_sym",
-            false,
-            move |scl: &mut Scl, a: ParArray<i64>| {
-                scl.map_costed(&a, |x| (reg.apply_fn(&f, *x).unwrap_or(0), w))
-            },
-            move |_, x: &i64| (reg.apply_fn(&node_f, *x).unwrap_or(0), w),
-        );
+        let mut plan = Skel::from_ops(fused::compute_node("map_sym", false, move |_, x: &i64| {
+            (reg.apply_fn(&f, *x).unwrap_or(0), w)
+        }));
         tag_param(&plan, &repr.to_string());
         plan.repr = Some(repr);
         plan
@@ -959,20 +852,11 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
         op: &str,
         reg: &'a Registry,
     ) -> Skel<'a, (ParArray<i64>, ParArray<i64>), ParArray<i64>> {
-        let eager_op = op.to_string();
-        let node_op = op.to_string();
-        let plan = Skel {
-            exec: RefCell::new(Box::new(
-                move |scl: &mut Scl, (a, b): (ParArray<i64>, ParArray<i64>)| {
-                    scl.zip_with(&a, &b, |x, y| reg.apply_op(&eager_op, *x, *y).unwrap_or(0))
-                },
-            )),
-            repr: None,
-            fused: Some(RefCell::new(fused::compute_pair_node(
-                "zip_sym",
-                move |x: &i64, y: &i64| (reg.apply_op(&node_op, *x, *y).unwrap_or(0), Work::NONE),
-            ))),
-        };
+        let name = op.to_string();
+        let plan = Skel::from_ops(fused::compute_pair_node(
+            "zip_sym",
+            move |x: &i64, y: &i64| (reg.apply_op(&name, *x, *y).unwrap_or(0), Work::NONE),
+        ));
         tag_param(&plan, &format!("zip({op})"));
         plan
     }
@@ -1236,8 +1120,8 @@ impl Scl {
     /// [`Scl::run_optimized`]. On the fused path (any [`Skel::fusable`]
     /// plan) oversized configurations surface as
     /// [`SclError::MachineTooSmall`](crate::error::SclError) instead of
-    /// panicking; plans with an unfusable stage fall back to eager
-    /// execution (same answer, eager panicking semantics).
+    /// panicking; an opaque plan runs its closure (same answer, eager
+    /// panicking semantics).
     pub fn run_fused<'r, A, B>(&mut self, plan: &Skel<'r, A, B>, input: A) -> SclResult<B> {
         plan.run_fused(self, input)
     }
@@ -1617,6 +1501,37 @@ mod tests {
         let mut s = unit_ctx(4);
         let out = s.run_fused(&with_barrier, arr(4)).unwrap();
         assert_eq!(out.to_vec(), vec![3, 6, 9, 12]);
+    }
+
+    #[test]
+    fn opaque_branch_arm_is_an_opaque_barrier() {
+        // a closure inside a branch arm becomes one "opaque" barrier: the
+        // plan fuses, both interpreters agree, and it never fingerprints
+        let plan = || {
+            Skel::map(|x: &i64| x * 3).pair(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
+                scl.rotate(1, &a)
+            }))
+        };
+        assert!(plan().fusable());
+        assert_eq!(plan().fused_stages().unwrap(), vec![("pair", true)]);
+        assert!(plan().fingerprint().is_none());
+        assert!(plan()
+            .then(Skel::barrier("id", |_, x| x))
+            .fingerprint()
+            .is_none());
+        for policy in [
+            ExecPolicy::Sequential,
+            ExecPolicy::Threads(2),
+            ExecPolicy::cost_driven(),
+        ] {
+            let mut s1 = unit_ctx(4).with_policy(policy);
+            let eager = plan().run(&mut s1, (arr(4), arr(4)));
+            let mut s2 = unit_ctx(4).with_policy(policy);
+            let fused = s2.run_fused(&plan(), (arr(4), arr(4))).unwrap();
+            assert_eq!(eager, fused, "{policy:?}");
+            assert_eq!(eager.1.to_vec(), vec![1, 2, 3, 0], "{policy:?}");
+            assert_eq!(s1.machine.report(), s2.machine.report(), "{policy:?}");
+        }
     }
 
     #[test]

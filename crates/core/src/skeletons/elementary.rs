@@ -416,37 +416,33 @@ mod tests {
         }
     }
 
+    /// Blocks every arriving part until two distinct threads have been
+    /// seen: with the caller stuck in its first part, only a pool helper
+    /// can be the second.
+    #[derive(Default)]
+    struct Rendezvous {
+        seen: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+        two: std::sync::Condvar,
+    }
+
+    impl Rendezvous {
+        fn arrive(&self) {
+            let mut seen = self.seen.lock().unwrap();
+            seen.insert(std::thread::current().id());
+            self.two.notify_all();
+            let (_seen, timeout) = self
+                .two
+                .wait_timeout_while(seen, std::time::Duration::from_secs(20), |s| s.len() < 2)
+                .unwrap();
+            assert!(!timeout.timed_out(), "no second thread joined the map");
+        }
+    }
+
     #[test]
     fn maps_admit_a_helper_under_threads_policy() {
         // The caller works too, so trivial parts may well all run on it;
         // what `Threads(2)` must guarantee is that a pool helper *can*
-        // join in. Every part therefore blocks until two distinct threads
-        // have been seen inside the map: with the caller stuck in its
-        // first part only a helper can be the second.
-        use std::collections::HashSet;
-        use std::sync::{Condvar, Mutex};
-        use std::time::Duration;
-
-        #[derive(Default)]
-        struct Rendezvous {
-            seen: Mutex<HashSet<std::thread::ThreadId>>,
-            two: Condvar,
-        }
-        impl Rendezvous {
-            fn arrive(&self) {
-                let mut seen = self.seen.lock().unwrap();
-                seen.insert(std::thread::current().id());
-                self.two.notify_all();
-                let (_seen, timeout) = self
-                    .two
-                    .wait_timeout_while(seen, Duration::from_secs(20), |s| s.len() < 2)
-                    .unwrap();
-                assert!(
-                    !timeout.timed_out(),
-                    "no second thread joined the map under Threads(2)"
-                );
-            }
-        }
+        // join in.
         let a = ParArray::from_parts((0..8i64).collect());
         let mut s = unit_ctx(8).with_policy(ExecPolicy::Threads(2));
 
@@ -463,6 +459,24 @@ mod tests {
             x + 1
         });
         assert_eq!(out.to_vec(), (1..=8).collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn skel_run_keeps_the_eager_threads_under_cost_driven() {
+        // `Skel::run` schedules a stage as `Scl::imap` does — at the
+        // policy's thread count — not by the fused cost model, which
+        // prices eight 24-byte `Vec` parts on the AP1000 below its
+        // fan-out overhead and would keep this stage on one thread.
+        use crate::plan::Skel;
+        let a = ParArray::from_parts((0..8i64).map(|i| vec![i; 4]).collect());
+        let mut s = Scl::ap1000(8).with_policy(ExecPolicy::CostDriven { threads: 2 });
+        let meet = Rendezvous::default();
+        let plan = Skel::map_costed(|v: &Vec<i64>| {
+            meet.arrive();
+            (v.iter().sum::<i64>(), Work::flops(4))
+        });
+        let out = plan.run(&mut s, a);
+        assert_eq!(out.to_vec(), (0..8i64).map(|i| 4 * i).collect::<Vec<_>>());
     }
 
     #[test]

@@ -35,10 +35,16 @@ fn one_request(k: i64, seen: &Mutex<HashSet<ThreadId>>) {
     });
     let c = scl.zip_with(&a, &b, |x, y| x + y);
     let d = scl.map_owned(c, |x| x * 2);
-    let plan = Skel::map(|x: &i64| x - 1).then(Skel::map(|x: &i64| x * 3));
-    let e = scl.run_fused(&plan, d).expect("fits the machine");
+    let plan = Skel::map(|x: &i64| {
+        seen.lock().unwrap().insert(std::thread::current().id());
+        x - 1
+    })
+    .then(Skel::map(|x: &i64| x * 3));
+    let e = scl.run_fused(&plan, d.clone()).expect("fits the machine");
     let expect: Vec<i64> = (k..k + 8).map(|x| ((x + x + 1) * 2 - 1) * 3).collect();
     assert_eq!(e.to_vec(), expect);
+    // the eager walk of the same chain: one dispatch per stage
+    assert_eq!(plan.run(&mut scl, d), e);
 }
 
 #[test]

@@ -251,7 +251,8 @@ pub struct ServeStats {
     /// Service-round batches pushed through graphs.
     pub batches: u64,
     /// Uncacheable submissions served immediately through the eager /
-    /// fallback path (unfusable plans, non-lowerable optimized plans).
+    /// fallback path (plans with an opaque stage, non-lowerable optimized
+    /// plans).
     pub eager_runs: u64,
     /// Requests resolved with a typed [`RequestError`] (any kind): their
     /// tickets are ready with an `Err` outcome, collectable through
@@ -572,9 +573,8 @@ where
         let input = self.check_input(input)?;
         match plan.fingerprint() {
             None => {
-                // unfusable: nothing to compile, nothing to cache — serve
-                // immediately through the eager layer, exactly as the
-                // streaming runtime's eager fallback would
+                // an opaque stage: no structure to key a cache on — serve
+                // immediately through `Skel::run`, uncached
                 Ok(self.eager_run(tenant, input, deadline, |scl, input| plan.run(scl, input)))
             }
             Some(fp) => {
@@ -827,7 +827,7 @@ where
     }
 
     /// Serve one request immediately through the eager layer — the
-    /// fallback for plans with nothing to compile (unfusable, or
+    /// fallback for plans with nothing to cache (an opaque stage, or
     /// non-lowerable in optimized mode). The run claims its width from
     /// the shared budget ([`Serve::eager_budgeted`]) and resolves the
     /// ticket before returning. A panicking plan resolves its ticket to

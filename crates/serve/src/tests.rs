@@ -118,6 +118,29 @@ fn unfusable_plans_serve_eagerly_and_uncached() {
 }
 
 #[test]
+fn opaque_branch_arms_serve_eagerly_and_uncached() {
+    // a pair with an opaque arm is an op chain, but the closure has no
+    // structure to fingerprint: caching it would alias different closures
+    let plan = || {
+        Skel::map(|x: &i64| x * 3).pair(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
+            scl.rotate(1, &a)
+        }))
+    };
+    type Pair = (ParArray<i64>, ParArray<i64>);
+    let mut srv: Serve<Pair, Pair> =
+        Serve::new(ServePolicy::new(unit_machine(4)).with_exec(ExecPolicy::Sequential));
+    let t = srv.add_tenant("t");
+    let ticket = srv.submit(t, plan(), (arr(0), arr(10))).unwrap();
+    assert!(srv.is_ready(ticket));
+    assert_eq!(srv.cached_plans(), 0);
+    assert_eq!(srv.stats().eager_runs, 1);
+    let (out, report) = srv.take(ticket).unwrap();
+    let mut scl = Scl::new(unit_machine(4));
+    assert_eq!(out, plan().run(&mut scl, (arr(0), arr(10))));
+    assert_eq!(report, scl.machine.report());
+}
+
+#[test]
 fn oversized_inputs_are_rejected_at_submit() {
     let mut srv = serve(ExecPolicy::Sequential);
     let t = srv.add_tenant("t");

@@ -7,9 +7,8 @@
 //! else — barrier execution, reordering, relaying between stages,
 //! completion — happens on the *pumping* thread (whoever calls
 //! `push`/`pop`/`drain`). That keeps the stateful pieces (`FnMut` barrier
-//! closures, possibly `Rc`-shared with the plan's eager path) on a single
-//! thread with no synchronisation, while the pure segments overlap across
-//! items.
+//! closures, an opaque plan's closure among them) on a single thread with
+//! no synchronisation, while the pure segments overlap across items.
 
 use crate::{Envelope, FarmStats, StageStat};
 use scl_core::{panic_message, BarrierOp, BranchOp, ErasedArr, PlanOp, RequestError, SegmentOp};

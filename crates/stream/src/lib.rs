@@ -2,8 +2,9 @@
 //! # scl-stream — a streaming skeleton runtime
 //!
 //! Everything else in the workspace executes **one input through one plan
-//! and returns**: [`Skel::run`] eagerly, `Scl::run_fused`
-//! partition-resident. But the paper's pipeline and farm skeletons are
+//! and returns**: [`Skel::run`] stage by stage, `Scl::run_fused`
+//! partition-resident — two walks of the plan's one operator chain. But
+//! the paper's pipeline and farm skeletons are
 //! fundamentally *stream* operators — FastFlow-style runtimes deploy them
 //! as persistent graphs of stages over bounded queues, and behavioural
 //! skeletons add autonomic adaptation of the parallelism degree. This
@@ -13,7 +14,7 @@
 //!
 //! ## The operator graph
 //!
-//! [`Skel::into_stream_ops`] hands over a fusable plan's operator chain —
+//! [`Skel::into_stream_ops`] hands over the plan's operator chain —
 //! maximal fused compute segments separated by barriers — and
 //! [`StreamExec::new`] turns that chain into a graph:
 //!
@@ -37,17 +38,17 @@
 //!   ring needs one slot per lane, so a farm runs at most `capacity`
 //!   replicas ([`StreamPolicy::with_capacity`]).
 //!
-//! Plans with a stage that has no fused form fall back to per-item eager
-//! execution (same answers, no pipeline overlap).
+//! A plan with a stage that has no op form (`Skel::from_fn`, …) is an
+//! opaque closure; it arrives as one barrier labelled `"opaque"` (same
+//! answers, no pipeline overlap).
 //!
 //! ## Per-item charging
 //!
 //! Every stream item carries its **own** simulated-machine context,
-//! cloned from the template in [`StreamPolicy`]: segment stages charge it
-//! per part per stage exactly as the eager layer would
-//! ([`SegmentOp::run`] with `summed = false`), and barriers run the very
-//! same closures the
-//! eager path runs. Collecting [`StreamExec::run_stream`] over N inputs
+//! cloned from the template in [`StreamPolicy`]: segments run through
+//! [`SegmentOp::run`] with `summed = false` and barriers through their own
+//! closures — the very interpreter [`Skel::run`] is. Collecting
+//! [`StreamExec::run_stream`] over N inputs
 //! therefore equals N eager [`Skel::run`] calls bit-for-bit, with
 //! identical per-item [`MachineReport`]s (under `MeasureMode::None` /
 //! costed stages — wall-clock measured charges are inherently
@@ -105,10 +106,11 @@
 //! [`Skel::into_stream_ops`]: scl_core::Skel::into_stream_ops
 //! [`SegmentOp::run`]: scl_core::SegmentOp::run
 
-use scl_core::{panic_message, ErasedArr, FusePort, RequestError, Scl, SclError, Skel};
+use scl_core::{ErasedArr, FusePort, RequestError, Scl, SclError, Skel};
 use scl_exec::ExecPolicy;
 use scl_machine::{Machine, MachineReport, Throughput};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
@@ -243,23 +245,14 @@ pub struct StageStat {
     pub mean_service_secs: f64,
 }
 
-#[allow(clippy::large_enum_variant)] // one Mode per StreamExec, not per item
-enum Mode<A, B> {
-    /// Unfusable plan: per-item eager execution on the pumping thread.
-    Eager(Skel<'static, A, B>),
-    /// The persistent operator graph.
-    Graph(Graph),
-}
-
 /// A running streaming service for one plan — see the [crate docs](self).
 ///
 /// Feed it with [`StreamExec::push`] / collect with [`StreamExec::pop`] or
 /// [`StreamExec::drain`], or hand it an iterator with
 /// [`StreamExec::run_stream`]. Outputs always come back in input order.
 pub struct StreamExec<A: FusePort, B: FusePort> {
-    mode: Mode<A, B>,
+    graph: Graph,
     machine: Machine,
-    exec: ExecPolicy,
     tick_items: u64,
     adaptive: bool,
     next_seq: u64,
@@ -273,6 +266,7 @@ pub struct StreamExec<A: FusePort, B: FusePort> {
     /// APIs re-raise errors as panics; the `*_outcome` APIs hand them out
     /// as values.
     done: VecDeque<StreamOutcome<B>>,
+    _input: PhantomData<fn(A)>,
 }
 
 /// Pause between fruitless pump rounds while blocked in `push`/`pop`.
@@ -284,9 +278,9 @@ where
     B: FusePort + 'static,
 {
     /// Compile `plan` into a persistent operator graph served under
-    /// `policy`. Unfusable plans fall back to per-item eager execution
-    /// (same answers, no overlap). Farm workers spawn here and live until
-    /// the `StreamExec` drops.
+    /// `policy`. An opaque plan compiles to one barrier running its
+    /// closure (same answers, no overlap). Farm workers spawn here and
+    /// live until the `StreamExec` drops.
     pub fn new(plan: Skel<'static, A, B>, policy: StreamPolicy) -> StreamExec<A, B> {
         let StreamPolicy {
             machine,
@@ -296,14 +290,10 @@ where
             adaptive,
             fused_charging,
         } = policy;
-        let mode = match plan.into_stream_ops() {
-            Err(plan) => Mode::Eager(plan),
-            Ok(ops) => Mode::Graph(Graph::build(ops, capacity, exec, adaptive, fused_charging)),
-        };
+        let Ok(ops) = plan.into_stream_ops();
         StreamExec {
-            mode,
+            graph: Graph::build(ops, capacity, exec, adaptive, fused_charging),
             machine,
-            exec,
             tick_items,
             adaptive,
             next_seq: 0,
@@ -313,6 +303,7 @@ where
             peak_in_flight: 0,
             last_tick: 0,
             done: VecDeque::new(),
+            _input: PhantomData,
         }
     }
 
@@ -337,21 +328,15 @@ where
         }
     }
 
-    /// Number of farm stages in the graph (0 for eager fallback and for
-    /// inline/sequential service).
+    /// Number of farm stages in the graph (0 for inline/sequential
+    /// service and for plans with no compute segment).
     pub fn farm_stages(&self) -> usize {
-        match &self.mode {
-            Mode::Eager(_) => 0,
-            Mode::Graph(g) => g.farms.len(),
-        }
+        self.graph.farms.len()
     }
 
     /// A snapshot of every graph stage, in pipeline order.
     pub fn stage_stats(&self) -> Vec<StageStat> {
-        match &self.mode {
-            Mode::Eager(_) => Vec::new(),
-            Mode::Graph(g) => g.stage_stats(),
-        }
+        self.graph.stage_stats()
     }
 
     /// Clamp every farm stage at `cap` active replicas (≥ 1) — the
@@ -360,21 +345,15 @@ where
     /// ([`scl_exec::ThreadBudget`]). Composes with the policy/cost-model
     /// ceiling (the effective ceiling is the minimum); widening again
     /// restores headroom without forcing replicas active. Replicas beyond
-    /// the cap park on their empty rings — no threads spawn or join. A
-    /// no-op for eager-fallback executors (no farms to cap).
+    /// the cap park on their empty rings — no threads spawn or join.
     pub fn set_width_cap(&mut self, cap: usize) {
-        if let Mode::Graph(g) = &mut self.mode {
-            g.set_width_cap(cap);
-        }
+        self.graph.set_width_cap(cap);
     }
 
     /// The external width cap last set with [`StreamExec::set_width_cap`]
-    /// (`usize::MAX` when unset or serving eagerly).
+    /// (`usize::MAX` when unset).
     pub fn width_cap(&self) -> usize {
-        match &self.mode {
-            Mode::Eager(_) => usize::MAX,
-            Mode::Graph(g) => g.width_cap(),
-        }
+        self.graph.width_cap()
     }
 
     /// Feed one item into the graph, blocking (and pumping the graph)
@@ -394,59 +373,20 @@ where
     /// `None` streams the item with no deadline, exactly like `push`.
     pub fn push_deadline(&mut self, item: A, deadline: Option<Instant>) -> Result<(), SclError> {
         self.started.get_or_insert_with(Instant::now);
-        match &mut self.mode {
-            Mode::Eager(plan) => {
-                // same entry contract as the graph path: reject oversized
-                // items as an Err, not a panic inside the eager layer
-                if item.parts_len() > self.machine.nprocs() {
-                    return Err(SclError::MachineTooSmall {
-                        needed: item.parts_len(),
-                        procs: self.machine.nprocs(),
-                    });
-                }
-                self.next_seq += 1;
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.done.push_back(Err(RequestError::DeadlineExceeded));
-                } else {
-                    let mut scl = Scl::new(self.machine.clone()).with_policy(self.exec);
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        plan.run(&mut scl, item)
-                    }))
-                    .map(|out| (out, scl.machine.report()))
-                    .map_err(|p| RequestError::Panicked {
-                        message: panic_message(&*p).to_string(),
-                    });
-                    self.done.push_back(outcome);
-                }
-                self.completed += 1;
-                self.peak_in_flight = self.peak_in_flight.max(1);
-                Ok(())
-            }
-            Mode::Graph(_) => {
-                let env = self.make_env(item, deadline)?;
-                let Mode::Graph(g) = &mut self.mode else {
-                    unreachable!()
-                };
-                if std::mem::take(&mut self.first_item) {
-                    g.calibrate(&env, &self.machine);
-                }
-                g.offer(env);
-                self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
-                self.service();
-                // wait until the graph swallowed the item off the ingress
-                // slot — that is the push-side backpressure point
-                loop {
-                    let Mode::Graph(g) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    if g.ingress.is_none() {
-                        return Ok(());
-                    }
-                    std::thread::sleep(IDLE_BACKOFF);
-                    self.service();
-                }
-            }
+        let env = self.make_env(item, deadline)?;
+        if std::mem::take(&mut self.first_item) {
+            self.graph.calibrate(&env, &self.machine);
         }
+        self.graph.offer(env);
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
+        self.service();
+        // wait until the graph swallowed the item off the ingress slot —
+        // that is the push-side backpressure point
+        while self.graph.ingress.is_some() {
+            std::thread::sleep(IDLE_BACKOFF);
+            self.service();
+        }
+        Ok(())
     }
 
     /// Next completed item in stream order — output and report, or the
@@ -596,15 +536,8 @@ where
     /// round means `push` can never blow up under a producer's feet just
     /// because the ring links completed a doomed item early.
     fn service(&mut self) {
-        let Mode::Graph(g) = &mut self.mode else {
-            return;
-        };
-        g.pump();
-        let mut finished = Vec::new();
-        while let Some(env) = g.completed.pop_front() {
-            finished.push(env);
-        }
-        for env in finished {
+        self.graph.pump();
+        while let Some(env) = self.graph.completed.pop_front() {
             self.completed += 1;
             let outcome = env
                 .payload
@@ -613,9 +546,7 @@ where
         }
         if self.adaptive && self.completed - self.last_tick >= self.tick_items {
             self.last_tick = self.completed;
-            if let Mode::Graph(g) = &mut self.mode {
-                g.tick_controller();
-            }
+            self.graph.tick_controller();
         }
     }
 }

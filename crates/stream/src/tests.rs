@@ -120,7 +120,7 @@ fn threaded_policy_builds_farms_at_segment_boundaries() {
 }
 
 #[test]
-fn unfusable_plans_fall_back_to_eager_mode() {
+fn opaque_plans_stream_as_one_opaque_barrier() {
     let plan = Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
         scl.rotate(1, &a)
     }));
@@ -129,13 +129,51 @@ fn unfusable_plans_fall_back_to_eager_mode() {
         StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(4)),
     );
     assert_eq!(s.farm_stages(), 0);
-    assert!(s.stage_stats().is_empty());
+    let labels: Vec<String> = s.stage_stats().into_iter().map(|st| st.label).collect();
+    assert_eq!(labels, vec!["opaque"]);
     for k in 0..5 {
         s.push(arr(k)).unwrap();
     }
     let out = s.drain();
     assert_eq!(out[0].to_vec(), vec![2, 3, 4, 1]);
     assert_eq!(out.len(), 5);
+}
+
+#[test]
+fn panicking_opaque_plan_resolves_as_a_barrier_panic() {
+    // the opaque plan panics on one item: that item resolves as a typed
+    // BarrierPanic through pop_outcome, and the rest of the stream drains
+    let plan =
+        Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|_scl: &mut Scl, a: ParArray<i64>| {
+            if *a.part(0) == 3 {
+                panic!("opaque blew up");
+            }
+            a
+        }));
+    let mut s = StreamExec::new(
+        plan,
+        StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(2)),
+    );
+    for k in 0..6 {
+        s.push(arr(k)).unwrap(); // k = 2 reaches the closure as 3
+    }
+    let mut failed = Vec::new();
+    while let Some(outcome) = s.pop_outcome() {
+        match outcome {
+            Ok((out, _)) => assert_eq!(out.len(), 4),
+            Err(e) => {
+                assert!(
+                    matches!(&e, RequestError::BarrierPanic { stage, message }
+                        if stage == "opaque" && message.contains("opaque blew up")),
+                    "{e}"
+                );
+                failed.push(e);
+            }
+        }
+    }
+    assert_eq!(failed.len(), 1);
+    assert_eq!(s.in_flight(), 0);
+    assert_eq!(s.throughput().items, 6);
 }
 
 #[test]
@@ -155,8 +193,8 @@ fn push_rejects_oversized_items() {
     // the rejected item never entered the graph
     assert_eq!(s.in_flight(), 0);
 
-    // the eager fallback honours the same entry contract (Err, not a
-    // panic inside the eager skeleton layer)
+    // an opaque plan honours the same entry contract (Err, not a panic
+    // inside its closure)
     let unfusable =
         Skel::map(|x: &i64| *x).then(Skel::from_fn(|_scl: &mut Scl, a: ParArray<i64>| a));
     let mut s = StreamExec::new(unfusable, StreamPolicy::new(unit_machine(2)));

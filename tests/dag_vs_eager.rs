@@ -1,7 +1,8 @@
 //! Differential suite for plan **DAGs**: randomized graphs built from
 //! `pair` / `fanout` / `choice` / `dac` (nested around the usual symbolic
 //! stages) must agree bit-for-bit between eager `run`, branch-parallel
-//! `run_fused`, and `run_optimized` — under sequential, threaded, and
+//! `run_fused`, `run_optimized` and — wherever the DAG lowers — the
+//! reference interpreter `eval` — under sequential, threaded, and
 //! cost-driven policies — and the fused machine report must not depend on
 //! the policy that produced it.
 //!
@@ -47,6 +48,7 @@ fn dag_seed() -> u64 {
 fn randomized_dags_agree_three_ways() {
     let reg = Registry::standard();
     let mut stats = DagStats::default();
+    let mut lowered = 0usize;
     for policy in policies() {
         cases(112, dag_seed(), |rng| {
             let input = arb_dag_input(rng);
@@ -56,6 +58,11 @@ fn randomized_dags_agree_three_ways() {
 
             let mut eager_ctx = Scl::ap1000(n);
             let eager = plan.run(&mut eager_ctx, input.clone());
+            if let Some(e) = plan.lower(&reg) {
+                let expect = eval(&e, &reg, Value::Arr(input.to_vec())).unwrap();
+                assert_eq!(Value::Arr(eager.to_vec()), expect, "{e}");
+                lowered += 1;
+            }
 
             let mut fused_ctx = Scl::ap1000(n).with_policy(policy);
             let fused = fused_ctx.run_fused(&plan, input.clone()).unwrap();
@@ -66,8 +73,8 @@ fn randomized_dags_agree_three_ways() {
             assert_eq!(eager.to_vec(), fused.to_vec(), "policy {policy:?}");
             assert_eq!(eager.to_vec(), optimized.to_vec(), "policy {policy:?}");
 
-            // Charging agrees too: branch arms replay the same costed
-            // work in the same order the eager closures charge it.
+            // Charging agrees too: both walks charge branch arms the same
+            // costed work in the same order, left arm first.
             // (Approximate only in the last ulp: a fused segment charges
             // one summed Work per part, so clock additions associate
             // differently.)
@@ -83,6 +90,10 @@ fn randomized_dags_agree_three_ways() {
     }
     assert!(stats.covers_all(), "coverage hole in the sweep: {stats:?}");
     assert!(stats.deepest >= 3, "never nested 3 deep: {stats:?}");
+    assert!(
+        lowered > 0,
+        "no generated DAG lowered: the eval check never ran"
+    );
 }
 
 /// The machine report of a fused DAG run is a pure function of the plan

@@ -1,7 +1,8 @@
 //! Differential suite for the fused executor: for every app plan and for
 //! randomized `Skel` pipelines, eager `run`, partition-resident
-//! `run_fused`, and (where lowerable) `run_optimized` must agree
-//! bit-for-bit — under sequential, threaded, and cost-driven policies.
+//! `run_fused`, and (where lowerable) `run_optimized` and the reference
+//! interpreter `eval` must agree bit-for-bit — under sequential,
+//! threaded, and cost-driven policies.
 //!
 //! The CI harness pins the policy set through `SCL_EXEC_POLICY`
 //! (`seq` / `auto` / `cost`); unset, every policy runs in-process.
@@ -78,6 +79,20 @@ fn arb_input(rng: &mut Rng) -> ParArray<i64> {
     ParArray::from_parts(rng.vec_of(n, |r| r.range_i64(-1_000_000, 1_000_000)))
 }
 
+/// Wherever `plan` lowers, its eager output equals the reference
+/// interpreter's evaluation of the lowered program.
+fn assert_matches_reference(
+    plan: &Skel<'_, ParArray<i64>, ParArray<i64>>,
+    reg: &Registry,
+    input: &ParArray<i64>,
+    eager: &ParArray<i64>,
+) {
+    if let Some(e) = plan.lower(reg) {
+        let expect = eval(&e, reg, Value::Arr(input.to_vec())).unwrap();
+        assert_eq!(Value::Arr(eager.to_vec()), expect, "{e}");
+    }
+}
+
 #[test]
 fn randomized_fusable_pipelines_agree() {
     let reg = Registry::standard();
@@ -94,6 +109,7 @@ fn randomized_fusable_pipelines_agree() {
 
             let mut eager_ctx = Scl::ap1000(n);
             let eager = plan.run(&mut eager_ctx, input.clone());
+            assert_matches_reference(&plan, &reg, &input, &eager);
 
             let mut fused_ctx = Scl::ap1000(n).with_policy(policy);
             let fused = fused_ctx.run_fused(&plan, input).unwrap();
@@ -130,6 +146,7 @@ fn randomized_lowerable_pipelines_agree_three_ways() {
 
             let mut eager_ctx = Scl::ap1000(n);
             let eager = plan.run(&mut eager_ctx, input.clone());
+            assert_matches_reference(&plan, &reg, &input, &eager);
 
             let mut fused_ctx = Scl::ap1000(n).with_policy(policy);
             let fused = fused_ctx.run_fused(&plan, input.clone()).unwrap();
@@ -326,7 +343,7 @@ fn oversized_configurations_error_instead_of_panicking() {
 }
 
 #[test]
-fn unfusable_plans_fall_back_to_eager() {
+fn opaque_plans_run_fused_as_their_closure() {
     let plan = Skel::map(|x: &i64| x * 2).then(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
         scl.rotate(1, &a)
     }));

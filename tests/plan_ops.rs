@@ -7,6 +7,10 @@
 //! and must never drift. The seam suite pins the other half of that
 //! contract — segments are maximal at every depth of the chain.
 
+// `into_stream_ops` returns `Result<_, Infallible>`: the `.ok().expect(..)`
+// reads below can never fail
+#![allow(clippy::ok_expect)]
+
 use scl::apps::{histogram_plan, jacobi_plan, msort_plan, psrs_plan};
 use scl::core::prelude::*;
 use scl::core::{fingerprint_ops, PlanOp};
@@ -16,7 +20,7 @@ use scl_testkit::Rng;
 
 /// Both interpreters of the structural hash over one plan: the plan-level
 /// fingerprint (chain + IR) and the op-level one (chain only).
-fn fingerprints<A, B>(plan: Skel<'_, A, B>) -> (u64, u64) {
+fn fingerprints<'a, A: FusePort + 'a, B: FusePort + 'a>(plan: Skel<'a, A, B>) -> (u64, u64) {
     let fp = plan.fingerprint().expect("fusable plan").raw();
     let ops = plan.into_stream_ops().ok().expect("fusable plan");
     (fp, fingerprint_ops(&ops).raw())
