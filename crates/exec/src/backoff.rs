@@ -23,7 +23,7 @@
 //! is never lost.
 
 use crate::host_threads;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread::Thread;
 use std::time::Duration;
@@ -88,8 +88,13 @@ impl Default for Backoff {
 /// flag plus the parked thread's handle. The mutex is slow-path only —
 /// the hot path reads `waiting` (a plain load behind a SeqCst fence) and
 /// touches nothing else.
+///
+/// One thread waits on a slot at a time. A slot may serve several ring
+/// matrices at once ([`ring_mpmc_parked`](crate::mpmc::ring_mpmc_parked)):
+/// a stream pump that feeds and drains every farm of its graph parks on
+/// one slot, and progress on any of those rings wakes it.
 #[derive(Default, Debug)]
-pub(crate) struct ParkSlot {
+pub struct ParkSlot {
     waiting: AtomicBool,
     thread: Mutex<Option<Thread>>,
 }
@@ -99,6 +104,23 @@ pub(crate) struct ParkSlot {
 pub(crate) const PARK_SAFETY: Duration = Duration::from_millis(100);
 
 impl ParkSlot {
+    /// One park round for a waiter whose wait condition is "a round of
+    /// work moved nothing": publish intent to park, run `progress` (the
+    /// re-check, ordered after the publication), and park unless it
+    /// reported progress — for at most the 100 ms safety net. A peer that
+    /// makes progress possible after the publication sees the flag and
+    /// wakes the slot, so the park costs no latency.
+    pub fn park_unless(&self, progress: impl FnOnce() -> bool) {
+        self.prepare();
+        // order the re-check after the published waiting flag (the
+        // waker fences, then probes the flag)
+        fence(Ordering::SeqCst);
+        if !progress() {
+            self.park(PARK_SAFETY);
+        }
+        self.clear();
+    }
+
     /// Publish intent to park. The caller MUST re-check its wait condition
     /// after this (the SeqCst store orders the re-check after the
     /// publication) and skip [`ParkSlot::park`] if the condition cleared.

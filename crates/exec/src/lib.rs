@@ -86,11 +86,11 @@ pub mod scope;
 pub mod spsc;
 pub mod stage;
 
-pub use backoff::Backoff;
+pub use backoff::{Backoff, ParkSlot};
 pub use budget::{BudgetLease, ThreadBudget};
 pub use chan::{Bounded, TryRecv};
 pub use deque::StealRange;
-pub use mpmc::{ring_mpmc, RingReceiver, RingSender};
+pub use mpmc::{ring_mpmc, ring_mpmc_parked, RingReceiver, RingSender};
 pub use policy::{host_threads, ExecPolicy, POLICY_ENV_VAR};
 pub use pool::{JobHandle, ThreadPool};
 pub use scope::{

@@ -19,7 +19,8 @@
 //! * each side parks on one `ParkSlot` shared by all its lanes (a pop
 //!   anywhere in row `p` wakes producer `p`; a push anywhere in column
 //!   `c` wakes consumer `c`), with the same SeqCst handshake as the
-//!   underlying rings.
+//!   underlying rings; [`ring_mpmc_parked`] lets one thread that owns
+//!   handles of several matrices park on a single slot for all of them.
 //!
 //! Capacity: each lane holds `max(1, capacity / max(P, C))` items, so the
 //! 1×C and P×1 matrices a farm actually builds (emitter→replicas,
@@ -67,14 +68,31 @@ pub fn ring_mpmc<T: Send>(
     consumers: usize,
     capacity: usize,
 ) -> (Vec<RingSender<T>>, Vec<RingReceiver<T>>) {
+    ring_mpmc_parked(producers, consumers, capacity, None, None)
+}
+
+/// [`ring_mpmc`] whose producers (`producer_park`) or consumers
+/// (`consumer_park`) park on a caller-owned slot instead of one fresh slot
+/// each. A slot has one waiting thread at a time, so share one only where
+/// a single thread owns every handle it parks: a stream pump, the one
+/// producer of each farm's 1×W input matrix and the one consumer of each
+/// W×1 output matrix, parks on one slot that every replica's pop or push
+/// wakes.
+pub fn ring_mpmc_parked<T: Send>(
+    producers: usize,
+    consumers: usize,
+    capacity: usize,
+    producer_park: Option<Arc<ParkSlot>>,
+    consumer_park: Option<Arc<ParkSlot>>,
+) -> (Vec<RingSender<T>>, Vec<RingReceiver<T>>) {
     let producers = producers.max(1);
     let consumers = consumers.max(1);
     let lane_cap = (capacity / producers.max(consumers)).max(1);
     let prod_parks: Vec<Arc<ParkSlot>> = (0..producers)
-        .map(|_| Arc::new(ParkSlot::default()))
+        .map(|_| producer_park.clone().unwrap_or_default())
         .collect();
     let cons_parks: Vec<Arc<ParkSlot>> = (0..consumers)
-        .map(|_| Arc::new(ParkSlot::default()))
+        .map(|_| consumer_park.clone().unwrap_or_default())
         .collect();
     let mut rows: Vec<Vec<SpscSender<T>>> = (0..producers)
         .map(|_| Vec::with_capacity(consumers))
@@ -404,6 +422,65 @@ mod tests {
         assert_eq!(rx.try_recv(), TryRecv::Empty, "tx1 still open");
         drop(tx1);
         assert_eq!(rx.try_recv(), TryRecv::Closed);
+    }
+
+    /// A stream pump's wiring: one slot is the consumer park of two W×1
+    /// matrices and the producer park of a 1×W one. A push into either
+    /// output matrix, and a pop that frees an input slot, each wake the
+    /// thread parked on it. The park bound is 10 s, so a lost wake-up
+    /// shows as a join far beyond the 5 s the test allows.
+    #[test]
+    fn one_slot_shared_by_several_matrices_is_woken_by_each() {
+        let slot = Arc::new(ParkSlot::default());
+        let (a_txs, mut a_rxs) = ring_mpmc_parked::<u32>(2, 1, 4, None, Some(Arc::clone(&slot)));
+        let (b_txs, mut b_rxs) = ring_mpmc_parked::<u32>(2, 1, 4, None, Some(Arc::clone(&slot)));
+        let (mut in_txs, in_rxs) = ring_mpmc_parked::<u32>(1, 2, 2, Some(Arc::clone(&slot)), None);
+        let (a_rx, b_rx, in_tx) = (a_rxs.remove(0), b_rxs.remove(0), in_txs.remove(0));
+        in_tx.try_send(1).unwrap();
+        in_tx.try_send(2).unwrap();
+        assert!(in_tx.try_send(3).is_err(), "input matrix full");
+
+        let waiter_slot = Arc::clone(&slot);
+        let waker = std::thread::spawn(move || {
+            let wait_parked = || {
+                while !slot.is_waiting() {
+                    std::thread::yield_now();
+                }
+            };
+            wait_parked();
+            a_txs[1].try_send(10).unwrap();
+            wait_parked();
+            b_txs[0].try_send(20).unwrap();
+            wait_parked();
+            // a replica claims an input: the pump may route again
+            assert!(in_rxs
+                .iter()
+                .any(|rx| matches!(rx.try_recv(), TryRecv::Item(_))));
+            (a_txs, b_txs, in_rxs)
+        });
+        // the pump's wait: re-check after publishing, park only if nothing
+        // moved, loop on spurious wakes
+        let wait_until = |ready: &dyn Fn() -> bool| {
+            let t0 = Instant::now();
+            while !ready() {
+                waiter_slot.prepare();
+                fence(Ordering::SeqCst);
+                if !ready() {
+                    waiter_slot.park(Duration::from_secs(10));
+                }
+                waiter_slot.clear();
+            }
+            t0.elapsed()
+        };
+        let waited = [
+            wait_until(&|| a_rx.try_recv() == TryRecv::Item(10)),
+            wait_until(&|| b_rx.try_recv() == TryRecv::Item(20)),
+            wait_until(&|| in_tx.try_send(3).is_ok()),
+        ];
+        let _links = waker.join().unwrap();
+        for w in waited {
+            assert!(w < Duration::from_secs(5), "lost wake-up: {w:?}");
+        }
     }
 
     /// The issue's claim-once test, mirroring

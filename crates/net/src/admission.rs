@@ -93,13 +93,18 @@ pub enum AdmitError {
 struct Q {
     jobs: VecDeque<Job>,
     draining: bool,
+    stopped: bool,
 }
 
 /// The bounded, sheddable admission queue shared by all connection
 /// threads (producers) and the service thread (consumer).
 pub struct Admission {
     inner: Mutex<Q>,
+    /// Signalled when a job arrives (or the queue drains or stops): the
+    /// service thread waits here.
     ready: Condvar,
+    /// Signalled when a draining queue runs empty: a shutdown waits here.
+    drained: Condvar,
     capacity: usize,
     policy: ShedPolicy,
 }
@@ -112,8 +117,10 @@ impl Admission {
             inner: Mutex::new(Q {
                 jobs: VecDeque::new(),
                 draining: false,
+                stopped: false,
             }),
             ready: Condvar::new(),
+            drained: Condvar::new(),
             capacity: capacity.max(1),
             policy,
         }
@@ -158,15 +165,20 @@ impl Admission {
 
     /// Pop up to `max` jobs, waiting up to `wait` for the first one.
     /// Returns an empty batch on timeout (the service thread uses the
-    /// idle beat for its manager tick).
+    /// idle beat for its manager tick), and at once after
+    /// [`Admission::stop`].
     pub fn pop_batch(&self, max: usize, wait: Duration) -> Vec<Job> {
         let mut q = self.inner.lock().unwrap();
-        if q.jobs.is_empty() {
+        if q.jobs.is_empty() && !q.stopped {
             let (guard, _timeout) = self.ready.wait_timeout(q, wait).unwrap();
             q = guard;
         }
         let take = q.jobs.len().min(max.max(1));
-        q.jobs.drain(..take).collect()
+        let batch = q.jobs.drain(..take).collect();
+        if q.draining && q.jobs.is_empty() {
+            self.drained.notify_all();
+        }
+        batch
     }
 
     /// Stop admitting: every later [`Admission::push`] fails with
@@ -174,6 +186,28 @@ impl Admission {
     pub fn drain(&self) {
         self.inner.lock().unwrap().draining = true;
         self.ready.notify_all();
+    }
+
+    /// After a [`Admission::drain`]: block until the service thread has
+    /// taken every queued job.
+    pub fn wait_drained(&self) {
+        let q = self.inner.lock().unwrap();
+        drop(self.drained.wait_while(q, |q| !q.jobs.is_empty()).unwrap());
+    }
+
+    /// Drain and tell the service thread to exit: a [`Admission::pop_batch`]
+    /// blocked now, or called later, returns at once (it reads the flag
+    /// under the queue lock, so the wake-up cannot be lost).
+    pub fn stop(&self) {
+        let mut q = self.inner.lock().unwrap();
+        q.draining = true;
+        q.stopped = true;
+        self.ready.notify_all();
+    }
+
+    /// Whether [`Admission::stop`] was called.
+    pub fn is_stopped(&self) -> bool {
+        self.inner.lock().unwrap().stopped
     }
 
     /// Whether a drain has begun.

@@ -35,8 +35,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -154,7 +153,6 @@ pub struct NetServer {
     addr: SocketAddr,
     admission: Arc<Admission>,
     metrics: Arc<Mutex<NetMetrics>>,
-    stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     threads: Vec<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -168,13 +166,11 @@ impl NetServer {
             "a server needs at least one tenant"
         );
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let admission = Arc::new(Admission::new(cfg.queue_capacity, cfg.shed));
         let names: Vec<String> = cfg.tenants.iter().map(|t| t.name.clone()).collect();
         let metrics = Arc::new(Mutex::new(NetMetrics::new(&names)));
-        let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let buckets: Arc<Vec<Mutex<TokenBucket>>> = Arc::new(
@@ -188,25 +184,23 @@ impl NetServer {
         {
             let admission = Arc::clone(&admission);
             let metrics = Arc::clone(&metrics);
-            let stop = Arc::clone(&stop);
             let cfg = cfg.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name("scl-net-service".to_string())
-                    .spawn(move || service_loop(cfg, admission, metrics, stop))?,
+                    .spawn(move || service_loop(cfg, admission, metrics))?,
             );
         }
         {
             let admission = Arc::clone(&admission);
             let metrics = Arc::clone(&metrics);
-            let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let readers = Arc::clone(&readers);
             threads.push(
                 std::thread::Builder::new()
                     .name("scl-net-accept".to_string())
                     .spawn(move || {
-                        accept_loop(listener, admission, metrics, buckets, stop, conns, readers)
+                        accept_loop(listener, admission, metrics, buckets, conns, readers)
                     })?,
             );
         }
@@ -215,7 +209,6 @@ impl NetServer {
             addr,
             admission,
             metrics,
-            stop,
             conns,
             threads,
             readers,
@@ -247,11 +240,19 @@ impl NetServer {
     /// every thread, close every connection.
     pub fn shutdown(mut self) {
         self.admission.drain();
-        // let the service thread clear the backlog
-        while self.admission.depth() > 0 {
-            std::thread::sleep(Duration::from_millis(5));
+        // let the service thread clear the backlog, then stop it
+        self.admission.wait_drained();
+        self.admission.stop();
+        // unblock the accept loop parked in accept(): it sees the stop
+        // once this connection arrives
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         // unblock reader threads parked in read()
         for c in self.conns.lock().unwrap().iter() {
             let _ = c.shutdown(std::net::Shutdown::Both);
@@ -271,31 +272,28 @@ fn accept_loop(
     admission: Arc<Admission>,
     metrics: Arc<Mutex<NetMetrics>>,
     buckets: Arc<Vec<Mutex<TokenBucket>>>,
-    stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    conns.lock().unwrap().push(clone);
-                }
-                let admission = Arc::clone(&admission);
-                let metrics = Arc::clone(&metrics);
-                let buckets = Arc::clone(&buckets);
-                let handle = std::thread::Builder::new()
-                    .name("scl-net-conn".to_string())
-                    .spawn(move || connection_loop(stream, admission, metrics, buckets));
-                if let Ok(h) = handle {
-                    readers.lock().unwrap().push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    // blocking accept: a new connection is served the moment it arrives;
+    // `shutdown` connects once after stopping the queue to wake this loop
+    for stream in listener.incoming() {
+        if admission.is_stopped() {
+            break;
+        }
+        let Ok(stream) = stream else { break };
+        let _ = stream.set_nodelay(true);
+        if let Ok(clone) = stream.try_clone() {
+            conns.lock().unwrap().push(clone);
+        }
+        let admission = Arc::clone(&admission);
+        let metrics = Arc::clone(&metrics);
+        let buckets = Arc::clone(&buckets);
+        let handle = std::thread::Builder::new()
+            .name("scl-net-conn".to_string())
+            .spawn(move || connection_loop(stream, admission, metrics, buckets));
+        if let Ok(h) = handle {
+            readers.lock().unwrap().push(h);
         }
     }
 }
@@ -567,16 +565,11 @@ fn write_reply(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
 // The service thread
 // ---------------------------------------------------------------------
 
-/// How long one pop waits before the loop runs its idle beat (manager
-/// tick, shutdown check).
+/// How long one pop waits before the loop runs its idle beat (the manager
+/// tick); a stop wakes the pop at once.
 const POP_WAIT: Duration = Duration::from_millis(10);
 
-fn service_loop(
-    cfg: NetConfig,
-    admission: Arc<Admission>,
-    metrics: Arc<Mutex<NetMetrics>>,
-    stop: Arc<AtomicBool>,
-) {
+fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<NetMetrics>>) {
     // `Registry` and `Serve` are built *inside* the service thread:
     // neither is `Send`, and neither ever leaves.
     let reg: &'static Registry = Box::leak(Box::new(Registry::standard()));
@@ -611,7 +604,7 @@ fn service_loop(
     loop {
         let window = srv.batch_window();
         let batch = admission.pop_batch(window, POP_WAIT);
-        if batch.is_empty() && stop.load(Ordering::SeqCst) && admission.depth() == 0 {
+        if batch.is_empty() && admission.is_stopped() {
             break;
         }
 

@@ -602,7 +602,9 @@ where
     ///    within the budget while they overlap.
     /// 2. **Drain.** Collect each graph's outputs in turn, pairing every
     ///    request with its own private [`MachineReport`], and release the
-    ///    leases.
+    ///    leases. A request left alone in its graph — a batch of one, or
+    ///    the last of a batch — runs its remaining segments on the
+    ///    draining thread instead of waking a replica per farm.
     ///
     /// Budget honesty is best-effort at the edge: the budget is shared
     /// (see [`Serve::thread_budget`]), and when another consumer holds
@@ -663,8 +665,9 @@ where
 
             let tickets: Vec<(Ticket, TenantId)> =
                 batch.iter().map(|r| (r.ticket, r.tenant)).collect();
-            // push never unwinds on a plan failure: a crashing stage (or
-            // an inline graph executing inside push) poisons the item's
+            // push never unwinds on a plan failure: a crashing stage — on
+            // a replica, or on this thread when the drain below carries a
+            // lone item or the graph runs inline — poisons the item's
             // envelope, resolved at drain as a typed error
             for r in batch {
                 exec.push_deadline(r.input, r.deadline)
@@ -674,8 +677,10 @@ where
         }
 
         // phase 2: drain each graph (their farm replicas have been
-        // working concurrently since the pushes) and deliver outcomes —
-        // healthy results and typed failures alike, one per ticket
+        // working concurrently since the pushes; a lone request waits on
+        // its graph's entry slot and the drain runs it on this thread)
+        // and deliver outcomes — healthy results and typed failures
+        // alike, one per ticket
         let mut completed = 0usize;
         for InFlight { fp, tickets, lease } in in_flight {
             let outcomes = {

@@ -9,11 +9,25 @@
 //! `push`/`pop`/`drain`). That keeps the stateful pieces (`FnMut` barrier
 //! closures, an opaque plan's closure among them) on a single thread with
 //! no synchronisation, while the pure segments overlap across items.
+//!
+//! The pump is also one more replica of every farm, for one case only: an
+//! item alone in the graph while its caller blocks waiting for it (a lone
+//! request). It then runs the item's segments itself — the same
+//! [`serve_item`] a replica runs, result into the same reorder buffer —
+//! because a hand-off to a parked replica would buy no overlap, only a
+//! wake-up per farm. Streaming callers (`push`, `try_pop*`) never take this
+//! path, so their items keep the replicas' overlap.
+//!
+//! When a round moves nothing, the pump parks on the graph's one
+//! [`ParkSlot`]: the producer park of every farm's input matrix and the
+//! consumer park of every output matrix, so a replica that frees an input
+//! slot or publishes an output wakes it.
 
 use crate::{Envelope, FarmStats, StageStat};
 use scl_core::{panic_message, BarrierOp, BranchOp, ErasedArr, PlanOp, RequestError, SegmentOp};
 use scl_exec::{
-    ring_mpmc, spawn_farm_workers, ExecPolicy, RingReceiver, RingSender, ThreadPool, TryRecv,
+    ring_mpmc_parked, spawn_farm_workers, ExecPolicy, ParkSlot, RingReceiver, RingSender,
+    ThreadPool, TryRecv,
 };
 use scl_machine::Machine;
 use std::collections::{BTreeMap, VecDeque};
@@ -120,16 +134,20 @@ pub(crate) struct Farm {
 impl Farm {
     /// A farm of `width_cap.min(capacity)` replicas: the rings need one
     /// slot per lane, and `capacity` is the backpressure bound, so a farm
-    /// is never wider than its links are deep.
+    /// is never wider than its links are deep. The pump's ends of both
+    /// matrices park on `pump_park`.
     fn new(
         seg: Arc<SegmentOp<'static>>,
         capacity: usize,
         width_cap: usize,
         adaptive: bool,
+        pump_park: &Arc<ParkSlot>,
     ) -> Farm {
         let width = width_cap.min(capacity);
-        let (mut in_txs, in_rxs) = ring_mpmc(1, width, capacity);
-        let (out_txs, mut out_rxs) = ring_mpmc(width, 1, capacity);
+        let (mut in_txs, in_rxs) =
+            ring_mpmc_parked(1, width, capacity, Some(Arc::clone(pump_park)), None);
+        let (out_txs, mut out_rxs) =
+            ring_mpmc_parked(width, 1, capacity, None, Some(Arc::clone(pump_park)));
         Farm {
             label: seg.label(),
             seg,
@@ -149,48 +167,21 @@ impl Farm {
     }
 
     /// Spawn this farm's replicas: each claims envelopes off its input
-    /// link, runs the segment against the item's own machine context
-    /// (charging it eager-style), and emits downstream — blocking there
-    /// when full, so backpressure reaches the replicas too. A panicking
-    /// stage poisons the envelope with a typed [`RequestError`] instead of
-    /// killing the worker; an item whose deadline already passed
-    /// short-circuits as [`RequestError::DeadlineExceeded`] without
-    /// occupying the replica.
+    /// link, runs [`serve_item`] on them, and emits downstream — blocking
+    /// there when full, so backpressure reaches the replicas too.
     fn spawn(&mut self, pool: &ThreadPool, summed: bool) {
         let seg = Arc::clone(&self.seg);
         let stats = Arc::clone(&self.stats);
-        let process = move |env: Envelope| -> Envelope {
-            let t0 = Instant::now();
-            let Envelope {
-                seq,
-                mut scl,
-                deadline,
-                payload,
-            } = env;
-            let payload = match payload {
-                Ok(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
-                    Err(RequestError::DeadlineExceeded)
-                }
-                Ok(val) => seg.run(&mut scl, val, summed),
-                poisoned => poisoned,
-            };
-            stats
-                .busy_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            stats.items.fetch_add(1, Ordering::Relaxed);
-            Envelope {
-                seq,
-                scl,
-                deadline,
-                payload,
-            }
-        };
         // each replica owns a private lane pair: its loop is lock-free
         // end to end, and admission happens upstream in the pump's
         // routing (no gate in the loop). Replicas never panic (they
         // poison instead), and the pool joins the threads on shutdown.
         let links = std::mem::take(&mut self.worker_links);
-        spawn_farm_workers(pool, links, Arc::new(move |_replica, env| process(env)));
+        spawn_farm_workers(
+            pool,
+            links,
+            Arc::new(move |_replica, env| serve_item(&seg, &stats, summed, env)),
+        );
     }
 
     /// Items queued toward the replicas right now (racy gauge).
@@ -239,6 +230,8 @@ pub(crate) struct Graph {
     /// instead of replaying eager per-stage charges.
     summed_charging: bool,
     adaptive: bool,
+    /// Where the pump parks: shared by the pump's end of every farm link.
+    pub(crate) park: Arc<ParkSlot>,
     /// The persistent worker pool, held for its drop (which joins the
     /// replica threads); `None` when the graph has no farms. The `Graph`
     /// drop impl closes every ring first, so the workers the pool joins
@@ -263,6 +256,8 @@ impl Graph {
             ExecPolicy::Threads(t) | ExecPolicy::CostDriven { threads: t } => t.max(1),
         };
         let inline = exec_cap <= 1;
+        let park = Arc::new(ParkSlot::default());
+        let farm = |seg| Farm::new(Arc::new(seg), capacity, exec_cap, adaptive, &park);
         let mut hops = vec![Hop::new()];
         let mut farms: Vec<Farm> = Vec::new();
         for op in ops {
@@ -272,13 +267,12 @@ impl Graph {
                     .expect("hops start non-empty")
                     .push_op(PumpOp::Barrier(b)),
                 PlanOp::Segment(seg) => {
-                    let seg = Arc::new(seg);
                     if inline {
                         hops.last_mut()
                             .expect("hops start non-empty")
-                            .push_op(PumpOp::Inline(seg));
+                            .push_op(PumpOp::Inline(Arc::new(seg)));
                     } else {
-                        farms.push(Farm::new(seg, capacity, exec_cap, adaptive));
+                        farms.push(farm(seg));
                         hops.push(Hop::new());
                     }
                 }
@@ -293,12 +287,12 @@ impl Graph {
                         hops.last_mut()
                             .expect("hops start non-empty")
                             .push_op(PumpOp::Barrier(p.enter));
-                        farms.push(Farm::new(Arc::new(p.left), capacity, exec_cap, adaptive));
+                        farms.push(farm(p.left));
                         hops.push(Hop::new());
                         hops.last_mut()
                             .expect("hops grow with farms")
                             .push_op(PumpOp::Barrier(p.swap));
-                        farms.push(Farm::new(Arc::new(p.right), capacity, exec_cap, adaptive));
+                        farms.push(farm(p.right));
                         hops.push(Hop::new());
                         hops.last_mut()
                             .expect("hops grow with farms")
@@ -340,6 +334,7 @@ impl Graph {
             cost_driven: matches!(exec, ExecPolicy::CostDriven { .. }),
             summed_charging,
             adaptive,
+            park,
             _pool: pool,
         }
     }
@@ -398,28 +393,35 @@ impl Graph {
     /// propagates upstream within a single pass), relaying every item
     /// that can move — out of reorder buffers in stream order, through
     /// the hop's barrier chain, into the next farm's queue or the
-    /// completion list. Never blocks.
-    pub(crate) fn pump(&mut self) {
+    /// completion list. With `lone` (the caller blocks on the graph's only
+    /// item) the pump runs that item's next segment itself instead of
+    /// routing it to a replica. Never blocks; returns whether any item
+    /// moved.
+    pub(crate) fn pump(&mut self, lone: bool) -> bool {
         let n = self.farms.len();
+        let mut moved = false;
         for h in (0..=n).rev() {
             loop {
                 // a parked item goes first — order would break otherwise
                 if let Some(env) = self.hops[h].pending.take() {
-                    if let Err(env) = self.accept(h, env) {
+                    if let Err(env) = self.accept(h, env, lone) {
                         self.hops[h].pending = Some(env);
                         break; // downstream still full: hop is stuck
                     }
+                    moved = true;
                 }
                 let Some(env) = self.source_next(h) else {
                     break;
                 };
+                moved = true;
                 let env = self.apply_hop(h, env);
-                if let Err(env) = self.accept(h, env) {
+                if let Err(env) = self.accept(h, env, lone) {
                     self.hops[h].pending = Some(env);
                     break;
                 }
             }
         }
+        moved
     }
 
     /// The next in-order envelope available to hop `h`: the entry slot
@@ -501,13 +503,22 @@ impl Graph {
         env
     }
 
-    /// Hand an envelope to hop `h`'s target: farm `h`'s queue, or the
+    /// Hand an envelope to hop `h`'s target: farm `h`'s queue — or, for a
+    /// `lone` item, farm `h`'s segment run right here into its reorder
+    /// buffer, exactly where a replica's output would arrive — or the
     /// completion list after the last hop. `Err` hands it back when the
     /// queue is full.
     #[allow(clippy::result_large_err)] // Err hands the envelope back, by design
-    fn accept(&mut self, h: usize, env: Envelope) -> Result<(), Envelope> {
+    fn accept(&mut self, h: usize, env: Envelope, lone: bool) -> Result<(), Envelope> {
         if h < self.farms.len() {
-            let farm = &self.farms[h];
+            let farm = &mut self.farms[h];
+            if lone {
+                // every earlier item has completed, so this one is next
+                debug_assert_eq!(env.seq, farm.expect, "a lone item is next in order");
+                let env = serve_item(&farm.seg, &farm.stats, self.summed_charging, env);
+                farm.reorder.insert(env.seq, env);
+                return Ok(());
+            }
             // Occupancy window: private lanes can park an item deep in
             // one busy lane while the others race ahead into the reorder
             // buffer — and on through it, admitting ever more pushes.
@@ -605,6 +616,45 @@ impl Drop for Graph {
             farm.in_tx.close();
             farm.out_rx.close();
         }
+    }
+}
+
+/// Serve one envelope through farm segment `seg` — what a replica does
+/// with every item it claims, and the pump with a lone one: run the
+/// segment against the item's own machine context, counting the work in
+/// the farm's `stats`. A panicking stage poisons the envelope with a typed
+/// [`RequestError`] instead of unwinding; an item whose deadline already
+/// passed short-circuits as [`RequestError::DeadlineExceeded`] without
+/// running.
+fn serve_item(
+    seg: &SegmentOp<'static>,
+    stats: &FarmStats,
+    summed: bool,
+    env: Envelope,
+) -> Envelope {
+    let t0 = Instant::now();
+    let Envelope {
+        seq,
+        mut scl,
+        deadline,
+        payload,
+    } = env;
+    let payload = match payload {
+        Ok(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
+            Err(RequestError::DeadlineExceeded)
+        }
+        Ok(val) => seg.run(&mut scl, val, summed),
+        poisoned => poisoned,
+    };
+    stats
+        .busy_nanos
+        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    stats.items.fetch_add(1, Ordering::Relaxed);
+    Envelope {
+        seq,
+        scl,
+        deadline,
+        payload,
     }
 }
 

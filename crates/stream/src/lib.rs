@@ -28,7 +28,10 @@
 //! * each **barrier** (communication skeletons, scans, repartitioning,
 //!   `iter_until` loops — anything stateful or whole-configuration)
 //!   becomes a **stage boundary** executed serially, in stream order, on
-//!   the pumping thread;
+//!   the pumping thread — which also runs the segments of an item that is
+//!   alone in the graph while its caller blocks for it
+//!   ([`StreamExec::pop_outcome`]): a lone request costs one fused run,
+//!   not a hand-off per farm;
 //! * stages are linked by **bounded queues** of `capacity` items, so
 //!   backpressure propagates all the way to [`StreamExec::push`] and
 //!   in-flight memory stays **O(capacity × stages)** regardless of stream
@@ -107,12 +110,13 @@
 //! [`SegmentOp::run`]: scl_core::SegmentOp::run
 
 use scl_core::{ErasedArr, FusePort, RequestError, Scl, SclError, Skel};
-use scl_exec::ExecPolicy;
+use scl_exec::{Backoff, ExecPolicy};
 use scl_machine::{Machine, MachineReport, Throughput};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::AtomicU64;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 mod graph;
 
@@ -218,7 +222,8 @@ struct Envelope {
 /// report, or the typed reason it failed.
 pub type StreamOutcome<B> = Result<(B, MachineReport), RequestError>;
 
-/// Per-farm counters the replicas update and the controller samples.
+/// Per-farm counters the replicas (and the pump, for a lone item) update
+/// and the controller samples.
 #[derive(Default)]
 struct FarmStats {
     busy_nanos: AtomicU64,
@@ -268,9 +273,6 @@ pub struct StreamExec<A: FusePort, B: FusePort> {
     done: VecDeque<StreamOutcome<B>>,
     _input: PhantomData<fn(A)>,
 }
-
-/// Pause between fruitless pump rounds while blocked in `push`/`pop`.
-const IDLE_BACKOFF: Duration = Duration::from_micros(50);
 
 impl<A, B> StreamExec<A, B>
 where
@@ -357,10 +359,16 @@ where
     }
 
     /// Feed one item into the graph, blocking (and pumping the graph)
-    /// while the entry channel is full — this is where backpressure
-    /// reaches the producer. Fails fast with
-    /// [`SclError::MachineTooSmall`] when the item spans more parts than
-    /// the machine template has processors.
+    /// while the entry slot is taken — this is where backpressure reaches
+    /// the producer. Fails fast with [`SclError::MachineTooSmall`] when the
+    /// item spans more parts than the machine template has processors.
+    ///
+    /// An item pushed into an empty farmed graph stays on the entry slot
+    /// and `push` returns without a pump round: the next `push` or
+    /// `try_pop*` routes it to a replica, and a blocking pop carries it
+    /// through the farms on the calling thread (see
+    /// [`StreamExec::pop_outcome`]). `push` itself never runs a farm
+    /// segment.
     pub fn push(&mut self, item: A) -> Result<(), SclError> {
         self.push_deadline(item, None)
     }
@@ -377,14 +385,14 @@ where
         if std::mem::take(&mut self.first_item) {
             self.graph.calibrate(&env, &self.machine);
         }
+        // the push-side backpressure point: the graph must have swallowed
+        // the previous item off the entry slot
+        self.pump_until(false, |s| s.graph.ingress.is_none());
         self.graph.offer(env);
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
-        self.service();
-        // wait until the graph swallowed the item off the ingress slot —
-        // that is the push-side backpressure point
-        while self.graph.ingress.is_some() {
-            std::thread::sleep(IDLE_BACKOFF);
-            self.service();
+        // a lone item waits on the entry slot for whoever comes next
+        if self.in_flight() > 1 || self.graph.farms.is_empty() {
+            self.service(false);
         }
         Ok(())
     }
@@ -395,23 +403,25 @@ where
     /// serving layer uses: failure arrives as a value, never a panic.
     pub fn try_pop_outcome(&mut self) -> Option<StreamOutcome<B>> {
         if self.done.is_empty() {
-            self.service();
+            self.service(false);
         }
         self.done.pop_front()
     }
 
     /// Next completed item in stream order as a value, pumping the graph
     /// until one is ready. `None` only when nothing is in flight.
+    ///
+    /// While it waits, the calling thread is one more replica of every
+    /// farm for an item that is alone in the graph: it runs that item's
+    /// remaining segments itself — same segment kernel, deadline check,
+    /// charges and stage statistics as a replica — instead of handing it
+    /// to a parked worker at each farm. With two or more items in flight
+    /// every segment goes to the replicas as usual. Every blocking
+    /// collection API (`pop*`, `drain*`, [`StreamIter`] once its input is
+    /// exhausted) waits here.
     pub fn pop_outcome(&mut self) -> Option<StreamOutcome<B>> {
-        loop {
-            if let Some(out) = self.try_pop_outcome() {
-                return Some(out);
-            }
-            if self.in_flight() == 0 {
-                return None;
-            }
-            std::thread::sleep(IDLE_BACKOFF);
-        }
+        self.pump_until(true, |s| !s.done.is_empty() || s.in_flight() == 0);
+        self.done.pop_front()
     }
 
     /// Complete everything in flight and return it as values, in stream
@@ -526,8 +536,30 @@ where
         })
     }
 
+    /// Pump until `ready` holds — the one wait loop under `push` and the
+    /// blocking pops. A round that moved nothing climbs the [`Backoff`]
+    /// ladder; once that is spent the pump parks on the graph's park slot
+    /// behind one more re-check round, and never right after a round that
+    /// made progress. Replicas wake the slot when they free an input slot
+    /// or publish an output.
+    fn pump_until(&mut self, blocking_pop: bool, ready: impl Fn(&Self) -> bool) {
+        let mut backoff = Backoff::new();
+        while !ready(self) {
+            if self.service(blocking_pop) {
+                backoff.reset();
+            } else if backoff.snooze() {
+                let park = Arc::clone(&self.graph.park);
+                park.park_unless(|| self.service(blocking_pop));
+                backoff.reset();
+            }
+        }
+    }
+
     /// One service round: pump the graph, harvest completions into
     /// `done`, run the autonomic controller when a tick has elapsed.
+    /// Returns whether any item moved. `blocking_pop` says the caller
+    /// waits for an outcome; if the graph then holds a single item, the
+    /// pump carries it through the farms itself.
     ///
     /// A poisoned item is fully accounted here (so the in-flight gauge
     /// stays consistent) and its typed error takes the item's slot in the
@@ -535,8 +567,8 @@ where
     /// hand it out as a value. Keeping the re-raise out of the service
     /// round means `push` can never blow up under a producer's feet just
     /// because the ring links completed a doomed item early.
-    fn service(&mut self) {
-        self.graph.pump();
+    fn service(&mut self, blocking_pop: bool) -> bool {
+        let moved = self.graph.pump(blocking_pop && self.in_flight() == 1);
         while let Some(env) = self.graph.completed.pop_front() {
             self.completed += 1;
             let outcome = env
@@ -548,6 +580,7 @@ where
             self.last_tick = self.completed;
             self.graph.tick_controller();
         }
+        moved
     }
 }
 

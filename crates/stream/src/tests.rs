@@ -6,6 +6,8 @@
 use super::*;
 use scl_core::prelude::*;
 use scl_machine::{CostModel, Topology};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn unit_machine(n: usize) -> Machine {
     Machine::new(Topology::FullyConnected { procs: n }, CostModel::unit())
@@ -651,4 +653,203 @@ fn stateful_barriers_see_items_in_stream_order() {
         let expect: Vec<i64> = (k..k + 4).map(|x| x * 10 + k + 1).collect();
         assert_eq!(a.to_vec(), expect, "item {i}");
     }
+}
+
+// ---- the short path: a lone item runs on the blocked caller -------------
+
+/// [`mixed_plan`] with every compute stage logging the thread it runs on.
+fn logged_plan(
+    log: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+) -> Skel<'static, ParArray<i64>, ParArray<i64>> {
+    let (first, second) = (Arc::clone(log), Arc::clone(log));
+    let here = move |log: &Mutex<Vec<_>>| log.lock().unwrap().push(std::thread::current().id());
+    Skel::map(move |x: &i64| {
+        here(&first);
+        x * 3
+    })
+    .then(Skel::rotate(1))
+    .then(Skel::map_costed(move |x: &i64| {
+        here(&second);
+        (x + 1, Work::flops(1))
+    }))
+}
+
+fn two_replicas() -> StreamPolicy {
+    StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(2))
+}
+
+/// Output and report of a solo `Skel::run` of [`mixed_plan`] on `arr(k)`.
+fn eager_item(k: i64) -> (ParArray<i64>, MachineReport) {
+    let mut scl = Scl::new(unit_machine(4));
+    let out = mixed_plan().run(&mut scl, arr(k));
+    (out, scl.machine.report())
+}
+
+#[test]
+fn lone_round_trip_runs_every_segment_on_the_caller() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut s = StreamExec::new(logged_plan(&log), two_replicas());
+    assert_eq!(s.farm_stages(), 2);
+    for k in 0..5 {
+        s.push(arr(k)).unwrap();
+        assert_eq!(s.pop_with_report(), Some(eager_item(k)), "item {k}");
+    }
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), 5 * 2 * 4, "5 items × 2 logged stages × 4 parts");
+    let me = std::thread::current().id();
+    assert!(log.iter().all(|t| *t == me), "a segment ran off the caller");
+}
+
+#[test]
+fn two_items_in_flight_run_on_a_replica() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut s = StreamExec::new(logged_plan(&log), two_replicas());
+    s.push(arr(0)).unwrap();
+    s.push(arr(1)).unwrap();
+    let got = s.drain_with_reports();
+    assert_eq!(got, vec![eager_item(0), eager_item(1)]);
+    let me = std::thread::current().id();
+    assert!(
+        log.lock().unwrap().iter().any(|t| *t != me),
+        "with two items in flight no segment reached a replica"
+    );
+}
+
+#[test]
+fn push_and_try_pop_never_run_a_segment_on_the_caller() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut s = StreamExec::new(logged_plan(&log), two_replicas());
+    s.push(arr(0)).unwrap();
+    let got = loop {
+        if let Some(done) = s.try_pop_with_report() {
+            break done;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(got, eager_item(0));
+    let me = std::thread::current().id();
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), 2 * 4);
+    assert!(log.iter().all(|t| *t != me), "a segment ran on the caller");
+}
+
+#[test]
+fn run_stream_carries_at_most_the_last_item_on_the_caller() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let s = StreamExec::new(logged_plan(&log), two_replicas());
+    let got: Vec<ParArray<i64>> = s.run_stream((0..200).map(arr)).collect();
+    assert_eq!(got.len(), 200);
+    for (k, out) in got.into_iter().enumerate() {
+        assert_eq!(out, eager_item(k as i64).0, "item {k}");
+    }
+    let me = std::thread::current().id();
+    let on_caller = log.lock().unwrap().iter().filter(|t| **t == me).count();
+    assert!(
+        on_caller <= 2 * 4,
+        "{on_caller} stage runs on the caller: more than the last item's"
+    );
+}
+
+#[test]
+fn seeded_mix_of_lone_trips_and_bursts_matches_eager() {
+    let mut rng = scl_testkit::Rng::seed_from_u64(0x5107_7A1E);
+    let mut s = StreamExec::new(mixed_plan(), two_replicas());
+    let mut fed = 0i64;
+    let mut got = Vec::new();
+    while fed < 1000 {
+        if rng.bool() {
+            s.push(arr(fed)).unwrap();
+            fed += 1;
+            got.push(s.pop_with_report().expect("one item in flight"));
+        } else {
+            let burst = rng.range_i64(2, 24).min(1000 - fed);
+            for _ in 0..burst {
+                s.push(arr(fed)).unwrap();
+                fed += 1;
+                if rng.bool() {
+                    got.extend(s.try_pop_with_report());
+                }
+            }
+            got.extend(s.drain_with_reports());
+        }
+    }
+    assert_eq!(got.len(), 1000);
+    for (k, item) in got.into_iter().enumerate() {
+        assert_eq!(item, eager_item(k as i64), "item {k}");
+    }
+}
+
+#[test]
+fn short_path_resolves_deadlines_and_panics_as_typed_errors() {
+    // the item waits on the entry slot until its deadline passed, so the
+    // farm's own deadline check — on the pump — is what rejects it
+    let mut s = StreamExec::new(mixed_plan(), two_replicas());
+    let deadline = Instant::now() + Duration::from_millis(5);
+    s.push_deadline(arr(0), Some(deadline)).unwrap();
+    while Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(s.pop_outcome(), Some(Err(RequestError::DeadlineExceeded)));
+    assert_eq!(s.stage_stats()[0].items, 1, "the farm saw the expired item");
+
+    let plan = Skel::map(|x: &i64| if *x == 42 { panic!("boom") } else { *x });
+    let mut s = StreamExec::new(plan, two_replicas());
+    s.push(ParArray::from_parts(vec![40i64, 41, 42, 43]))
+        .unwrap();
+    let err = s.pop_outcome().unwrap().unwrap_err();
+    assert!(
+        matches!(&err, RequestError::StagePanic { stage, part: 2, .. } if stage == "map"),
+        "{err:?}"
+    );
+    let text = err.to_string();
+    assert!(
+        text.contains("fused stage `map`") && text.contains("boom"),
+        "{text}"
+    );
+    // the caller survived its own stage panic and keeps serving
+    s.push(ParArray::from_parts(vec![1i64, 2, 3, 4])).unwrap();
+    assert_eq!(s.pop().unwrap().to_vec(), vec![1, 2, 3, 4]);
+}
+
+#[test]
+fn stage_stats_count_inlined_items() {
+    let mut s = StreamExec::new(mixed_plan(), two_replicas());
+    for k in 0..3 {
+        s.push(arr(k)).unwrap();
+        s.pop().unwrap();
+    }
+    for st in s.stage_stats() {
+        assert_eq!(st.items, 3, "{st:?}");
+    }
+}
+
+/// 20 000 lone round trips, then 20 000 with two items in flight (the
+/// pump parks while replicas work). A lost wake-up costs a 100 ms
+/// safety-net park per item, which would blow the watchdog.
+#[test]
+fn round_trip_soak_never_loses_a_wake_up() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let soak = std::thread::spawn(move || {
+        let mut s = StreamExec::new(mixed_plan(), two_replicas());
+        let expect: Vec<_> = (0..8).map(eager_item).collect();
+        for k in 0..20_000 {
+            s.push(arr(k % 8)).unwrap();
+            assert_eq!(s.pop_with_report().as_ref(), Some(&expect[k as usize % 8]));
+        }
+        for k in 0..20_000 {
+            s.push(arr(k % 8)).unwrap();
+            s.push(arr((k + 1) % 8)).unwrap();
+            assert_eq!(s.pop_with_report().as_ref(), Some(&expect[k as usize % 8]));
+            assert_eq!(
+                s.pop_with_report().as_ref(),
+                Some(&expect[(k as usize + 1) % 8])
+            );
+        }
+        done_tx.send(()).unwrap();
+    });
+    let finished = done_rx.recv_timeout(Duration::from_secs(60));
+    if finished.is_err() && !soak.is_finished() {
+        panic!("soak still running after 60 s: a wake-up was lost");
+    }
+    soak.join().unwrap();
 }
