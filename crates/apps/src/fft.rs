@@ -118,7 +118,7 @@ pub fn fft_scl(scl: &mut Scl, input: &[Cplx], p: usize) -> Vec<Cplx> {
     let blk = n / p;
     // bit-reversal reorder, then scatter
     let reordered = bit_reverse(input);
-    let da = scl.partition(Pattern::Block(p), &reordered);
+    let da = scl.partition_owned(Pattern::Block(p), reordered);
 
     // local stages: partner index inside the block
     let mut da = scl.imap_costed(&da, |pid, part| {
@@ -156,7 +156,7 @@ pub fn fft_scl(scl: &mut Scl, input: &[Cplx], p: usize) -> Vec<Cplx> {
         half <<= 1;
     }
 
-    scl.gather(&da)
+    scl.gather_owned(da)
 }
 
 /// Inverse FFT via the conjugation trick (used by the round-trip tests).

@@ -51,7 +51,7 @@ pub fn hqs_step(scl: &mut Scl, da: ParArray<Vec<i64>>, g: usize) -> ParArray<Vec
     // the *group leader's* median — the paper's
     //   pivots = SPMD [⟨fetch (mf d), MIDVALUE⟩],  mf d i = ⌊i/d⌋·d
     let medians = scl.map_costed(&da, part_midvalue);
-    let pivots = scl.fetch(move |i| (i / g) * g, &medians);
+    let pivots = scl.fetch_owned(move |i| (i / g) * g, medians);
 
     // exPart: SPLIT local data around the pivot; the lower half of each
     // group keeps the low portion and sends the high portion to its
@@ -66,7 +66,7 @@ pub fn hqs_step(scl: &mut Scl, da: ParArray<Vec<i64>>, g: usize) -> ParArray<Vec
         }
     });
     let (keeps, gives) = unalign(splits);
-    let received = scl.fetch(move |i| i ^ half, &gives);
+    let received = scl.fetch_owned(move |i| i ^ half, gives);
 
     // merge: MERGE the kept portion with the received portion.
     let merged = align(keeps, received);
@@ -91,7 +91,7 @@ pub fn hyperquicksort_flat(scl: &mut Scl, data: &[i64], dim: u32) -> Vec<i64> {
         },
         da,
     );
-    scl.gather(&sorted)
+    scl.gather_owned(sorted)
 }
 
 /// The §3 nested-parallel hyperquicksort: the recursive `hsort` over
@@ -102,7 +102,7 @@ pub fn hyperquicksort_nested(scl: &mut Scl, data: &[i64], dim: u32) -> Vec<i64> 
     scl.machine.barrier();
     let da = distribute_and_sort(scl, data, p);
     let sorted = hsort(scl, da);
-    scl.gather(&sorted)
+    scl.gather_owned(sorted)
 }
 
 /// The recursive kernel: pivot broadcast, partner exchange, merge, then
@@ -131,7 +131,7 @@ fn hsort(scl: &mut Scl, da: ParArray<Vec<i64>>) -> ParArray<Vec<i64>> {
         }
     });
     let (keeps, gives) = unalign(splits);
-    let received = scl.fetch(move |i| i ^ half, &gives);
+    let received = scl.fetch_owned(move |i| i ^ half, gives);
 
     // mergeAndDiv: MERGE, then divide into sub-cubes
     let merged_cfg = align(keeps, received);
@@ -164,11 +164,11 @@ pub fn hyperquicksort_dc(scl: &mut Scl, data: &[i64], dim: u32) -> Vec<i64> {
             }
         });
         let (keeps, gives) = unalign(splits);
-        let received = scl.fetch(move |i| i ^ half, &gives);
+        let received = scl.fetch_owned(move |i| i ^ half, gives);
         let merged = align(keeps, received);
         scl.map_costed(&merged, |(a, b)| merge_sorted(a, b))
     });
-    scl.gather(&sorted)
+    scl.gather_owned(sorted)
 }
 
 /// Sequential baseline: one processor, plain quicksort. Returns the sorted

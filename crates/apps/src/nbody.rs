@@ -79,30 +79,30 @@ pub fn forces_scl(scl: &mut Scl, bodies: &[Body], p: usize) -> Vec<[f64; 2]> {
     let resident = scl.partition(Pattern::Block(p), bodies);
 
     // travelling copy + zeroed accumulators, aligned with the residents
-    let mut travelling = resident.clone();
+    let travelling = resident.clone();
     let acc = scl.map(&resident, |blk| vec![[0.0f64; 2]; blk.len()]);
     let zipped = align(resident, acc);
 
-    let zipped = scl.iter_for(
+    type Resident = ParArray<(Vec<Body>, Vec<[f64; 2]>)>;
+    let (zipped, _) = scl.iter_for(
         p,
-        |scl, step, zipped: ParArray<(Vec<Body>, Vec<[f64; 2]>)>| {
+        |scl, step, (zipped, travelling): (Resident, ParArray<Vec<Body>>)| {
             // interact residents with the currently visiting block
-            let visiting = travelling.clone();
-            let cfg = align(zipped, visiting);
+            let cfg = align(zipped, travelling);
             let out = scl.map_costed(&cfg, |((res, acc), vis)| {
                 let mut acc = acc.clone();
                 let flops = block_forces(res, vis, step == 0, &mut acc);
                 ((res.clone(), acc), Work::flops(flops))
             });
             // pass the travelling blocks one processor around the ring
-            travelling = scl.rotate(1, &travelling);
-            out
+            let (_, visiting) = unalign(cfg);
+            (out, scl.rotate_owned(1, visiting))
         },
-        zipped,
+        (zipped, travelling),
     );
 
     let (_, acc) = unalign(zipped);
-    scl.gather(&acc)
+    scl.gather_owned(acc)
 }
 
 /// One leapfrog integration step (used by the example binary; kept here so

@@ -313,20 +313,19 @@ impl Scl {
     /// Panics if the pattern needs more parts than the machine has
     /// processors.
     #[must_use]
-    pub fn partition<T: Clone + Bytes>(
+    pub fn partition<T: Clone + Bytes + Send>(
         &mut self,
         pattern: Pattern,
         data: &[T],
     ) -> ParArray<Vec<T>> {
-        self.try_partition(pattern, data)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.partition_owned(pattern, data.to_vec())
     }
 
     /// [`Scl::partition`] that **consumes** the host data, moving elements
-    /// into the parts instead of cloning them — charged identically. Block
-    /// patterns additionally move their contiguous ranges on the persistent
-    /// pool ([`scl_exec::par_scatter`]) when the cost model says the
-    /// payload justifies it.
+    /// into the parts instead of cloning them. Block patterns additionally
+    /// move their contiguous ranges on the persistent pool
+    /// ([`scl_exec::par_scatter`]) when the cost model says the payload
+    /// justifies it.
     #[must_use]
     pub fn partition_owned<T: Clone + Bytes + Send>(
         &mut self,
@@ -338,49 +337,32 @@ impl Scl {
     }
 
     /// [`Scl::partition_owned`] returning [`SclError::MachineTooSmall`]
-    /// instead of panicking — the owned counterpart of
-    /// [`Scl::try_partition`] and the entry point fused execution uses.
+    /// instead of panicking when the pattern needs more parts than the
+    /// machine has processors — the entry point fused execution uses.
     pub fn try_partition_owned<T: Clone + Bytes + Send>(
         &mut self,
         pattern: Pattern,
         data: Vec<T>,
     ) -> Result<ParArray<Vec<T>>> {
         pattern.check();
-        let out = match pattern {
+        let threads = match pattern {
             Pattern::Block(p) => {
-                let ranges = partition::block_ranges(data.len(), p);
-                let per_part = data.len() / p.max(1) * std::mem::size_of::<T>();
-                let (threads, _) = self.comm_schedule(p, per_part);
-                let parts = if threads <= 1 {
-                    let mut data = data;
-                    let mut parts = Vec::with_capacity(p);
-                    for r in ranges.iter().rev() {
-                        parts.push(data.split_off(r.start));
-                    }
-                    parts.reverse();
-                    parts
-                } else {
-                    par_scatter(ThreadPool::shared(threads), data, &ranges, threads)
-                };
-                ParArray::from_parts(parts)
+                let per_part = data.len() / p * std::mem::size_of::<T>();
+                self.comm_schedule(p, per_part).0
             }
-            _ => partition::partition_owned(pattern, data),
+            _ => 1,
         };
-        self.try_check_fits(out.len())?;
-        let per_part = out.parts().iter().map(Bytes::bytes).max().unwrap_or(0);
-        self.machine.scatter(out.procs(), per_part);
-        Ok(out)
-    }
-
-    /// [`Scl::partition`] returning [`SclError::MachineTooSmall`] instead
-    /// of panicking when the pattern needs more parts than the machine has
-    /// processors — the entry point fused execution uses.
-    pub fn try_partition<T: Clone + Bytes>(
-        &mut self,
-        pattern: Pattern,
-        data: &[T],
-    ) -> Result<ParArray<Vec<T>>> {
-        let out = partition::partition(pattern, data);
+        let out = if threads > 1 {
+            let ranges = partition::block_ranges(data.len(), pattern.parts());
+            ParArray::from_parts(par_scatter(
+                ThreadPool::shared(threads),
+                data,
+                &ranges,
+                threads,
+            ))
+        } else {
+            partition::partition_owned(pattern, data)
+        };
         self.try_check_fits(out.len())?;
         let per_part = out.parts().iter().map(Bytes::bytes).max().unwrap_or(0);
         self.machine.scatter(out.procs(), per_part);
@@ -403,17 +385,14 @@ impl Scl {
 
     /// Collect a distributed array back to processor 0 (the paper's
     /// `gather` skeleton), concatenating parts in part order.
-    pub fn gather<T: Clone + Bytes>(&mut self, a: &ParArray<Vec<T>>) -> Vec<T> {
-        let per_part = a.parts().iter().map(Bytes::bytes).max().unwrap_or(0);
-        self.machine.gather(a.procs(), per_part);
-        a.parts().iter().flat_map(|v| v.iter().cloned()).collect()
+    pub fn gather<T: Clone + Bytes + Send>(&mut self, a: &ParArray<Vec<T>>) -> Vec<T> {
+        self.gather_owned(a.clone())
     }
 
     /// [`Scl::gather`] that **consumes** the distributed array, moving
-    /// elements into the result instead of cloning them — charged
-    /// identically. The concat itself runs on the persistent pool
-    /// ([`scl_exec::par_concat`]) when the cost model says the moved bytes
-    /// justify fanning out.
+    /// elements into the result instead of cloning them. The concat itself
+    /// runs on the persistent pool ([`scl_exec::par_concat`]) when the cost
+    /// model says the moved bytes justify fanning out.
     pub fn gather_owned<T: Bytes + Send>(&mut self, a: ParArray<Vec<T>>) -> Vec<T> {
         let per_part = a.parts().iter().map(Bytes::bytes).max().unwrap_or(0);
         self.machine.gather(a.procs(), per_part);
@@ -456,7 +435,7 @@ impl Scl {
     /// The paper's `distribution` skeleton for two arrays: partition each
     /// with its own strategy and align the results into a configuration.
     #[must_use]
-    pub fn distribution2<A: Clone + Bytes, B: Clone + Bytes>(
+    pub fn distribution2<A: Clone + Bytes + Send, B: Clone + Bytes + Send>(
         &mut self,
         pa: Pattern,
         a: &[A],

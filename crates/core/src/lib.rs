@@ -67,14 +67,11 @@
 //!
 //! ## Zero-copy communication: the ownership discipline
 //!
-//! Every communication skeleton comes in two forms with **identical
-//! machine charges** (routes, messages, bytes, makespan — held by the
-//! `tests/owned_vs_borrowed.rs` differential suite):
+//! Every communication and configuration skeleton has **one
+//! implementation**, its owned form, and two ways to call it (outputs and
+//! machine charges are held against independent reference implementations
+//! by the `tests/comm_vs_reference.rs` differential suite):
 //!
-//! * the **borrowed** form (`rotate(&a)`, `total_exchange(&a)`, …) keeps
-//!   the input alive and *clones* every part it routes — right when the
-//!   input is reused (Cannon-style sweeps over a retained array, ablation
-//!   runs over one dataset);
 //! * the **owned** form (`rotate_owned(a)`, `total_exchange_owned(a)`,
 //!   `gather_owned(a)`, `partition_owned(data)`, …) consumes the input and
 //!   **moves** parts along the routes — permutations
@@ -82,7 +79,11 @@
 //!   routings ([`ParArray::reindex_owned`], `send_owned`, `fetch_owned`)
 //!   move each source's *last* use and clone only the extra copies, which
 //!   is exactly the data the simulated machine charges for shipping
-//!   anyway.
+//!   anyway;
+//! * the **borrowed** form (`rotate(&a)`, `total_exchange(&a)`, …) keeps
+//!   the input alive by cloning it once, then routes the copy exactly as
+//!   the owned form does — right when the input is reused (Cannon-style
+//!   sweeps over a retained array, ablation runs over one dataset).
 //!
 //! The plan layer uses the owned forms exclusively: every barrier stage of
 //! a [`Skel`] receives its array by value and re-emits an owned one, so a

@@ -126,31 +126,7 @@ pub fn owner_1d(pattern: Pattern, n: usize, j: usize) -> usize {
 /// # Panics
 /// Panics if `pattern` is not one-dimensional.
 pub fn partition<T: Clone>(pattern: Pattern, data: &[T]) -> ParArray<Vec<T>> {
-    pattern.check();
-    let n = data.len();
-    match pattern {
-        Pattern::Block(p) => ParArray::from_parts(
-            block_ranges(n, p)
-                .into_iter()
-                .map(|r| data[r].to_vec())
-                .collect(),
-        ),
-        Pattern::Cyclic(p) => {
-            let mut parts: Vec<Vec<T>> = vec![Vec::with_capacity(n / p + 1); p];
-            for (j, x) in data.iter().enumerate() {
-                parts[j % p].push(x.clone());
-            }
-            ParArray::from_parts(parts)
-        }
-        Pattern::BlockCyclic { p, block } => {
-            let mut parts: Vec<Vec<T>> = vec![Vec::with_capacity(n / p + block); p];
-            for (j, x) in data.iter().enumerate() {
-                parts[(j / block) % p].push(x.clone());
-            }
-            ParArray::from_parts(parts)
-        }
-        _ => panic!("partition of a 1-D array needs a 1-D pattern, got {pattern:?}"),
-    }
+    partition_owned(pattern, data.to_vec())
 }
 
 /// [`partition`] that **consumes** the host data, moving each element into
@@ -377,22 +353,6 @@ mod tests {
         ] {
             let d = partition(pattern, &data);
             assert_eq!(gather(pattern, &d), data, "{pattern:?}");
-        }
-    }
-
-    #[test]
-    fn partition_owned_matches_partition() {
-        let data: Vec<u32> = (0..23).collect();
-        for pattern in [
-            Pattern::Block(4),
-            Pattern::Block(1),
-            Pattern::Block(40),
-            Pattern::Cyclic(4),
-            Pattern::BlockCyclic { p: 3, block: 2 },
-        ] {
-            let cloned = partition(pattern, &data);
-            let moved = partition_owned(pattern, data.clone());
-            assert_eq!(moved, cloned, "{pattern:?}");
         }
     }
 

@@ -8,6 +8,12 @@
 //! participating processors meet, the routes are delivered in bulk, and the
 //! group leaves together ([`scl_machine::Machine::permute`]).
 //!
+//! Each skeleton has one implementation, its owned form (`rotate_owned`,
+//! `total_exchange_owned`, …): it builds the route table, charges the
+//! machine, and **moves** parts along the routes. The borrowed form
+//! (`rotate(&a)`, …) keeps the input alive by cloning it once and calling
+//! the owned form, so the two cannot differ in output or charge.
+//!
 //! Many-to-one `send` accumulates a vector at each destination. The paper
 //! leaves the element order unspecified ("the underlying implementation is
 //! nondeterministic"); this implementation uses ascending source index,
@@ -35,23 +41,7 @@ impl Scl {
     /// algebra's `rotate 0 → id` law holds by construction).
     #[must_use]
     pub fn rotate<T: Clone + Bytes>(&mut self, k: isize, a: &ParArray<T>) -> ParArray<T> {
-        let n = a.len();
-        if n == 0 {
-            return a.clone();
-        }
-        let k = norm(k, n);
-        if k == 0 {
-            return a.clone();
-        }
-        let routes: Vec<(ProcId, ProcId, usize)> = (0..n)
-            .map(|i| {
-                let src = (i + k) % n;
-                (a.procs()[src], a.procs()[i], a.part(src).bytes())
-            })
-            .collect();
-        self.machine.permute(a.procs(), &routes);
-        let parts: Vec<T> = (0..n).map(|i| a.part((i + k) % n).clone()).collect();
-        ParArray::like(a, parts)
+        self.rotate_owned(k, a.clone())
     }
 
     /// Rotate every row of a 2-D grid: the paper's
@@ -62,12 +52,7 @@ impl Scl {
         df: impl Fn(usize) -> isize,
         a: &ParArray<T>,
     ) -> ParArray<T> {
-        let (rows, cols) = a.shape().dims2();
-        let src_of = |i: usize, j: usize| -> usize {
-            let jj = norm(df(i), cols.max(1));
-            i * cols + (j + jj) % cols
-        };
-        self.rotate_grid(a, rows, cols, src_of)
+        self.rotate_row_owned(df, a.clone())
     }
 
     /// Rotate every column of a 2-D grid: the paper's
@@ -78,37 +63,7 @@ impl Scl {
         df: impl Fn(usize) -> isize,
         a: &ParArray<T>,
     ) -> ParArray<T> {
-        let (rows, cols) = a.shape().dims2();
-        let src_of = |i: usize, j: usize| -> usize {
-            let ii = norm(df(j), rows.max(1));
-            ((i + ii) % rows) * cols + j
-        };
-        self.rotate_grid(a, rows, cols, src_of)
-    }
-
-    fn rotate_grid<T: Clone + Bytes>(
-        &mut self,
-        a: &ParArray<T>,
-        rows: usize,
-        cols: usize,
-        src_of: impl Fn(usize, usize) -> usize,
-    ) -> ParArray<T> {
-        let mut routes = Vec::with_capacity(rows * cols);
-        let mut parts = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                let dst = i * cols + j;
-                let src = src_of(i, j);
-                if src != dst {
-                    routes.push((a.procs()[src], a.procs()[dst], a.part(src).bytes()));
-                }
-                parts.push(a.part(src).clone());
-            }
-        }
-        if !routes.is_empty() {
-            self.machine.permute(a.procs(), &routes);
-        }
-        ParArray::like(a, parts)
+        self.rotate_col_owned(df, a.clone())
     }
 
     /// Shift without wraparound: part `i` receives part `i - k` (for
@@ -116,25 +71,7 @@ impl Scl {
     /// workhorse (halo exchange).
     #[must_use]
     pub fn shift<T: Clone + Bytes>(&mut self, k: isize, a: &ParArray<T>, fill: &T) -> ParArray<T> {
-        let n = a.len() as isize;
-        let mut routes = Vec::new();
-        let mut parts = Vec::with_capacity(a.len());
-        for i in 0..n {
-            let src = i - k;
-            if src >= 0 && src < n {
-                let (si, di) = (src as usize, i as usize);
-                if si != di {
-                    routes.push((a.procs()[si], a.procs()[di], a.part(si).bytes()));
-                }
-                parts.push(a.part(src as usize).clone());
-            } else {
-                parts.push(fill.clone());
-            }
-        }
-        if !routes.is_empty() {
-            self.machine.permute(a.procs(), &routes);
-        }
-        ParArray::like(a, parts)
+        self.shift_owned(k, a.clone(), fill)
     }
 
     /// Broadcast one value to all parts, pairing it with the local data:
@@ -145,14 +82,7 @@ impl Scl {
         T: Clone + Bytes,
         U: Clone,
     {
-        self.machine.broadcast(a.procs(), item.bytes());
-        ParArray::like(
-            a,
-            a.parts()
-                .iter()
-                .map(|u| (item.clone(), u.clone()))
-                .collect(),
-        )
+        self.brdcast_owned(item, a.clone())
     }
 
     /// The paper's `applybrdcast f i A = brdcast (f A[i]) A`: apply `f` to
@@ -173,11 +103,7 @@ impl Scl {
         let r = f(a.part(i));
         let w = self.measured_work(t0.elapsed().as_secs_f64());
         self.charge_part(a, i, w, "apply_brdcast");
-        self.machine.broadcast(a.procs(), r.bytes());
-        ParArray::like(
-            a,
-            a.parts().iter().map(|x| (r.clone(), x.clone())).collect(),
-        )
+        self.brdcast(&r, a)
     }
 
     /// [`Scl::apply_brdcast`] with self-reported local work.
@@ -194,11 +120,7 @@ impl Scl {
     {
         let (r, w) = f(a.part(i));
         self.charge_part(a, i, w, "apply_brdcast");
-        self.machine.broadcast(a.procs(), r.bytes());
-        ParArray::like(
-            a,
-            a.parts().iter().map(|x| (r.clone(), x.clone())).collect(),
-        )
+        self.brdcast(&r, a)
     }
 
     /// Irregular send: `f(k)` names the destination indices of part `k`
@@ -210,20 +132,7 @@ impl Scl {
         f: impl Fn(usize) -> Vec<usize>,
         a: &ParArray<T>,
     ) -> ParArray<Vec<T>> {
-        let n = a.len();
-        let mut routes = Vec::new();
-        let mut inboxes: Vec<Vec<T>> = vec![Vec::new(); n];
-        for k in 0..n {
-            for j in f(k) {
-                assert!(j < n, "send: destination {j} out of range ({n} parts)");
-                if j != k {
-                    routes.push((a.procs()[k], a.procs()[j], a.part(k).bytes()));
-                }
-                inboxes[j].push(a.part(k).clone());
-            }
-        }
-        self.machine.permute(a.procs(), &routes);
-        ParArray::like(a, inboxes)
+        self.send_owned(f, a.clone())
     }
 
     /// Irregular fetch: part `i` pulls part `f(i)` (one-to-one or
@@ -235,19 +144,7 @@ impl Scl {
         f: impl Fn(usize) -> usize,
         a: &ParArray<T>,
     ) -> ParArray<T> {
-        let n = a.len();
-        let mut routes = Vec::new();
-        let mut parts = Vec::with_capacity(n);
-        for i in 0..n {
-            let src = f(i);
-            assert!(src < n, "fetch: source {src} out of range ({n} parts)");
-            if src != i {
-                routes.push((a.procs()[src], a.procs()[i], a.part(src).bytes()));
-            }
-            parts.push(a.part(src).clone());
-        }
-        self.machine.permute(a.procs(), &routes);
-        ParArray::like(a, parts)
+        self.fetch_owned(f, a.clone())
     }
 
     /// All-gather: every part receives the full sequence of parts (in part
@@ -292,22 +189,7 @@ impl Scl {
             rows, cols,
             "transpose needs a square grid, got {rows}x{cols}"
         );
-        let mut routes = Vec::new();
-        let mut parts = Vec::with_capacity(a.len());
-        for i in 0..rows {
-            for j in 0..cols {
-                let dst = i * cols + j;
-                let src = j * cols + i;
-                if src != dst {
-                    routes.push((a.procs()[src], a.procs()[dst], a.part(src).bytes()));
-                }
-                parts.push(a.part(src).clone());
-            }
-        }
-        if !routes.is_empty() {
-            self.machine.permute(a.procs(), &routes);
-        }
-        ParArray::like(a, parts)
+        self.rotate_grid_owned(a.clone(), rows, cols, |i, j| j * cols + i)
     }
 
     /// Rebalance a distributed sequence: redistribute the elements of the
@@ -316,45 +198,7 @@ impl Scl {
     /// operations like hyperquicksort's pivot exchanges.
     #[must_use]
     pub fn balance<T: Clone + Bytes>(&mut self, a: &ParArray<Vec<T>>) -> ParArray<Vec<T>> {
-        let p = a.len();
-        if p == 0 {
-            return a.clone();
-        }
-        let total: usize = a.parts().iter().map(Vec::len).sum();
-        let targets = crate::partition::block_ranges(total, p);
-
-        // Current global offset of each source part.
-        let mut offsets = Vec::with_capacity(p);
-        let mut acc = 0usize;
-        for part in a.parts() {
-            offsets.push(acc);
-            acc += part.len();
-        }
-
-        // Route overlapping [src-range] x [dst-range] element spans.
-        let elem_bytes = |v: &Vec<T>| if v.is_empty() { 0 } else { v.bytes() / v.len() };
-        let mut routes = Vec::new();
-        let mut parts: Vec<Vec<T>> = targets
-            .iter()
-            .map(|r| Vec::with_capacity(r.len()))
-            .collect();
-        for (src, part) in a.parts().iter().enumerate() {
-            let s0 = offsets[src];
-            for (dst, target) in targets.iter().enumerate() {
-                let lo = s0.max(target.start);
-                let hi = (s0 + part.len()).min(target.end);
-                if lo < hi {
-                    parts[dst].extend(part[lo - s0..hi - s0].iter().cloned());
-                    if src != dst {
-                        routes.push((a.procs()[src], a.procs()[dst], (hi - lo) * elem_bytes(part)));
-                    }
-                }
-            }
-        }
-        if !routes.is_empty() {
-            self.machine.permute(a.procs(), &routes);
-        }
-        ParArray::like(a, parts)
+        self.balance_owned(a.clone())
     }
 
     /// Total exchange: part `i` holds one bucket per destination; after the
@@ -368,17 +212,11 @@ impl Scl {
     /// exchanges (the common case after sampling-based bucketing) cost
     /// what they move.
     #[must_use]
-    pub fn total_exchange<T: Clone + Bytes>(
+    pub fn total_exchange<T: Clone + Bytes + Send>(
         &mut self,
         a: &ParArray<Vec<Vec<T>>>,
     ) -> ParArray<Vec<Vec<T>>> {
-        let n = a.len();
-        let routes = total_exchange_routes(a);
-        self.machine.all_to_all_v(a.procs(), &routes);
-        let parts: Vec<Vec<Vec<T>>> = (0..n)
-            .map(|i| (0..n).map(|k| a.part(k)[i].clone()).collect())
-            .collect();
-        ParArray::like(a, parts)
+        self.total_exchange_owned(a.clone())
     }
 }
 
@@ -407,22 +245,18 @@ fn total_exchange_routes<T: Bytes>(a: &ParArray<Vec<Vec<T>>>) -> Vec<(ProcId, Pr
     routes
 }
 
-// ---- owned (zero-copy) variants ---------------------------------------------
+// ---- the implementations ----------------------------------------------------
 //
-// Every borrowed communication skeleton has an owned twin that *consumes*
-// its input and **moves** parts along the routes instead of cloning them.
-// The simulated machine is charged identically — routes are computed from
-// the borrowed view before any part moves — so the two forms are
-// interchangeable for cost studies; `tests/owned_vs_borrowed.rs` holds
-// outputs and `machine.metrics` equal under every `ExecPolicy`. The plan
-// layer's barrier stages use the owned forms exclusively: a `BarrierFn`
-// receives its array by value, so nothing in a fused chain clones part
-// payloads between stages.
+// Each owned form *consumes* its input and **moves** parts along the routes
+// (relaxed bounds: `rotate_owned` needs no `Clone` at all). Routes are
+// computed from the input before any part moves. The plan layer's barrier
+// stages call these directly: a `BarrierFn` receives its array by value,
+// so nothing in a fused chain clones part payloads between stages.
 
 impl Scl {
     /// [`Scl::rotate`] consuming its input: parts **move** along the
     /// rotation, no clones (note the relaxed bound — `T` need not be
-    /// `Clone`). Charged identically.
+    /// `Clone`).
     #[must_use]
     pub fn rotate_owned<T: Bytes>(&mut self, k: isize, a: ParArray<T>) -> ParArray<T> {
         let n = a.len();
@@ -443,8 +277,7 @@ impl Scl {
         a.permute_owned(|i| (i + k) % n)
     }
 
-    /// [`Scl::rotate_row`] consuming its input — parts move. Charged
-    /// identically.
+    /// [`Scl::rotate_row`] consuming its input — parts move.
     #[must_use]
     pub fn rotate_row_owned<T: Bytes>(
         &mut self,
@@ -459,8 +292,7 @@ impl Scl {
         self.rotate_grid_owned(a, rows, cols, src_of)
     }
 
-    /// [`Scl::rotate_col`] consuming its input — parts move. Charged
-    /// identically.
+    /// [`Scl::rotate_col`] consuming its input — parts move.
     #[must_use]
     pub fn rotate_col_owned<T: Bytes>(
         &mut self,
@@ -499,7 +331,7 @@ impl Scl {
     }
 
     /// [`Scl::shift`] consuming its input: surviving parts move, only the
-    /// boundary clones `fill`. Charged identically.
+    /// boundary clones `fill`.
     #[must_use]
     pub fn shift_owned<T: Clone + Bytes>(
         &mut self,
@@ -541,7 +373,7 @@ impl Scl {
 
     /// [`Scl::brdcast`] consuming the array: local data moves into the
     /// pairs, only the broadcast item clones (it genuinely lands on every
-    /// part). Charged identically.
+    /// part).
     #[must_use]
     pub fn brdcast_owned<T, U>(&mut self, item: &T, a: ParArray<U>) -> ParArray<(T, U)>
     where
@@ -553,8 +385,8 @@ impl Scl {
 
     /// [`Scl::send`] consuming its input: each part **moves** to its last
     /// destination and clones only for the earlier ones (one-to-one
-    /// routings clone nothing). Charged identically; inbox order is the
-    /// same unspecified-but-deterministic ascending source order.
+    /// routings clone nothing). Inbox order is the
+    /// unspecified-but-deterministic ascending source order.
     #[must_use]
     pub fn send_owned<T: Clone + Bytes>(
         &mut self,
@@ -590,7 +422,7 @@ impl Scl {
 
     /// [`Scl::fetch`] consuming its input: each source moves to its last
     /// fetcher and clones only for additional ones (a permutation clones
-    /// nothing). Charged identically.
+    /// nothing).
     #[must_use]
     pub fn fetch_owned<T: Clone + Bytes>(
         &mut self,
@@ -611,7 +443,7 @@ impl Scl {
     }
 
     /// [`Scl::balance`] consuming its input: elements **move** into their
-    /// rebalanced parts (no per-element clones). Charged identically.
+    /// rebalanced parts (no per-element clones).
     #[must_use]
     pub fn balance_owned<T: Bytes>(&mut self, a: ParArray<Vec<T>>) -> ParArray<Vec<T>> {
         let p = a.len();
@@ -657,8 +489,7 @@ impl Scl {
     /// their destinations (a pure permutation of `n²` bucket cells — zero
     /// clones), on the persistent pool
     /// ([`scl_exec::par_permute`]) when the cost model
-    /// says the cell count justifies fanning out. Charged identically
-    /// (per-route bucket bytes).
+    /// says the cell count justifies fanning out.
     #[must_use]
     pub fn total_exchange_owned<T: Clone + Bytes + Send>(
         &mut self,
@@ -991,21 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_total_exchange_matches_borrowed() {
-        let a = ParArray::from_parts(vec![
-            vec![vec![1i64], vec![2, 3]],
-            vec![vec![4, 5, 6], vec![]],
-        ]);
-        let mut s1 = unit_ctx(2);
-        let borrowed = s1.total_exchange(&a);
-        let mut s2 = unit_ctx(2);
-        let owned = s2.total_exchange_owned(a);
-        assert_eq!(owned, borrowed);
-        assert_eq!(s1.machine.metrics, s2.machine.metrics);
-        assert_eq!(s1.makespan(), s2.makespan());
-    }
-
-    #[test]
     fn owned_rotate_moves_non_clone_parts() {
         // rotate_owned needs no Clone bound at all
         #[derive(Debug, PartialEq)]
@@ -1023,36 +839,6 @@ mod tests {
             &[Heavy(vec![1; 4]), Heavy(vec![2; 4]), Heavy(vec![0; 4])]
         );
         assert_eq!(s.machine.metrics.messages, 3);
-    }
-
-    #[test]
-    fn owned_shift_and_fetch_match_borrowed() {
-        let a = ParArray::from_parts(vec![10i64, 20, 30, 40]);
-        let mut s1 = unit_ctx(4);
-        let mut s2 = unit_ctx(4);
-        assert_eq!(s1.shift(1, &a, &0), s2.shift_owned(1, a.clone(), &0));
-        assert_eq!(
-            s1.fetch(|i| i ^ 1, &a),
-            s2.fetch_owned(|i| i ^ 1, a.clone())
-        );
-        // one-to-many fetch clones only the duplicates
-        assert_eq!(s1.fetch(|_| 0, &a), s2.fetch_owned(|_| 0, a.clone()));
-        assert_eq!(s1.machine.metrics, s2.machine.metrics);
-        assert_eq!(s1.makespan(), s2.makespan());
-    }
-
-    #[test]
-    fn owned_send_and_balance_match_borrowed() {
-        let mut s1 = unit_ctx(3);
-        let mut s2 = unit_ctx(3);
-        let a = ParArray::from_parts(vec![5i64, 6, 7]);
-        let f = |k: usize| if k == 0 { vec![1, 2] } else { vec![0] };
-        assert_eq!(s1.send(f, &a), s2.send_owned(f, a.clone()));
-
-        let skew = ParArray::from_parts(vec![vec![1i64, 2, 3, 4, 5], vec![], vec![6]]);
-        assert_eq!(s1.balance(&skew), s2.balance_owned(skew.clone()));
-        assert_eq!(s1.machine.metrics, s2.machine.metrics);
-        assert_eq!(s1.makespan(), s2.makespan());
     }
 
     #[test]
