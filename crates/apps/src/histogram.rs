@@ -103,10 +103,9 @@ mod tests {
     #[test]
     fn plan_fuses_count_and_fragment_into_one_segment() {
         let plan = histogram_plan(16, 4);
-        assert!(plan.fusable());
         // count + fragment fuse back-to-back; the exchange is the barrier
         assert_eq!(
-            plan.fused_stages().unwrap(),
+            plan.fused_stages(),
             vec![
                 ("map_costed", false),
                 ("map_costed", false),

@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn batch_plan_farms_the_count_segment() {
-        let Ok(ops) = batch_histogram_plan(16, 4).into_stream_ops();
+        let ops = batch_histogram_plan(16, 4).into_stream_ops();
         let ops: Vec<String> = ops.iter().map(|op| op.label()).collect();
         assert_eq!(
             ops,

@@ -35,6 +35,10 @@ pub enum SclError {
         /// Processors the machine has.
         procs: usize,
     },
+    /// An optimized submission's plan is outside the lowerable fragment
+    /// (a closure stage, or a symbol the registry does not resolve), so
+    /// there is no optimised program to compile.
+    NotLowerable,
 }
 
 impl fmt::Display for SclError {
@@ -56,6 +60,7 @@ impl fmt::Display for SclError {
                     "configuration needs {needed} processors, machine has {procs}"
                 )
             }
+            SclError::NotLowerable => write!(f, "plan is outside the lowerable fragment"),
         }
     }
 }
@@ -97,12 +102,6 @@ pub enum RequestError {
         /// The configuration error the barrier raised.
         error: SclError,
     },
-    /// A plan panicked outside any attributable stage (a serving layer's
-    /// uncached eager run).
-    Panicked {
-        /// The panic payload, rendered as a string.
-        message: String,
-    },
     /// The request's deadline passed before it completed; the work was
     /// short-circuited rather than run.
     DeadlineExceeded,
@@ -116,17 +115,16 @@ pub enum RequestError {
 
 impl RequestError {
     /// True for failures caused by the plan itself crashing (stage or
-    /// barrier panics, barrier errors, eager panics) — the failures that
-    /// count toward supervision (graph teardown and quarantine). Deadline
-    /// expiry and quarantine rejections are not faults: they say nothing
-    /// about the plan's health.
+    /// barrier panics, barrier errors) — the failures that count toward
+    /// supervision (graph teardown and quarantine). Deadline expiry and
+    /// quarantine rejections are not faults: they say nothing about the
+    /// plan's health.
     pub fn is_fault(&self) -> bool {
         matches!(
             self,
             RequestError::StagePanic { .. }
                 | RequestError::BarrierPanic { .. }
                 | RequestError::BarrierFailed { .. }
-                | RequestError::Panicked { .. }
         )
     }
 }
@@ -150,7 +148,6 @@ impl fmt::Display for RequestError {
             RequestError::BarrierFailed { stage, error } => {
                 write!(f, "stream barrier `{stage}` failed: {error}")
             }
-            RequestError::Panicked { message } => write!(f, "plan panicked: {message}"),
             RequestError::DeadlineExceeded => write!(f, "deadline exceeded"),
             RequestError::Quarantined { crashes } => {
                 write!(f, "plan quarantined after {crashes} consecutive crashes")

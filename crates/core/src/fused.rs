@@ -9,19 +9,16 @@
 //! execute back-to-back on the worker that owns each partition, with no
 //! intermediate arrays and a single dispatch.
 //!
-//! Both are walks of the same data. A plan whose stages all have an op
-//! form *is* a chain of type-erased [`PlanOp`]s — its one executable form
-//! (only a plan built from a stage with no op form, such as `from_fn`, is
-//! an opaque closure instead):
+//! Both are walks of the same data. A plan *is* a chain of type-erased
+//! [`PlanOp`]s — its one executable form:
 //!
 //! * [`PlanOp::Segment`] — a maximal run of part-local compute stages.
 //!   Composition merges the seam (`… Segment] ++ [Segment …` becomes one
 //!   segment), so segments are maximal by construction, at every depth;
 //! * [`PlanOp::Barrier`] — anything that needs the whole configuration
 //!   (communication skeletons like `rotate` / `fetch` / `total_exchange`,
-//!   scans and reductions, repartitioning, opaque whole-array stages — an
-//!   opaque plan composed into a branch or handed to a stream enters as one
-//!   barrier labelled `"opaque"`);
+//!   scans and reductions, repartitioning, any host computation a plan
+//!   wraps with [`Skel::barrier`](crate::plan::Skel::barrier));
 //! * [`PlanOp::Branch`] — a DAG fork (`pair` / `fanout` / `choice`): two
 //!   arm chains between a split and a join.
 //!
@@ -346,7 +343,7 @@ pub struct BarrierOp<'a> {
     /// Hash of the barrier's structural parameters (rotation amount,
     /// shift distance, iteration count, partition pattern, registered
     /// symbol names) — what keeps `rotate(1)` and `rotate(2)` apart in the
-    /// plan fingerprint even when the surrounding plan is opaque. 0 when
+    /// plan fingerprint even when the surrounding plan has no IR. 0 when
     /// the stage has none beyond its label.
     param: u64,
     f: BarrierFn<'a>,
@@ -384,9 +381,6 @@ pub(crate) struct FusedPlan<'a, A, B> {
     entry: Box<dyn Fn(A) -> ErasedArr + 'a>,
     pub(crate) nodes: Vec<PlanOp<'a>>,
     exit: Box<dyn Fn(ErasedArr) -> B + 'a>,
-    /// True when some op runs an opaque closure ([`opaque_node`]): the
-    /// chain then has no complete structure to fingerprint.
-    pub(crate) opaque: bool,
 }
 
 impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
@@ -395,7 +389,6 @@ impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
             entry: Box::new(A::erase),
             nodes: vec![op],
             exit: Box::new(B::restore),
-            opaque: false,
         }
     }
 
@@ -418,16 +411,23 @@ impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
         left: FusedPlan<'a, L, LO>,
         right: FusedPlan<'a, R, RO>,
     ) -> Self {
-        let opaque = left.opaque || right.opaque;
+        Self::single(PlanOp::Branch(BranchOp {
+            label,
+            param: 0,
+            kind,
+            left: left.nodes,
+            right: right.nodes,
+        }))
+    }
+}
+
+impl<'a, A: FusePort + 'a> FusedPlan<'a, A, A> {
+    /// The empty chain: the identity plan.
+    pub(crate) fn empty() -> Self {
         FusedPlan {
-            opaque,
-            ..Self::single(PlanOp::Branch(BranchOp {
-                label,
-                param: 0,
-                kind,
-                left: left.nodes,
-                right: right.nodes,
-            }))
+            entry: Box::new(A::erase),
+            nodes: Vec::new(),
+            exit: Box::new(A::restore),
         }
     }
 }
@@ -470,7 +470,6 @@ pub(crate) fn compose<'a, A, B, C>(
         entry: a.entry,
         nodes,
         exit: b.exit,
-        opaque: a.opaque || b.opaque,
     }
 }
 
@@ -622,19 +621,6 @@ where
     }))
 }
 
-/// An opaque closure as a fused plan: one barrier labelled `"opaque"`,
-/// flagged so the plan never fingerprints.
-pub(crate) fn opaque_node<'a, A, B>(mut f: impl FnMut(&mut Scl, A) -> B + 'a) -> FusedPlan<'a, A, B>
-where
-    A: FusePort + 'a,
-    B: FusePort + 'a,
-{
-    FusedPlan {
-        opaque: true,
-        ..barrier_node("opaque", move |scl, a| Ok(f(scl, a)))
-    }
-}
-
 // ---- structural fingerprinting ----------------------------------------------
 
 /// FNV-1a offset basis (64-bit).
@@ -673,18 +659,19 @@ const TAG_BRANCH: &[u8] = &[0x05];
 /// constructed from are hashed into its node, so `rotate(1)` vs
 /// `rotate(2)`, `shift(1, _)` vs `shift(2, _)`, iteration counts,
 /// partition patterns, task-pipeline lengths, and registered symbol names
-/// (`map_sym("inc")` vs `map_sym("double")`) all differ, inside opaque
-/// plans too. Plans in the lowerable fragment additionally fold in their
-/// whole-program IR.
+/// (`map_sym("inc")` vs `map_sym("double")`) all differ, in plans with
+/// closure stages too. Plans in the lowerable fragment additionally fold
+/// in their whole-program IR.
 ///
-/// **What the fingerprint cannot see:** the *bodies* of opaque closures
-/// and opaque captured values. `Skel::map(|x| x + 1)` and
-/// `Skel::map(|x| x * 2)` are structurally identical and fingerprint
-/// equal; so are two `Skel::shift(1, fill)` plans with different fill
-/// values, or two `Skel::fetch(f)` plans with different index closures. A
-/// cache keyed on fingerprints therefore assumes structurally-equal
-/// submissions are semantically equal — the standard prepared-statement
-/// contract. Callers serving semantically different plans with the same
+/// **What the fingerprint cannot see:** closure bodies and the values
+/// they capture. `Skel::map(|x| x + 1)` and `Skel::map(|x| x * 2)` are
+/// structurally identical and fingerprint equal; so are two
+/// `Skel::shift(1, fill)` plans with different fill values, two
+/// `Skel::fetch(f)` plans with different index closures, and two
+/// `Skel::barrier(label, f)` plans with one label — a barrier's identity
+/// is its label and parameters, as a map's is its label. A cache keyed on
+/// fingerprints therefore assumes structurally-equal submissions are
+/// semantically equal — the standard prepared-statement contract. Callers serving semantically different plans with the same
 /// shape must disambiguate with [`PlanFingerprint::with_salt`] (e.g. a
 /// plan name or parameter string), as `scl-serve`'s `submit_keyed` does.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1235,8 +1222,7 @@ fn run_split(
 /// Best-effort rendering of a panic payload for the labelled re-raise.
 /// Non-string payloads (`panic_any` tokens) are flattened to a
 /// placeholder: the chain walker trades payload identity for the stage
-/// label, unlike an opaque closure, whose panics propagate verbatim.
-/// Public so downstream executors (the streaming runtime's poison
+/// label. Public so downstream executors (the streaming runtime's poison
 /// envelopes) render payloads identically.
 pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {

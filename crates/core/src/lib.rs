@@ -19,7 +19,7 @@
 //! | family | skeletons | eager module | plan combinators |
 //! |---|---|---|---|
 //! | configuration | `partition`, `gather`, `align`, `distribution`, `redistribution`, `split`, `combine` | [`ctx`], [`config`], [`partition`] | [`Skel::partition`], [`Skel::gather`], [`Skel::balance`] |
-//! | elementary | `map`, `imap`, `fold`, `scan`, `zip_with` + communication: `rotate`, `rotate_row`, `rotate_col`, `brdcast`, `apply_brdcast`, `send`, `fetch`, `total_exchange` | [`skeletons::elementary`], [`skeletons::comm`] | [`Skel::map`], [`Skel::imap`], [`Skel::fold`], [`Skel::scan`], [`Skel::zip_with`], [`Skel::rotate`], [`Skel::shift`], [`Skel::brdcast`], [`Skel::fetch`], [`Skel::total_exchange`] |
+//! | elementary | `map`, `imap`, `fold`, `scan`, `zip_with` + communication: `rotate`, `rotate_row`, `rotate_col`, `brdcast`, `apply_brdcast`, `send`, `fetch`, `total_exchange` | [`skeletons::elementary`], [`skeletons::comm`] | [`Skel::map`], [`Skel::imap`], [`Skel::fold_all`], [`Skel::scan`], [`Skel::zip_with`], [`Skel::rotate`], [`Skel::shift`], [`Skel::brdcast`], [`Skel::fetch`], [`Skel::total_exchange`] |
 //! | computational | `farm`, `spmd`, `iter_until`, `iter_for`, `dc`, `pipeline` | [`skeletons::compute`] | [`Skel::farm`], [`Skel::spmd`], [`Skel::iter_until`], [`Skel::iter_for`], [`Skel::dac`], [`Skel::task_pipeline`] |
 //! | streaming | persistent pipeline/farm operator graphs serving a plan over unbounded input — bounded queues, backpressure, autonomic farm widths | `scl-stream` (`StreamExec`) | [`Skel::into_stream_ops`] → `StreamExec::push`/`drain`/`run_stream` |
 //!
@@ -58,12 +58,10 @@
 //! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision)
 //! per segment, falling back to sequential execution when a segment's
 //! estimated work is within a few multiples of the dispatch overhead.
-//! Opaque whole-array stages join fused chains as explicit barriers via
-//! [`Skel::barrier`]; a plan composed with a stage that has no op form
-//! ([`Skel::from_fn`], …) is an opaque closure, which both entry points
-//! run as it is (same answer). [`Scl::run_optimized`] executes
-//! the rewritten program through this executor, so §4 optimisation and
-//! fusion compose.
+//! Host computations over the whole configuration join fused chains as
+//! explicit barriers via [`Skel::barrier`]. [`Scl::run_optimized`]
+//! executes the rewritten program through this executor, so §4
+//! optimisation and fusion compose.
 //!
 //! ## Zero-copy communication: the ownership discipline
 //!

@@ -6,15 +6,14 @@
 //! methods on [`Scl`] execute immediately, so by the time a program exists
 //! there is nothing left to transform. A [`Skel<A, B>`] closes that gap: it
 //! is a *value* describing a skeleton program from input `A` to output `B`,
-//! built from typed combinators ([`Skel::map`], [`Skel::fold`],
+//! built from typed combinators ([`Skel::map`], [`Skel::fold_all`],
 //! [`Skel::rotate`], [`Skel::farm`], [`Skel::iter_until`], [`Skel::dac`], …)
 //! and composed with [`Skel::then`] / [`Skel::pipe`].
 //!
-//! A plan has **one executable form**: the operator chain of
-//! [`crate::fused`] — compute stages, barriers and branches — whenever
-//! every stage has an op form, or an opaque closure for plans built from a
-//! stage that has none ([`Skel::from_fn`], [`Skel::fold`], [`Skel::spmd`],
-//! [`Skel::identity`]). The back-ends interpret that one form:
+//! A plan **is** its operator chain — the compute stages, barriers and
+//! branches of [`crate::fused`]; a whole-configuration host computation
+//! enters it as a labelled [`Skel::barrier`], and [`Skel::identity`] is the
+//! empty chain. The back-ends interpret that one form:
 //!
 //! 1. [`Skel::run`] walks the chain eagerly: one dispatch (and one
 //!    materialised intermediate) per stage, charged per stage — the same
@@ -70,154 +69,69 @@ use scl_machine::Work;
 use scl_transform::rewrite::Applied;
 use scl_transform::{optimize, shape_of, Expr, FnRef, IdxRef, Registry, Shape};
 use std::cell::RefCell;
-use std::convert::Infallible;
-
-/// An opaque stage: a host computation against a coordination context.
-/// `FnMut` so plans may own stateful stages; the `RefCell` in [`Skel`] lets
-/// `run` stay `&self`.
-type ExecFn<'a, A, B> = Box<dyn FnMut(&mut Scl, A) -> B + 'a>;
-
-/// The one executable form of a plan.
-enum Body<'a, A, B> {
-    /// Every stage has an op form: the chain every back-end interprets.
-    Ops(FusedPlan<'a, A, B>),
-    /// Some stage has none: one closure running the whole plan.
-    Opaque(ExecFn<'a, A, B>),
-}
-
-impl<'a, A: 'a, B: 'a> Body<'a, A, B> {
-    /// The body as a closure; an op chain runs as [`Skel::run`] runs it.
-    fn into_fn(self) -> ExecFn<'a, A, B> {
-        match self {
-            Body::Ops(mut plan) => Box::new(move |scl: &mut Scl, x| run_ops(scl, &mut plan, x)),
-            Body::Opaque(f) => f,
-        }
-    }
-}
-
-/// [`Skel::run`] over an op chain: the chain walker with per-stage
-/// charging. A configuration that does not fit the machine panics, as the
-/// skeleton methods on [`Scl`] do.
-fn run_ops<A, B>(scl: &mut Scl, plan: &mut FusedPlan<'_, A, B>, input: A) -> B {
-    scl.exec_ops(plan, input, false)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
 
 /// A first-class, typed skeleton program from `A` to `B`.
 ///
 /// Built by the constructors in this module and composed with
-/// [`Skel::then`]. A plan holds one executable form — an op chain (see
-/// [`crate::fused`]), or an opaque closure when a stage has no op form —
-/// and two interpreters run it: [`Skel::run`] (one dispatch per stage) and
+/// [`Skel::then`]. A plan is an op chain (see [`crate::fused`]), and two
+/// interpreters run it: [`Skel::run`] (one dispatch per stage) and
 /// [`Scl::run_fused`] (partition-resident). Optimised through
 /// [`Skel::lower`] / [`Skel::from_expr`] when it stays inside the lowerable
 /// fragment. The lifetime `'a` bounds everything the plan borrows
 /// (closures, a [`Registry`] for symbolic stages); plans over owned
 /// closures are `'static`.
 pub struct Skel<'a, A, B> {
-    body: RefCell<Body<'a, A, B>>,
+    /// The op chain; the `RefCell` lets `run` stay `&self` over stateful
+    /// (`FnMut`) barriers.
+    plan: RefCell<FusedPlan<'a, A, B>>,
     /// `Some` iff every stage of the plan is in the lowerable fragment;
-    /// composition preserves it, any opaque stage forfeits it.
+    /// composition preserves it, any closure stage forfeits it.
     repr: Option<Expr>,
 }
 
 impl<'a, A, B> Skel<'a, A, B> {
-    fn with_body(body: Body<'a, A, B>, repr: Option<Expr>) -> Skel<'a, A, B> {
-        Skel {
-            body: RefCell::new(body),
-            repr,
-        }
-    }
-
     fn from_ops(plan: FusedPlan<'a, A, B>) -> Skel<'a, A, B> {
-        Skel::with_body(Body::Ops(plan), None)
-    }
-
-    /// A plan from an opaque stage: any host computation over the context.
-    /// Opaque stages run fine but are neither lowerable nor fusable, and
-    /// [`Skel::then`] makes any plan containing one an opaque closure too —
-    /// use [`Skel::barrier`] for an opaque stage that should still compose
-    /// into fused chains.
-    pub fn from_fn(f: impl FnMut(&mut Scl, A) -> B + 'a) -> Skel<'a, A, B> {
-        Skel::with_body(Body::Opaque(Box::new(f)), None)
-    }
-
-    /// As [`Skel::from_fn`] but carrying an explicit IR representation —
-    /// the escape hatch for callers extending the lowerable fragment.
-    pub fn from_fn_repr(f: impl FnMut(&mut Scl, A) -> B + 'a, repr: Expr) -> Skel<'a, A, B> {
-        Skel::with_body(Body::Opaque(Box::new(f)), Some(repr))
+        Skel {
+            plan: RefCell::new(plan),
+            repr: None,
+        }
     }
 
     /// Run the plan eagerly on `scl`, consuming `input`: the op chain's
     /// walker with one dispatch per stage — scheduled as [`Scl::imap`] is,
     /// at [`ExecPolicy::effective_threads`](scl_exec::ExecPolicy::effective_threads)
-    /// — and per-stage charging, or the opaque closure. A panicking compute
-    /// stage re-raises labelled, with the text [`Skel::run_fused`] uses.
+    /// — and per-stage charging. A configuration that does not fit the
+    /// machine panics, as the skeleton methods on [`Scl`] do, and a
+    /// panicking compute stage re-raises labelled, with the text
+    /// [`Scl::run_fused`] uses.
     pub fn run(&self, scl: &mut Scl, input: A) -> B {
-        match &mut *self.body.borrow_mut() {
-            Body::Ops(plan) => run_ops(scl, plan, input),
-            Body::Opaque(f) => f(scl, input),
-        }
+        scl.exec_ops(&mut self.plan.borrow_mut(), input, false)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Run the plan through the fused executor (see [`crate::fused`]): the
-    /// op chain under summed charging, or an opaque plan's closure exactly
-    /// as [`Skel::run`] runs it — same answer either way. Usually called as
-    /// [`Scl::run_fused`].
-    ///
-    /// The `Err(MachineTooSmall)` contract applies to op chains (every
-    /// [`Skel::fusable`] plan); an opaque closure keeps the eager layer's
-    /// panicking semantics.
-    pub fn run_fused(&self, scl: &mut Scl, input: A) -> SclResult<B> {
-        match &mut *self.body.borrow_mut() {
-            Body::Ops(plan) => scl.exec_ops(plan, input, true),
-            Body::Opaque(f) => Ok(f(scl, input)),
-        }
+    /// The fused stage structure as `(label, is_barrier)` pairs.
+    /// Consecutive non-barrier stages execute as one fused segment.
+    pub fn fused_stages(&self) -> Vec<(&'static str, bool)> {
+        fused::stage_list(&self.plan.borrow().nodes)
     }
 
-    /// True when the plan is an op chain, so [`Skel::run_fused`] takes the
-    /// partition-resident path; false for an opaque closure.
-    pub fn fusable(&self) -> bool {
-        matches!(*self.body.borrow(), Body::Ops(_))
-    }
-
-    /// The fused stage structure as `(label, is_barrier)` pairs, or `None`
-    /// for opaque plans. Consecutive non-barrier stages execute as one
-    /// fused segment.
-    pub fn fused_stages(&self) -> Option<Vec<(&'static str, bool)>> {
-        match &*self.body.borrow() {
-            Body::Ops(plan) => Some(fused::stage_list(&plan.nodes)),
-            Body::Opaque(_) => None,
-        }
-    }
-
-    /// Sequential composition: run `self`, feed its output to `next`.
-    /// Lowerability is preserved when both sides have it; two op chains
-    /// concatenate, and if either side is opaque the result is one closure
-    /// running both.
-    pub fn then<C>(self, next: Skel<'a, B, C>) -> Skel<'a, A, C>
-    where
-        A: 'a,
-        B: 'a,
-        C: 'a,
-    {
+    /// Sequential composition: run `self`, feed its output to `next`. The
+    /// op chains concatenate, and lowerability is preserved when both
+    /// sides have it.
+    pub fn then<C>(self, next: Skel<'a, B, C>) -> Skel<'a, A, C> {
         let repr = match (self.repr, next.repr) {
             // `next` applies after `self`: composition order is next ∘ self.
             // Normalised so identity seeds (Skel::pipe) leave no `id` term.
             (Some(a), Some(b)) => Some(scl_transform::normalize(b.after(a))),
             _ => None,
         };
-        let body = match (self.body.into_inner(), next.body.into_inner()) {
-            (Body::Ops(a), Body::Ops(b)) => Body::Ops(fused::compose(a, b)),
-            (f, g) => {
-                let (mut f, mut g) = (f.into_fn(), g.into_fn());
-                Body::Opaque(Box::new(move |scl: &mut Scl, x| {
-                    let mid = f(scl, x);
-                    g(scl, mid)
-                }))
-            }
-        };
-        Skel::with_body(body, repr)
+        Skel {
+            plan: RefCell::new(fused::compose(
+                self.plan.into_inner(),
+                next.plan.into_inner(),
+            )),
+            repr,
+        }
     }
 
     /// The IR of this plan, if every stage was lowerable (no symbol
@@ -227,23 +141,28 @@ impl<'a, A, B> Skel<'a, A, B> {
     }
 
     /// The plan's structural fingerprint — the key `scl-serve`'s plan
-    /// cache compiles under — or `None` for a plan with an opaque stage: a
-    /// closure has no structure to hash, so caching it would let different
-    /// closures alias.
+    /// cache compiles under.
     ///
     /// The fingerprint hashes the op chain (stage kinds, labels, order,
-    /// charging conventions) and, when the plan is in the lowerable
-    /// fragment, its IR representation. It deliberately does **not** hash
-    /// closure bodies — see [`PlanFingerprint`](fused::PlanFingerprint)
-    /// for the equality contract and the salting escape hatch.
-    pub fn fingerprint(&self) -> Option<fused::PlanFingerprint> {
-        match &*self.body.borrow() {
-            Body::Ops(plan) if !plan.opaque => {
-                let repr = self.repr.as_ref().map(|e| e as &dyn std::fmt::Display);
-                Some(fused::fingerprint_plan(&plan.nodes, repr))
-            }
-            _ => None,
-        }
+    /// charging conventions, structural parameters) and, when the plan is
+    /// in the lowerable fragment, its IR representation. It deliberately
+    /// does **not** hash closure bodies — see
+    /// [`PlanFingerprint`](fused::PlanFingerprint) for the equality
+    /// contract and the salting escape hatch.
+    pub fn fingerprint(&self) -> fused::PlanFingerprint {
+        let repr = self.repr.as_ref().map(|e| e as &dyn std::fmt::Display);
+        fused::fingerprint_plan(&self.plan.borrow().nodes, repr)
+    }
+
+    /// Hand the plan's operator chain to a streaming runtime, as it is:
+    /// maximal fused compute segments ([`PlanOp::Segment`], pure and
+    /// replicable) separated by barriers ([`PlanOp::Barrier`], stateful,
+    /// order-serial) and branches. This is the compilation input of the
+    /// `scl-stream` runtime: each segment becomes a long-lived farm stage,
+    /// each barrier a stage boundary. Consumes the plan (the ops own the
+    /// stage closures).
+    pub fn into_stream_ops(self) -> Vec<PlanOp<'a>> {
+        self.plan.into_inner().nodes
     }
 }
 
@@ -252,36 +171,14 @@ where
     A: FusePort + 'a,
     B: FusePort + 'a,
 {
-    /// The plan as an op chain: an opaque closure becomes one barrier
-    /// labelled `"opaque"`.
-    fn into_ops(self) -> FusedPlan<'a, A, B> {
-        match self.body.into_inner() {
-            Body::Ops(plan) => plan,
-            Body::Opaque(f) => fused::opaque_node(f),
-        }
-    }
-
-    /// Hand the plan's operator chain to a streaming runtime, as it is:
-    /// maximal fused compute segments ([`PlanOp::Segment`], pure and
-    /// replicable) separated by barriers ([`PlanOp::Barrier`], stateful,
-    /// order-serial) and branches; an opaque plan is one barrier labelled
-    /// `"opaque"` running its closure. This is the compilation input of
-    /// the `scl-stream` runtime: each segment becomes a long-lived farm
-    /// stage, each barrier a stage boundary.
-    ///
-    /// Consumes the plan (the ops own the stage closures). Never fails —
-    /// the error type is [`Infallible`], so `let Ok(ops) = …;` is
-    /// irrefutable.
-    pub fn into_stream_ops(self) -> Result<Vec<PlanOp<'a>>, Infallible> {
-        Ok(self.into_ops().nodes)
-    }
-
-    /// An opaque whole-configuration stage that still composes into fused
-    /// chains — as a **barrier** between fused segments. This is the fused
-    /// counterpart of [`Skel::from_fn`]: use it for global phases (gathers,
-    /// broadcasts, anything touching the whole configuration) inside plans
-    /// whose other stages should fuse. `label` names the stage in
-    /// [`Skel::fused_stages`] and in panic messages.
+    /// A whole-configuration host computation as one **barrier** between
+    /// fused segments: use it for global phases (gathers, broadcasts,
+    /// anything touching the whole configuration) inside plans whose other
+    /// stages should fuse. `label` names the stage in
+    /// [`Skel::fused_stages`] and in panic messages, and it is the stage's
+    /// cache identity: two barriers with one label fingerprint equal
+    /// whatever their closures do (see
+    /// [`PlanFingerprint`](fused::PlanFingerprint)).
     pub fn barrier(
         label: &'static str,
         mut f: impl FnMut(&mut Scl, A) -> B + 'a,
@@ -296,9 +193,8 @@ where
     /// input is the pair of both inputs; its output the pair of both
     /// outputs.
     ///
-    /// Always an op chain: a single **branch op** whose arms are the two
-    /// sides' op chains (an opaque side enters as one `"opaque"` barrier),
-    /// and [`Scl::run_fused`] schedules independent pure arms as siblings
+    /// A single **branch op** whose arms are the two sides' op chains, and
+    /// [`Scl::run_fused`] schedules independent pure arms as siblings
     /// of one pool dispatch (see [`crate::fused`]). Not lowerable (the
     /// IR's branch forms are the symbolic [`Skel::fanout_sym`] /
     /// [`Skel::choice_sym`]).
@@ -320,12 +216,15 @@ where
         (A, C): FusePort + 'a,
         (B, D): FusePort + 'a,
     {
-        Skel::from_ops(fused::pair_node(self.into_ops(), other.into_ops()))
+        Skel::from_ops(fused::pair_node(
+            self.plan.into_inner(),
+            other.plan.into_inner(),
+        ))
     }
 
     /// Fan-out composition (the arrow `&&&`): feed one input to both
     /// `self` and `other` (the second arm receives a clone) and pair the
-    /// results. Always an op chain, exactly as for [`Skel::pair`].
+    /// results. One branch op, exactly as for [`Skel::pair`].
     ///
     /// ```
     /// use scl_core::prelude::*;
@@ -342,41 +241,44 @@ where
         C: FusePort + 'a,
         (B, C): FusePort + 'a,
     {
-        Skel::from_ops(fused::fanout_node(self.into_ops(), other.into_ops()))
+        Skel::from_ops(fused::fanout_node(
+            self.plan.into_inner(),
+            other.plan.into_inner(),
+        ))
     }
 
     /// Predicate-driven branching (Either-style choice): inspect the input
     /// with `pred`, run `left` when it holds, `right` otherwise. Exactly
-    /// one arm executes (and is charged). Always an op chain, as for
+    /// one arm executes (and is charged). One branch op, as for
     /// [`Skel::pair`].
     pub fn choice(
         pred: impl Fn(&A) -> bool + 'a,
         left: Skel<'a, A, B>,
         right: Skel<'a, A, B>,
     ) -> Skel<'a, A, B> {
-        Skel::from_ops(fused::choice_node(pred, left.into_ops(), right.into_ops()))
+        Skel::from_ops(fused::choice_node(
+            pred,
+            left.plan.into_inner(),
+            right.plan.into_inner(),
+        ))
     }
 }
 
-impl<'a, A: 'a> Skel<'a, A, A> {
-    /// The identity plan: an opaque closure, lowerable ([`Expr::Id`]) but
-    /// **not** fusable — `A` is unconstrained here, so no [`FusePort`]
-    /// boundary exists; composing a fusable plan with `identity()` makes
-    /// the whole chain opaque ([`Skel::pipe`] therefore seeds from its
-    /// first stage instead of an identity).
+impl<'a, A: FusePort + 'a> Skel<'a, A, A> {
+    /// The identity plan: the empty chain, lowering to [`Expr::Id`].
+    /// Composing with it leaves a plan's stages and fingerprint unchanged.
     pub fn identity() -> Skel<'a, A, A> {
-        Skel::with_body(Body::Opaque(Box::new(|_, x| x)), Some(Expr::Id))
+        Skel {
+            plan: RefCell::new(FusedPlan::empty()),
+            repr: Some(Expr::Id),
+        }
     }
 
     /// Compose a pipeline of same-typed stages given in **execution order**
     /// (first element runs first) — the plan-level analogue of
     /// [`Expr::pipeline`].
     pub fn pipe(stages: Vec<Skel<'a, A, A>>) -> Skel<'a, A, A> {
-        let mut it = stages.into_iter();
-        match it.next() {
-            None => Skel::identity(),
-            Some(first) => it.fold(first, |acc, s| acc.then(s)),
-        }
+        stages.into_iter().fold(Skel::identity(), Skel::then)
     }
 }
 
@@ -384,13 +286,12 @@ impl<'a, A: 'a> Skel<'a, A, A> {
 
 /// Stamp a stage's structural parameters into its fused op, so the
 /// plan fingerprint distinguishes e.g. `rotate(1)` from `rotate(2)` even
-/// when the surrounding plan is opaque (and the composed IR therefore
-/// dropped). `rendered` is any stable textual rendering of the
-/// parameters.
+/// when a closure stage elsewhere in the plan drops the composed IR.
+/// `rendered` is any stable textual rendering of the parameters.
 fn tag_param<A, B>(plan: &Skel<'_, A, B>, rendered: &str) {
-    if let Body::Ops(ops) = &mut *plan.body.borrow_mut() {
-        ops.tag_param(fused::param_hash(rendered));
-    }
+    plan.plan
+        .borrow_mut()
+        .tag_param(fused::param_hash(rendered));
 }
 
 impl<'a, T, R> Skel<'a, ParArray<T>, ParArray<R>>
@@ -445,23 +346,6 @@ where
         Skel::from_ops(fused::compute_pair_node("zip_with", move |x, y| {
             (f(x, y), Work::NONE)
         }))
-    }
-}
-
-impl<'a, T> Skel<'a, ParArray<T>, T>
-where
-    T: Clone + Bytes + 'a,
-{
-    /// Tree reduction to a scalar ([`Scl::fold`]); `op` must be
-    /// associative.
-    pub fn fold(op: impl Fn(&T, &T) -> T + 'a) -> Self {
-        Skel::from_fn(move |scl: &mut Scl, a: ParArray<T>| scl.fold(&a, &op))
-    }
-
-    /// [`Skel::fold`] with explicit per-phase combine work
-    /// ([`Scl::fold_costed`]).
-    pub fn fold_costed(op: impl Fn(&T, &T) -> T + 'a, combine: Work) -> Self {
-        Skel::from_fn(move |scl: &mut Scl, a: ParArray<T>| scl.fold_costed(&a, &op, combine))
     }
 }
 
@@ -610,13 +494,15 @@ where
 
 impl<'a, T> Skel<'a, ParArray<T>, ParArray<T>>
 where
-    T: Sync + Send + Clone + 'a,
+    T: Sync + Send + Clone + 'static,
 {
     /// SPMD stages ([`Scl::spmd`]). Takes a *factory* producing the stage
     /// list so the plan can be run more than once (stages are consumed per
-    /// run).
+    /// run). A fusion barrier.
     pub fn spmd(factory: impl Fn() -> Vec<SpmdStage<'a, T>> + 'a) -> Self {
-        Skel::from_fn(move |scl: &mut Scl, a: ParArray<T>| scl.spmd(factory(), a))
+        Skel::barrier("spmd", move |scl: &mut Scl, a: ParArray<T>| {
+            scl.spmd(factory(), a)
+        })
     }
 }
 
@@ -928,11 +814,9 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
     /// virtual processor). The inverse of [`Skel::lower`], used after
     /// [`optimize`].
     ///
-    /// The raised plan is built stage by stage, so it is **fusable**: maps
-    /// become compute stages, branches become branch ops with recursively
-    /// raised arms, everything else becomes a barrier, and
-    /// [`Scl::run_optimized`] can hand the optimised program to the fused
-    /// executor.
+    /// The raised plan is built stage by stage: maps become compute
+    /// stages (which fuse), branches become branch ops with recursively
+    /// raised arms, and everything else becomes a barrier.
     pub fn from_expr(e: &Expr, reg: &'a Registry) -> Result<Self, String> {
         match shape_of(e, Shape::Arr) {
             Ok(Shape::Arr) => {}
@@ -951,7 +835,7 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
         };
 
         // Group the stages so that every emitted piece is array→array:
-        // shape-preserving leaves become their own (possibly fusable)
+        // shape-preserving leaves become their own (possibly fused)
         // stage; a `split … combine` region accumulates until the shape is
         // flat again and runs as one barrier.
         let mut plan: Option<Self> = None;
@@ -1090,8 +974,8 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
 impl Scl {
     /// The plan → optimise → execute entry point: lower `plan`, apply the
     /// §4 rewrite laws with [`optimize`], raise the optimised program and
-    /// execute it here **through the fused executor** (the raised plan is
-    /// always fusable, so surviving map runs execute partition-resident).
+    /// execute it here **through the fused executor** (surviving map runs
+    /// execute partition-resident).
     /// Returns the result and the rewrite log (empty when the plan is
     /// outside the lowerable fragment, in which case it runs eagerly
     /// instead — same answer either way).
@@ -1115,15 +999,13 @@ impl Scl {
         }
     }
 
-    /// Execute `plan` through the fused, partition-resident executor —
-    /// [`Skel::run_fused`] as a context method, mirroring
-    /// [`Scl::run_optimized`]. On the fused path (any [`Skel::fusable`]
-    /// plan) oversized configurations surface as
+    /// Execute `plan` through the fused, partition-resident executor (see
+    /// [`crate::fused`]): the op chain under summed charging — the same
+    /// answer as [`Skel::run`]. Oversized configurations surface as
     /// [`SclError::MachineTooSmall`](crate::error::SclError) instead of
-    /// panicking; an opaque plan runs its closure (same answer, eager
-    /// panicking semantics).
+    /// panicking.
     pub fn run_fused<'r, A, B>(&mut self, plan: &Skel<'r, A, B>, input: A) -> SclResult<B> {
-        plan.run_fused(self, input)
+        self.exec_ops(&mut plan.plan.borrow_mut(), input, true)
     }
 }
 
@@ -1320,11 +1202,11 @@ mod tests {
 
     #[test]
     fn fold_and_scan_plans() {
-        let plan =
-            Skel::scan(|a: &i64, b: &i64| a + b).then(Skel::fold(|a: &i64, b: &i64| *a.max(b)));
+        let plan = Skel::scan(|a: &i64, b: &i64| a + b)
+            .then(Skel::fold_all(|a: &i64, b: &i64| *a.max(b), Work::NONE));
         let mut s = unit_ctx(4);
-        // scan: 0,1,3,6 -> fold max -> 6
-        assert_eq!(plan.run(&mut s, arr(4)), 6);
+        // scan: 0,1,3,6 -> fold max -> 6 on every part
+        assert_eq!(plan.run(&mut s, arr(4)).to_vec(), vec![6; 4]);
     }
 
     #[test]
@@ -1345,14 +1227,14 @@ mod tests {
         let b = Skel::map(|x: &i64| x + 1)
             .then(Skel::rotate(2))
             .then(Skel::map_costed(|x: &i64| (x * 2, Work::flops(1))));
-        assert_eq!(a.fingerprint().unwrap(), b.fingerprint().unwrap());
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn stage_order_changes_the_fingerprint() {
         let ab = Skel::map(|x: &i64| x + 1).then(Skel::map_costed(|x: &i64| (*x, Work::NONE)));
         let ba = Skel::map_costed(|x: &i64| (*x, Work::NONE)).then(Skel::map(|x: &i64| x + 1));
-        assert_ne!(ab.fingerprint().unwrap(), ba.fingerprint().unwrap());
+        assert_ne!(ab.fingerprint(), ba.fingerprint());
     }
 
     #[test]
@@ -1360,7 +1242,7 @@ mod tests {
         let plain = Skel::map(|x: &i64| x + 1);
         let costed = Skel::map_costed(|x: &i64| (x + 1, Work::NONE));
         let imap = Skel::imap(|_, x: &i64| x + 1);
-        let fp = |p: &Skel<'_, ParArray<i64>, ParArray<i64>>| p.fingerprint().unwrap();
+        let fp = |p: &Skel<'_, ParArray<i64>, ParArray<i64>>| p.fingerprint();
         assert_ne!(fp(&plain), fp(&costed));
         assert_ne!(fp(&plain), fp(&imap));
         assert_ne!(fp(&costed), fp(&imap));
@@ -1374,7 +1256,7 @@ mod tests {
         let fold = Skel::map(|x: &i64| x + 1).then(Skel::fold_all(|a, b| a + b, Work::NONE));
         let fps: Vec<_> = [&rot, &shift, &scan, &fold]
             .iter()
-            .map(|p| p.fingerprint().unwrap())
+            .map(|p| p.fingerprint())
             .collect();
         for i in 0..fps.len() {
             for j in i + 1..fps.len() {
@@ -1387,17 +1269,13 @@ mod tests {
     fn lowerable_parameters_fingerprint_apart() {
         // same op chain (one `rotate` barrier), different IR parameter
         assert_ne!(
-            Skel::<'_, ParArray<i64>, ParArray<i64>>::rotate(1)
-                .fingerprint()
-                .unwrap(),
-            Skel::<'_, ParArray<i64>, ParArray<i64>>::rotate(2)
-                .fingerprint()
-                .unwrap()
+            Skel::<'_, ParArray<i64>, ParArray<i64>>::rotate(1).fingerprint(),
+            Skel::<'_, ParArray<i64>, ParArray<i64>>::rotate(2).fingerprint()
         );
         let reg = Registry::standard();
         assert_ne!(
-            Skel::map_sym("inc", &reg).fingerprint().unwrap(),
-            Skel::map_sym("double", &reg).fingerprint().unwrap()
+            Skel::map_sym("inc", &reg).fingerprint(),
+            Skel::map_sym("double", &reg).fingerprint()
         );
     }
 
@@ -1411,7 +1289,6 @@ mod tests {
             Skel::map(|x: &i64| x + 1)
                 .then(Skel::rotate(k))
                 .fingerprint()
-                .unwrap()
         };
         assert_ne!(fp(1), fp(2));
         assert_eq!(fp(2), fp(2));
@@ -1420,7 +1297,6 @@ mod tests {
             Skel::map(|x: &i64| x + 1)
                 .then(Skel::shift(k, 0))
                 .fingerprint()
-                .unwrap()
         };
         assert_ne!(sh(1), sh(2));
 
@@ -1428,14 +1304,11 @@ mod tests {
             Skel::map(|x: &i64| x + 1)
                 .then(Skel::iter_for(n, |_, _, a| a))
                 .fingerprint()
-                .unwrap()
         };
         assert_ne!(it(3), it(4));
 
         let pt = |p: usize| {
-            Skel::<'_, Vec<i64>, ParArray<Vec<i64>>>::partition(Pattern::Block(p))
-                .fingerprint()
-                .unwrap()
+            Skel::<'_, Vec<i64>, ParArray<Vec<i64>>>::partition(Pattern::Block(p)).fingerprint()
         };
         assert_ne!(pt(2), pt(4));
 
@@ -1444,27 +1317,50 @@ mod tests {
             Skel::map(|x: &i64| x + 1)
                 .then(Skel::map_sym(name, &reg))
                 .fingerprint()
-                .unwrap()
         };
         assert_ne!(sym("inc"), sym("double"));
 
         // closure-captured values remain invisible — the documented
         // submit_keyed case
-        let fill = |v: i64| {
-            Skel::<'_, ParArray<i64>, ParArray<i64>>::shift(1, v)
-                .fingerprint()
-                .unwrap()
-        };
+        let fill = |v: i64| Skel::<'_, ParArray<i64>, ParArray<i64>>::shift(1, v).fingerprint();
         assert_eq!(fill(0), fill(9));
     }
 
     #[test]
-    fn unfusable_plans_have_no_fingerprint() {
-        let opaque = Skel::from_fn(|_, a: ParArray<i64>| a);
-        assert!(opaque.fingerprint().is_none());
-        // one opaque stage poisons the chain's fingerprint too
-        let chain = Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|_, a: ParArray<i64>| a));
-        assert!(chain.fingerprint().is_none());
+    fn barrier_plans_fingerprint_by_label() {
+        // a barrier's cache identity is its label: two closures under one
+        // label alias, as two maps do, and another label splits them
+        let pass = Skel::barrier("b", |_, a: ParArray<i64>| a);
+        let rot = Skel::barrier("b", |scl: &mut Scl, a: ParArray<i64>| {
+            scl.rotate_owned(1, a)
+        });
+        let other = Skel::barrier("c", |_, a: ParArray<i64>| a);
+        assert_eq!(pass.fingerprint(), rot.fingerprint());
+        assert_ne!(pass.fingerprint(), other.fingerprint());
+    }
+
+    #[test]
+    fn identity_is_the_empty_chain() {
+        let reg = Registry::standard();
+        let closure = || Skel::map(|x: &i64| x + 1).then(Skel::rotate(1));
+        let symbolic = || Skel::map_sym("inc", &reg).then(Skel::rotate(1));
+        for (p, q) in [(closure(), closure()), (symbolic(), symbolic())] {
+            let (stages, fp, repr) = (q.fused_stages(), q.fingerprint(), q.repr().cloned());
+            let wrapped = Skel::identity().then(p).then(Skel::identity());
+            assert_eq!(wrapped.fused_stages(), stages);
+            assert_eq!(wrapped.fingerprint(), fp);
+            assert_eq!(wrapped.repr().cloned(), repr);
+            let mut s = unit_ctx(4);
+            assert_eq!(
+                s.run_fused(&wrapped, arr(4)).unwrap().to_vec(),
+                vec![2, 3, 4, 1]
+            );
+        }
+        let empty = Skel::<'_, ParArray<i64>, ParArray<i64>>::pipe(vec![]);
+        assert!(empty.fused_stages().is_empty());
+        assert_eq!(empty.repr(), Some(&Expr::Id));
+        let mut s = unit_ctx(4);
+        assert_eq!(empty.run(&mut s, arr(4)), arr(4));
     }
 
     // ---- fused execution ----------------------------------------------------
@@ -1477,9 +1373,8 @@ mod tests {
             .then(Skel::map(|x: &i64| x * 2))
             .then(Skel::rotate(1))
             .then(Skel::map_costed(|x: &i64| (x - 1, Work::flops(1))));
-        assert!(plan.fusable());
         assert_eq!(
-            plan.fused_stages().unwrap(),
+            plan.fused_stages(),
             vec![
                 ("map", false),
                 ("map", false),
@@ -1491,13 +1386,15 @@ mod tests {
 
     #[test]
     fn opaque_from_fn_forfeits_fusion_but_barrier_does_not() {
-        let opaque = Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|_, a: ParArray<i64>| a));
-        assert!(!opaque.fusable());
-
+        // a host stage enters the chain as one barrier: the compute stages
+        // on either side keep their segments
         let with_barrier = Skel::map(|x: &i64| x + 1)
             .then(Skel::barrier("pass", |_, a: ParArray<i64>| a))
             .then(Skel::map(|x: &i64| x * 3));
-        assert!(with_barrier.fusable());
+        assert_eq!(
+            with_barrier.fused_stages(),
+            vec![("map", false), ("pass", true), ("map", false)]
+        );
         let mut s = unit_ctx(4);
         let out = s.run_fused(&with_barrier, arr(4)).unwrap();
         assert_eq!(out.to_vec(), vec![3, 6, 9, 12]);
@@ -1505,20 +1402,16 @@ mod tests {
 
     #[test]
     fn opaque_branch_arm_is_an_opaque_barrier() {
-        // a closure inside a branch arm becomes one "opaque" barrier: the
-        // plan fuses, both interpreters agree, and it never fingerprints
-        let plan = || {
-            Skel::map(|x: &i64| x * 3).pair(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
-                scl.rotate(1, &a)
-            }))
-        };
-        assert!(plan().fusable());
-        assert_eq!(plan().fused_stages().unwrap(), vec![("pair", true)]);
-        assert!(plan().fingerprint().is_none());
-        assert!(plan()
-            .then(Skel::barrier("id", |_, x| x))
-            .fingerprint()
-            .is_none());
+        // a host stage inside a branch arm is one barrier of that arm:
+        // both interpreters agree, and the arm's label keys the fingerprint
+        let arm = |label| Skel::barrier(label, |scl: &mut Scl, a: ParArray<i64>| scl.rotate(1, &a));
+        let plan = || Skel::map(|x: &i64| x * 3).pair(arm("rot"));
+        assert_eq!(plan().fused_stages(), vec![("pair", true)]);
+        assert_eq!(plan().fingerprint(), plan().fingerprint());
+        assert_ne!(
+            plan().fingerprint(),
+            Skel::map(|x: &i64| x * 3).pair(arm("other")).fingerprint()
+        );
         for policy in [
             ExecPolicy::Sequential,
             ExecPolicy::Threads(2),
@@ -1681,7 +1574,6 @@ mod tests {
             Skel::rotate(1),
             Skel::map(|x: &i64| x * 2),
         ]);
-        assert!(plan.fusable());
         let mut s = unit_ctx(3);
         // (0,1,2) -> +1 -> (1,2,3) -> rotate 1 -> (2,3,1) -> *2 -> (4,6,2)
         assert_eq!(s.run_fused(&plan, arr(3)).unwrap().to_vec(), vec![4, 6, 2]);
@@ -1697,8 +1589,7 @@ mod tests {
             Expr::Map(FnRef::named("square")),
         ]);
         let raised = Skel::from_expr(&e, &reg).unwrap();
-        assert!(raised.fusable());
-        let stages = raised.fused_stages().unwrap();
+        let stages = raised.fused_stages();
         assert_eq!(
             stages,
             vec![
@@ -1728,7 +1619,7 @@ mod tests {
             Expr::Map(FnRef::named("double")),
         ]);
         let raised = Skel::from_expr(&e, &reg).unwrap();
-        let stages = raised.fused_stages().unwrap();
+        let stages = raised.fused_stages();
         assert_eq!(
             stages,
             vec![("map_sym", false), ("expr", true), ("map_sym", false),]
@@ -1764,8 +1655,7 @@ mod tests {
             |_, s| s,
             |(_, n, _): &(ParArray<i64>, usize, f64)| *n >= 3,
         );
-        assert!(plan.fusable());
-        assert_eq!(plan.fused_stages().unwrap(), vec![("iter_until", true)]);
+        assert_eq!(plan.fused_stages(), vec![("iter_until", true)]);
         let mut s = unit_ctx(4);
         let (out, n, _) = s.run_fused(&plan, (arr(4), 0usize, 0.0f64)).unwrap();
         assert_eq!(n, 3);

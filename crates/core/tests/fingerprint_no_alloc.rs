@@ -29,17 +29,18 @@ fn fingerprinting_a_lowerable_plan_allocates_nothing() {
         },
     ]);
     let plan = Skel::from_expr(&e, &reg).unwrap();
-    let expect = plan.fingerprint().unwrap();
+    let expect = plan.fingerprint();
 
     let before = allocations();
-    let got = plan.fingerprint().unwrap();
+    let got = plan.fingerprint();
     assert_eq!(allocations() - before, 0, "fingerprint allocated");
     assert_eq!(got, expect);
 
-    // and an opaque plan (no IR to render) likewise
-    let opaque = Skel::map(|x: &i64| x + 1).then(Skel::rotate(1));
+    // and a plan with a closure stage (no IR to render) likewise
+    let closure = || Skel::map(|x: &i64| x + 1).then(Skel::rotate(1));
+    let plan = closure();
     let before = allocations();
-    let fp = opaque.fingerprint();
+    let fp = plan.fingerprint();
     assert_eq!(allocations() - before, 0, "fingerprint allocated");
-    assert!(fp.is_some());
+    assert_eq!(fp, closure().fingerprint());
 }

@@ -96,7 +96,7 @@
 //! [`Scl::run_fused`]: scl_core::Scl::run_fused
 //! [`Scl::run_optimized`]: scl_core::Scl::run_optimized
 
-use scl_core::{panic_message, FusePort, PlanFingerprint, RequestError, Scl, SclError, Skel};
+use scl_core::{FusePort, PlanFingerprint, RequestError, SclError, Skel};
 use scl_exec::{ExecPolicy, ThreadBudget};
 use scl_machine::{Machine, MachineReport};
 use scl_stream::{StreamExec, StreamPolicy};
@@ -238,7 +238,7 @@ pub struct Ticket(u64);
 /// Serving counters, from [`Serve::stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests accepted (including uncacheable ones).
+    /// Requests accepted.
     pub requests: u64,
     /// Requests completed and delivered to the done-pile.
     pub completed: u64,
@@ -250,18 +250,14 @@ pub struct ServeStats {
     pub evictions: u64,
     /// Service-round batches pushed through graphs.
     pub batches: u64,
-    /// Uncacheable submissions served immediately through the eager /
-    /// fallback path (plans with an opaque stage, non-lowerable optimized
-    /// plans).
-    pub eager_runs: u64,
     /// Requests resolved with a typed [`RequestError`] (any kind): their
     /// tickets are ready with an `Err` outcome, collectable through
     /// [`Serve::outcome`]. Supersets [`ServeStats::panics`] and
     /// [`ServeStats::deadline_expired`].
     pub failed: u64,
     /// Requests failed because their plan crashed (stage/barrier panics,
-    /// barrier errors, eager panics) — including requests queued behind a
-    /// crashed batch for the same plan.
+    /// barrier errors) — including requests queued behind a crashed batch
+    /// for the same plan.
     pub panics: u64,
     /// Requests failed because their deadline passed before completion.
     pub deadline_expired: u64,
@@ -571,21 +567,12 @@ where
         deadline: Option<Instant>,
     ) -> Result<Ticket, SclError> {
         let input = self.check_input(input)?;
-        match plan.fingerprint() {
-            None => {
-                // an opaque stage: no structure to key a cache on — serve
-                // immediately through `Skel::run`, uncached
-                Ok(self.eager_run(tenant, input, deadline, |scl, input| plan.run(scl, input)))
-            }
-            Some(fp) => {
-                let fp = salt_key(fp, "plain", key);
-                let ticket = self.mint_ticket(tenant);
-                self.enqueue(fp, ticket, tenant, input, deadline, || {
-                    (plan, /* fused_charging = */ false)
-                });
-                Ok(ticket)
-            }
-        }
+        let fp = salt_key(plan.fingerprint(), "plain", key);
+        let ticket = self.mint_ticket(tenant);
+        self.enqueue(fp, ticket, tenant, input, deadline, || {
+            (plan, /* fused_charging = */ false)
+        });
+        Ok(ticket)
     }
 
     /// One service round, in two phases so different plans' farm work
@@ -831,68 +818,6 @@ where
         Ok(input)
     }
 
-    /// Serve one request immediately through the eager layer — the
-    /// fallback for plans with nothing to cache (an opaque stage, or
-    /// non-lowerable in optimized mode). The run claims its width from
-    /// the shared budget ([`Serve::eager_budgeted`]) and resolves the
-    /// ticket before returning. A panicking plan resolves its ticket to
-    /// a typed `Err` outcome instead of unwinding — the same
-    /// failure-as-a-value contract as [`Serve::step`] — and an
-    /// already-expired deadline short-circuits without running at all.
-    fn eager_run(
-        &mut self,
-        tenant: TenantId,
-        input: A,
-        deadline: Option<Instant>,
-        run: impl FnOnce(&mut Scl, A) -> B,
-    ) -> Ticket {
-        let ticket = self.mint_ticket(tenant);
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.fail(ticket, tenant, RequestError::DeadlineExceeded);
-            return ticket;
-        }
-        let (exec, lease) = self.eager_budgeted();
-        let mut scl = Scl::new(self.policy.machine.clone()).with_policy(exec);
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut scl, input)));
-        drop(lease);
-        match result {
-            Ok(out) => {
-                self.finish(ticket, tenant, out, scl.machine.report());
-                self.stats.eager_runs += 1;
-            }
-            Err(payload) => {
-                let err = RequestError::Panicked {
-                    message: panic_message(&*payload).to_string(),
-                };
-                self.fail(ticket, tenant, err);
-            }
-        }
-        ticket
-    }
-
-    /// The execution policy (and its budget lease) for an immediate eager
-    /// run: claim up to the policy's thread count from the shared budget
-    /// and run at the grant, so fallback requests stay inside the same
-    /// host-wide cap the compiled graphs honour. With nothing claimable
-    /// the run degrades to one thread — results and reports are
-    /// policy-independent (the differential suites pin this), only host
-    /// wall time changes.
-    fn eager_budgeted(&self) -> (ExecPolicy, Option<scl_exec::BudgetLease>) {
-        let want = self.policy.exec.effective_threads(usize::MAX);
-        if want <= 1 {
-            return (self.policy.exec, None);
-        }
-        let lease = self.budget.try_claim(want, 1);
-        let granted = lease.as_ref().map_or(1, |l| l.granted());
-        let exec = match self.policy.exec {
-            ExecPolicy::Sequential => ExecPolicy::Sequential,
-            ExecPolicy::Threads(_) => ExecPolicy::Threads(granted),
-            ExecPolicy::CostDriven { .. } => ExecPolicy::CostDriven { threads: granted },
-        };
-        (exec, lease)
-    }
-
     fn mint_ticket(&mut self, tenant: TenantId) -> Ticket {
         assert!(tenant.0 < self.tenants.len(), "unregistered tenant");
         let t = Ticket(self.next_ticket);
@@ -1024,11 +949,12 @@ impl Serve<scl_core::ParArray<i64>, scl_core::ParArray<i64>> {
     /// `run_optimized`); later structurally-equal submissions skip
     /// straight past lower/optimise/raise/compile to the cached graph.
     ///
-    /// Plans outside the lowerable fragment take `run_optimized`'s own
-    /// fallback — an immediate eager run — and are not cached. The
-    /// borrowed `plan` is only read; `reg` must outlive the service's
-    /// worker threads, hence `'static` (lowerable-fragment registries are
-    /// cheap to build once and leak, see the serving example).
+    /// A plan outside the lowerable fragment has no optimised program to
+    /// cache: it is rejected with [`SclError::NotLowerable`] and no ticket
+    /// is issued (submit it plainly instead). The borrowed `plan` is only
+    /// read; `reg` must outlive the service's worker threads, hence
+    /// `'static` (lowerable-fragment registries are cheap to build once
+    /// and leak, see the serving example).
     ///
     /// [`Scl::run_optimized`]: scl_core::Scl::run_optimized
     /// [`Skel::from_expr`]: scl_core::Skel::from_expr
@@ -1056,15 +982,7 @@ impl Serve<scl_core::ParArray<i64>, scl_core::ParArray<i64>> {
         deadline: Option<Instant>,
     ) -> Result<Ticket, SclError> {
         let input = self.check_input(input)?;
-        let eager_fallback = |srv: &mut Self, input| {
-            // outside the fusable/lowerable fragment: `run_optimized`
-            // falls back to an eager run, and so does the service
-            srv.eager_run(tenant, input, deadline, |scl, input| plan.run(scl, input))
-        };
-        let Some(fp) = plan.fingerprint() else {
-            return Ok(eager_fallback(self, input));
-        };
-        let fp = salt_key(fp, "optimized", key);
+        let fp = salt_key(plan.fingerprint(), "optimized", key);
         // a cache hit pays only the fingerprint: lowering (an O(plan) IR
         // clone plus symbol validation) is deferred to the miss path —
         // the hit's structurally-equal predecessor already lowered. An
@@ -1082,19 +1000,15 @@ impl Serve<scl_core::ParArray<i64>, scl_core::ParArray<i64>> {
             });
             return Ok(ticket);
         }
-        match plan.lower(reg) {
-            Some(expr) => {
-                let ticket = self.mint_ticket(tenant);
-                self.enqueue(fp, ticket, tenant, input, deadline, move || {
-                    let (opt, _log) = optimize(expr, reg);
-                    let raised = Skel::from_expr(&opt, reg)
-                        .expect("optimize preserves the array→array shape");
-                    (raised, /* fused_charging = */ true)
-                });
-                Ok(ticket)
-            }
-            None => Ok(eager_fallback(self, input)),
-        }
+        let expr = plan.lower(reg).ok_or(SclError::NotLowerable)?;
+        let ticket = self.mint_ticket(tenant);
+        self.enqueue(fp, ticket, tenant, input, deadline, move || {
+            let (opt, _log) = optimize(expr, reg);
+            let raised =
+                Skel::from_expr(&opt, reg).expect("optimize preserves the array→array shape");
+            (raised, /* fused_charging = */ true)
+        });
+        Ok(ticket)
     }
 }
 

@@ -5,7 +5,7 @@
 //! `tests/serve_vs_solo.rs`.
 
 use super::*;
-use scl_core::ParArray;
+use scl_core::{ParArray, Scl};
 use scl_machine::Work;
 use scl_machine::{CostModel, Topology};
 
@@ -86,6 +86,35 @@ fn submit_keyed_separates_structural_twins() {
 }
 
 #[test]
+fn barrier_plans_cache_by_label_and_salt() {
+    // a barrier's cache identity is its label: two closures under one
+    // label share a graph (the first one's), and only a key splits them
+    let pass = || Skel::barrier("b", |_: &mut Scl, a: ParArray<i64>| a);
+    let rot = || {
+        Skel::barrier("b", |scl: &mut Scl, a: ParArray<i64>| {
+            scl.rotate_owned(1, a)
+        })
+    };
+    let mut srv = serve(ExecPolicy::Sequential);
+    let t = srv.add_tenant("t");
+    let a = srv.submit(t, pass(), arr(0)).unwrap();
+    let b = srv.submit(t, rot(), arr(0)).unwrap();
+    assert_eq!(srv.cached_plans(), 1, "one label, one graph");
+    assert_eq!(srv.stats().cache_misses, 1);
+    srv.run_until_idle();
+    assert_eq!(srv.take(a).unwrap().0, srv.take(b).unwrap().0);
+
+    let mut srv = serve(ExecPolicy::Sequential);
+    let t = srv.add_tenant("t");
+    let a = srv.submit_keyed(t, "pass", pass(), arr(0)).unwrap();
+    let b = srv.submit_keyed(t, "rot", rot(), arr(0)).unwrap();
+    assert_eq!(srv.cached_plans(), 2, "keys split the cache entries");
+    srv.run_until_idle();
+    assert_eq!(srv.take(a).unwrap().0.to_vec(), vec![0, 1, 2, 3]);
+    assert_eq!(srv.take(b).unwrap().0.to_vec(), vec![1, 2, 3, 0]);
+}
+
+#[test]
 fn batch_window_bounds_each_round() {
     let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
         ServePolicy::new(unit_machine(4))
@@ -101,43 +130,6 @@ fn batch_window_bounds_each_round() {
     assert_eq!(srv.step(), 4);
     assert_eq!(srv.step(), 2, "last round serves the remainder");
     assert_eq!(srv.stats().batches, 3);
-}
-
-#[test]
-fn unfusable_plans_serve_eagerly_and_uncached() {
-    let mut srv = serve(ExecPolicy::Sequential);
-    let t = srv.add_tenant("t");
-    let opaque = Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| scl.rotate(1, &a));
-    let ticket = srv.submit(t, opaque, arr(0)).unwrap();
-    // served immediately: no cache entry, no pending work
-    assert!(srv.is_ready(ticket));
-    assert_eq!(srv.cached_plans(), 0);
-    assert_eq!(srv.stats().eager_runs, 1);
-    let (out, _) = srv.take(ticket).unwrap();
-    assert_eq!(out.to_vec(), vec![1, 2, 3, 0]);
-}
-
-#[test]
-fn opaque_branch_arms_serve_eagerly_and_uncached() {
-    // a pair with an opaque arm is an op chain, but the closure has no
-    // structure to fingerprint: caching it would alias different closures
-    let plan = || {
-        Skel::map(|x: &i64| x * 3).pair(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
-            scl.rotate(1, &a)
-        }))
-    };
-    type Pair = (ParArray<i64>, ParArray<i64>);
-    let mut srv: Serve<Pair, Pair> =
-        Serve::new(ServePolicy::new(unit_machine(4)).with_exec(ExecPolicy::Sequential));
-    let t = srv.add_tenant("t");
-    let ticket = srv.submit(t, plan(), (arr(0), arr(10))).unwrap();
-    assert!(srv.is_ready(ticket));
-    assert_eq!(srv.cached_plans(), 0);
-    assert_eq!(srv.stats().eager_runs, 1);
-    let (out, report) = srv.take(ticket).unwrap();
-    let mut scl = Scl::new(unit_machine(4));
-    assert_eq!(out, plan().run(&mut scl, (arr(0), arr(10))));
-    assert_eq!(report, scl.machine.report());
 }
 
 #[test]
@@ -295,21 +287,18 @@ fn optimized_and_plain_submissions_never_share_a_graph() {
 }
 
 #[test]
-fn non_lowerable_optimized_submissions_fall_back_like_run_optimized() {
+fn non_lowerable_optimized_submissions_are_rejected() {
     let reg: &'static Registry = Box::leak(Box::new(Registry::standard()));
     let mut srv = serve(ExecPolicy::Sequential);
     let t = srv.add_tenant("t");
-    let opaque = Skel::map(|x: &i64| x * 7); // fusable but not lowerable
-    let ticket = srv.submit_optimized(t, "", &opaque, reg, arr(1)).unwrap();
-    assert!(srv.is_ready(ticket), "fallback serves immediately");
-    assert_eq!(srv.stats().eager_runs, 1);
-    let (out, report) = srv.take(ticket).unwrap();
-
-    let mut scl = Scl::new(unit_machine(4));
-    let (expect, log) = scl.run_optimized(&opaque, reg, arr(1));
-    assert!(log.is_empty());
-    assert_eq!(out, expect);
-    assert_eq!(report, scl.machine.report());
+    let closure = Skel::map(|x: &i64| x * 7); // no IR: nothing to optimise
+    let err = srv
+        .submit_optimized(t, "", &closure, reg, arr(1))
+        .unwrap_err();
+    assert_eq!(err, SclError::NotLowerable);
+    assert_eq!(srv.stats().requests, 0, "rejected requests never count");
+    assert_eq!(srv.tenant_pending(t), 0);
+    assert_eq!(srv.cached_plans(), 0);
 }
 
 #[test]
@@ -503,20 +492,26 @@ fn repeated_crashes_quarantine_the_plan_until_eviction() {
 
 #[test]
 fn panicking_eager_fallback_settles_accounting() {
-    // an unfusable plan that panics must not leak a forever-pending
-    // ticket (which would dilute every future fair-share split) — and
-    // must not unwind through submit
+    // a host barrier that panics must not leak a forever-pending ticket
+    // (which would dilute every future fair-share split) — and must not
+    // unwind through submit or the service round
     let mut srv = serve(ExecPolicy::Sequential);
     let t = srv.add_tenant("t");
-    let bomb = Skel::from_fn(|_: &mut Scl, _: ParArray<i64>| -> ParArray<i64> { panic!("boom") });
+    let bomb = Skel::barrier("bomb", |_: &mut Scl, _: ParArray<i64>| -> ParArray<i64> {
+        panic!("boom")
+    });
     let tk = srv.submit(t, bomb, arr(0)).unwrap();
+    srv.run_until_idle();
     match srv.outcome(tk).unwrap() {
-        Err(RequestError::Panicked { message }) => assert_eq!(message, "boom"),
-        other => panic!("expected a typed eager panic, got {other:?}"),
+        Err(RequestError::BarrierPanic { stage, message }) => {
+            assert_eq!(stage, "bomb");
+            assert_eq!(message, "boom");
+        }
+        other => panic!("expected a typed barrier panic, got {other:?}"),
     }
     assert_eq!(srv.tenant_pending(t), 0, "no leaked pending count");
     assert_eq!(srv.stats().failed, 1);
-    assert_eq!(srv.stats().eager_runs, 0, "failed runs are not served runs");
+    assert_eq!(srv.stats().completed, 0, "failed runs are not served runs");
     assert!(srv.shares().is_empty(), "tenant no longer counts as active");
     // the service keeps serving
     let ok = srv.submit(t, mixed_plan(), arr(1)).unwrap();
@@ -553,42 +548,17 @@ fn expired_deadlines_shed_queued_work_and_short_circuit() {
     assert_eq!(srv.stats().panics, 0, "expiry is not a crash");
     assert_eq!(srv.cached_plans(), 1, "no teardown on expiry");
 
-    // the eager fallback honours the same contract
-    let opaque = Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| scl.rotate(1, &a));
-    let dead_eager = srv
-        .submit_keyed_deadline(t, "", opaque, arr(0), Some(past))
+    // a plan with a host barrier honours the same contract
+    let hosted = Skel::barrier("host", |scl: &mut Scl, a: ParArray<i64>| scl.rotate(1, &a));
+    let dead_hosted = srv
+        .submit_keyed_deadline(t, "", hosted, arr(0), Some(past))
         .unwrap();
+    srv.run_until_idle();
     assert!(matches!(
-        srv.outcome(dead_eager),
+        srv.outcome(dead_hosted),
         Some(Err(RequestError::DeadlineExceeded))
     ));
     assert_eq!(srv.tenant_pending(t), 0);
-}
-
-#[test]
-fn eager_fallbacks_claim_the_shared_budget() {
-    // an unfusable plan must not run wider than the budget allows: hold
-    // the whole budget externally and watch the fallback degrade to one
-    // thread (observable through the lease accounting)
-    let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
-        ServePolicy::new(unit_machine(4))
-            .with_exec(ExecPolicy::Threads(4))
-            .with_threads(2),
-    );
-    let t = srv.add_tenant("t");
-    let budget = Arc::clone(srv.thread_budget());
-    let hold = budget.try_claim(2, 2).unwrap();
-    assert_eq!(budget.available(), 0);
-    let opaque = Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| scl.rotate(1, &a));
-    let tk = srv.submit(t, opaque, arr(0)).unwrap();
-    assert!(srv.is_ready(tk), "fallback still admits at width 1");
-    drop(hold);
-    assert_eq!(budget.in_use(), 0, "fallback leases are returned");
-    // with capacity free the fallback claims (and returns) its width
-    let opaque = Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| scl.rotate(1, &a));
-    let tk = srv.submit(t, opaque, arr(1)).unwrap();
-    assert!(srv.is_ready(tk));
-    assert_eq!(budget.in_use(), 0);
 }
 
 #[test]

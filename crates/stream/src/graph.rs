@@ -7,8 +7,8 @@
 //! else — barrier execution, reordering, relaying between stages,
 //! completion — happens on the *pumping* thread (whoever calls
 //! `push`/`pop`/`drain`). That keeps the stateful pieces (`FnMut` barrier
-//! closures, an opaque plan's closure among them) on a single thread with
-//! no synchronisation, while the pure segments overlap across items.
+//! closures) on a single thread with no synchronisation, while the pure
+//! segments overlap across items.
 //!
 //! The pump is also one more replica of every farm, for one case only: an
 //! item alone in the graph while its caller blocks waiting for it (a lone

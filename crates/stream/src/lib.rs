@@ -41,10 +41,6 @@
 //!   ring needs one slot per lane, so a farm runs at most `capacity`
 //!   replicas ([`StreamPolicy::with_capacity`]).
 //!
-//! A plan with a stage that has no op form (`Skel::from_fn`, …) is an
-//! opaque closure; it arrives as one barrier labelled `"opaque"` (same
-//! answers, no pipeline overlap).
-//!
 //! ## Per-item charging
 //!
 //! Every stream item carries its **own** simulated-machine context,
@@ -280,9 +276,8 @@ where
     B: FusePort + 'static,
 {
     /// Compile `plan` into a persistent operator graph served under
-    /// `policy`. An opaque plan compiles to one barrier running its
-    /// closure (same answers, no overlap). Farm workers spawn here and
-    /// live until the `StreamExec` drops.
+    /// `policy`. Farm workers spawn here and live until the `StreamExec`
+    /// drops.
     pub fn new(plan: Skel<'static, A, B>, policy: StreamPolicy) -> StreamExec<A, B> {
         let StreamPolicy {
             machine,
@@ -292,9 +287,14 @@ where
             adaptive,
             fused_charging,
         } = policy;
-        let Ok(ops) = plan.into_stream_ops();
         StreamExec {
-            graph: Graph::build(ops, capacity, exec, adaptive, fused_charging),
+            graph: Graph::build(
+                plan.into_stream_ops(),
+                capacity,
+                exec,
+                adaptive,
+                fused_charging,
+            ),
             machine,
             tick_items,
             adaptive,

@@ -122,36 +122,18 @@ fn threaded_policy_builds_farms_at_segment_boundaries() {
 }
 
 #[test]
-fn opaque_plans_stream_as_one_opaque_barrier() {
-    let plan = Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|scl: &mut Scl, a: ParArray<i64>| {
-        scl.rotate(1, &a)
-    }));
-    let mut s = StreamExec::new(
-        plan,
-        StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(4)),
-    );
-    assert_eq!(s.farm_stages(), 0);
-    let labels: Vec<String> = s.stage_stats().into_iter().map(|st| st.label).collect();
-    assert_eq!(labels, vec!["opaque"]);
-    for k in 0..5 {
-        s.push(arr(k)).unwrap();
-    }
-    let out = s.drain();
-    assert_eq!(out[0].to_vec(), vec![2, 3, 4, 1]);
-    assert_eq!(out.len(), 5);
-}
-
-#[test]
 fn panicking_opaque_plan_resolves_as_a_barrier_panic() {
-    // the opaque plan panics on one item: that item resolves as a typed
+    // the host barrier panics on one item: that item resolves as a typed
     // BarrierPanic through pop_outcome, and the rest of the stream drains
-    let plan =
-        Skel::map(|x: &i64| x + 1).then(Skel::from_fn(|_scl: &mut Scl, a: ParArray<i64>| {
+    let plan = Skel::map(|x: &i64| x + 1).then(Skel::barrier(
+        "host",
+        |_scl: &mut Scl, a: ParArray<i64>| {
             if *a.part(0) == 3 {
-                panic!("opaque blew up");
+                panic!("host blew up");
             }
             a
-        }));
+        },
+    ));
     let mut s = StreamExec::new(
         plan,
         StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(2)),
@@ -166,7 +148,7 @@ fn panicking_opaque_plan_resolves_as_a_barrier_panic() {
             Err(e) => {
                 assert!(
                     matches!(&e, RequestError::BarrierPanic { stage, message }
-                        if stage == "opaque" && message.contains("opaque blew up")),
+                        if stage == "host" && message.contains("host blew up")),
                     "{e}"
                 );
                 failed.push(e);
@@ -195,12 +177,11 @@ fn push_rejects_oversized_items() {
     // the rejected item never entered the graph
     assert_eq!(s.in_flight(), 0);
 
-    // an opaque plan honours the same entry contract (Err, not a panic
-    // inside its closure)
-    let unfusable =
-        Skel::map(|x: &i64| *x).then(Skel::from_fn(|_scl: &mut Scl, a: ParArray<i64>| a));
-    let mut s = StreamExec::new(unfusable, StreamPolicy::new(unit_machine(2)));
-    assert_eq!(s.farm_stages(), 0);
+    // a plan with a host barrier honours the same entry contract (Err,
+    // not a panic inside its closure)
+    let hosted =
+        Skel::map(|x: &i64| *x).then(Skel::barrier("host", |_scl: &mut Scl, a: ParArray<i64>| a));
+    let mut s = StreamExec::new(hosted, StreamPolicy::new(unit_machine(2)));
     let err = s.push(arr(0)).unwrap_err();
     assert_eq!(
         err,

@@ -115,7 +115,7 @@ fn main() {
         .run_fused(&plan, ints)
         .expect("configuration fits the machine");
     assert_eq!(eager, fused);
-    let stages = plan.fused_stages().unwrap();
+    let stages = plan.fused_stages();
     let barriers = stages.iter().filter(|(_, b)| *b).count();
     println!(
         "fused:     {} stages, {} barriers, identical result ✓",

@@ -7,10 +7,6 @@
 //! and must never drift. The seam suite pins the other half of that
 //! contract — segments are maximal at every depth of the chain.
 
-// `into_stream_ops` returns `Result<_, Infallible>`: the `.ok().expect(..)`
-// reads below can never fail
-#![allow(clippy::ok_expect)]
-
 use scl::apps::{histogram_plan, jacobi_plan, msort_plan, psrs_plan};
 use scl::core::prelude::*;
 use scl::core::{fingerprint_ops, PlanOp};
@@ -21,8 +17,8 @@ use scl_testkit::Rng;
 /// Both interpreters of the structural hash over one plan: the plan-level
 /// fingerprint (chain + IR) and the op-level one (chain only).
 fn fingerprints<'a, A: FusePort + 'a, B: FusePort + 'a>(plan: Skel<'a, A, B>) -> (u64, u64) {
-    let fp = plan.fingerprint().expect("fusable plan").raw();
-    let ops = plan.into_stream_ops().ok().expect("fusable plan");
+    let fp = plan.fingerprint().raw();
+    let ops = plan.into_stream_ops();
     (fp, fingerprint_ops(&ops).raw())
 }
 
@@ -138,8 +134,8 @@ fn segments_are_maximal_at_every_depth_of_generated_dags() {
         let seed = base.wrapping_add(case);
         let mut rng = Rng::seed_from_u64(seed);
         let plan = arb_dag(&mut rng, &reg, 16, 3, &mut stats);
-        let stages = plan.fused_stages().expect("generated DAGs are fusable");
-        let ops = plan.into_stream_ops().ok().expect("fusable");
+        let stages = plan.fused_stages();
+        let ops = plan.into_stream_ops();
         assert_segments_maximal(&ops, &format!("seed {seed:#x}"));
         assert_eq!(stages, flatten(&ops), "seed {seed:#x}");
     }

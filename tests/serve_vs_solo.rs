@@ -336,11 +336,7 @@ fn dag_plans_serve_with_one_compile_and_match_solo_runs() {
 /// all) and separates plans that differ only inside a branch arm.
 #[test]
 fn dag_plan_fingerprints_are_stable_cache_keys() {
-    let fp = |seed: u64| {
-        arb_dag_plan(seed)
-            .fingerprint()
-            .expect("generated DAGs are fusable")
-    };
+    let fp = |seed: u64| arb_dag_plan(seed).fingerprint();
     cases(16, 0xDA66, |rng| {
         let seed = rng.next_u64();
         assert_eq!(fp(seed), fp(seed), "rebuild must produce the cache key");
@@ -511,19 +507,15 @@ fn jacobi_states_round_trip_the_service() {
 #[test]
 fn app_plans_fingerprint_stably_and_apart() {
     // equal constructions fingerprint equal, for every app plan
-    let fp = |p: Option<scl_core::PlanFingerprint>| p.expect("app plans are fusable");
     let starts: Vec<usize> = block_ranges(64, 4).into_iter().map(|r| r.start).collect();
-    let psrs = fp(psrs_plan(4).fingerprint());
-    let hist = fp(histogram_plan(16, 4).fingerprint());
-    let batch = fp(batch_histogram_plan(16, 4).fingerprint());
-    let jac = fp(jacobi_plan(64, starts.clone(), 1e-6, 50).fingerprint());
-    assert_eq!(psrs, fp(psrs_plan(4).fingerprint()));
-    assert_eq!(hist, fp(histogram_plan(16, 4).fingerprint()));
-    assert_eq!(batch, fp(batch_histogram_plan(16, 4).fingerprint()));
-    assert_eq!(
-        jac,
-        fp(jacobi_plan(64, starts.clone(), 1e-6, 50).fingerprint())
-    );
+    let psrs = psrs_plan(4).fingerprint();
+    let hist = histogram_plan(16, 4).fingerprint();
+    let batch = batch_histogram_plan(16, 4).fingerprint();
+    let jac = jacobi_plan(64, starts.clone(), 1e-6, 50).fingerprint();
+    assert_eq!(psrs, psrs_plan(4).fingerprint());
+    assert_eq!(hist, histogram_plan(16, 4).fingerprint());
+    assert_eq!(batch, batch_histogram_plan(16, 4).fingerprint());
+    assert_eq!(jac, jacobi_plan(64, starts.clone(), 1e-6, 50).fingerprint());
 
     // the four app plans are structurally distinct — pairwise different
     let all = [
@@ -541,7 +533,7 @@ fn app_plans_fingerprint_stably_and_apart() {
     // parameters living only in closures are invisible to the structural
     // hash: psrs_plan(4) and psrs_plan(6) are structural twins — exactly
     // the case `Serve::submit_keyed` exists for
-    assert_eq!(psrs, fp(psrs_plan(6).fingerprint()));
+    assert_eq!(psrs, psrs_plan(6).fingerprint());
     assert_ne!(
         psrs.with_salt("p=4"),
         psrs.with_salt("p=6"),
