@@ -46,11 +46,12 @@
 //! machine's
 //! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision)
 //! decides whether fanning out is worth it and at what grain). *Per-stage*
-//! charging (what [`Skel::run`](crate::plan::Skel::run) uses) dispatches
-//! each stage once, at the eager skeletons' schedule, and replays exactly
-//! their compute events. Either way the simulated machine is charged the
-//! same *totals* — makespan, flops / cmps / moves, message counts agree;
-//! only `compute_steps` and per-stage trace events differ, by design.
+//! charging (what [`Skel::run`](crate::plan::Skel::run) uses) runs at the
+//! eager skeletons' schedule, also one dispatch per segment, and replays
+//! exactly their compute events. Either way the simulated machine is
+//! charged the same *totals* — makespan, flops / cmps / moves, message
+//! counts agree; only `compute_steps` and per-stage trace events differ,
+//! by design.
 //!
 //! Values flow between ops in an erased form, [`ErasedArr`]: one boxed
 //! payload per partition plus an optional *side* value for non-distributed
@@ -844,13 +845,18 @@ impl SegmentOp<'_> {
     ///   [`ExecPolicy`] schedules more than one thread.
     /// * `summed = false` charges **exactly as [`Skel::run`]** — and the
     ///   skeleton methods it replaces, [`Scl::imap`], [`Scl::imap_costed`]
-    ///   and [`Scl::zip_with`] — do: stage by stage, each stage one
-    ///   dispatch at [`ExecPolicy::effective_threads`] (the eager
-    ///   skeletons' schedule, not the cost model's), then one compute
-    ///   event per part per *charged* stage (all map flavours; `zip_with`
-    ///   stays free), in part order. Per-item metrics and makespan agree
-    ///   with the eager skeletons bit-for-bit under
-    ///   [`MeasureMode::None`](crate::ctx::MeasureMode) and costed stages.
+    ///   and [`Scl::zip_with`] — do: one compute event per part per
+    ///   *charged* stage (all map flavours; `zip_with` stays free), stage
+    ///   by stage, in part order. It runs at
+    ///   [`ExecPolicy::effective_threads`] (the eager skeletons' schedule,
+    ///   not the cost model's). On one thread, or for a one-stage segment,
+    ///   each stage is one pass over the parts. A multi-stage segment on
+    ///   more threads is one dispatch: each part runs every stage on its
+    ///   worker, and the caller replays the recorded charges in that same
+    ///   stage-major order. Per-item metrics and makespan agree with the
+    ///   eager skeletons bit-for-bit under
+    ///   [`MeasureMode::None`](crate::ctx::MeasureMode) and costed stages,
+    ///   whatever the schedule.
     ///
     /// Same work totals and makespan either way; `compute_steps` and trace
     /// events differ by design. A streaming runtime picks the convention
@@ -859,8 +865,9 @@ impl SegmentOp<'_> {
     /// A stage panic is caught and returned as a typed
     /// [`RequestError::StagePanic`] carrying the stage label, part index,
     /// and panic payload — failure as a value, for runtimes that must not
-    /// unwind. Charges already recorded for earlier stages and parts stay
-    /// on `scl`.
+    /// unwind. With several failures, the one reported is the first in
+    /// stage-major order. Charges already recorded for earlier stages and
+    /// parts stay on `scl`.
     ///
     /// [`Scl::run_fused`]: crate::ctx::Scl::run_fused
     /// [`Skel::run`]: crate::plan::Skel::run
@@ -875,21 +882,84 @@ impl SegmentOp<'_> {
             let schedule = scl.segment_schedule(parts.len(), self.len(), val.elem_bytes);
             parts = run_parts(scl, parts, schedule, |i| (i, procs[i], self)).map_err(|e| *e)?;
         } else {
-            let schedule = (scl.policy.effective_threads(parts.len()), 1);
-            for st in &self.stages {
-                let charge = |i: usize, (v, w, secs): (PartVal, Work, f64)| {
-                    if st.charged {
-                        scl.charge(procs[i], w, secs, st.label);
-                    }
-                    v
-                };
-                parts = dispatch(parts, schedule, |i, v| st.apply(i, v), charge).map_err(|e| *e)?;
+            let threads = scl.policy.effective_threads(parts.len());
+            if threads > 1 && self.len() > 1 {
+                parts = self
+                    .run_staged(scl, parts, &procs, threads)
+                    .map_err(|e| *e)?;
+            } else {
+                for st in &self.stages {
+                    let charge = |i: usize, (v, w, secs): (PartVal, Work, f64)| {
+                        if st.charged {
+                            scl.charge(procs[i], w, secs, st.label);
+                        }
+                        v
+                    };
+                    parts = dispatch(parts, (threads, 1), |i, v| st.apply(i, v), charge)
+                        .map_err(|e| *e)?;
+                }
             }
         }
         Ok(ErasedArr {
             arr: ParArray::from_raw(parts, procs, shape),
             ..val
         })
+    }
+
+    /// Per-stage charging of a multi-stage segment on `threads > 1`
+    /// threads, in one dispatch: each part runs every stage on its worker
+    /// and records what each stage reported, and the caller then replays
+    /// those charges in the stage-major order a dispatch per stage would
+    /// have made them — stage by stage, part by part.
+    ///
+    /// A part runs until it finishes or fails. The stage-major loop would
+    /// have stopped at the least failing `(stage, part)`: that failure is
+    /// the one reported, and only the charges the loop would have made
+    /// before it are replayed.
+    fn run_staged(
+        &self,
+        scl: &mut Scl,
+        parts: Vec<PartVal>,
+        procs: &[usize],
+        threads: usize,
+    ) -> PartResult<Vec<PartVal>> {
+        let (n, k) = (parts.len(), self.len());
+        // part-major: part `i`'s worker owns `works[i * k..][..k]`
+        let mut works = vec![(Work::NONE, 0.0); n * k];
+        let items: Vec<_> = parts.into_iter().zip(works.chunks_mut(k)).collect();
+        let chain = |i: usize, (mut v, slots): (PartVal, &mut [(Work, f64)])| {
+            for (s, (st, slot)) in self.stages.iter().zip(slots).enumerate() {
+                let (nv, w, secs) = st.apply(i, v).map_err(|e| (s, e))?;
+                (v, *slot) = (nv, (w, secs));
+            }
+            Ok(v)
+        };
+        // the shared pool only grows, so pass the cap (see `dispatch`)
+        let mut results = par_pipeline(ThreadPool::shared(threads), items, threads, 1, chain);
+        let failed = results
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.as_ref().err().map(|(s, _)| (*s, i)))
+            .min();
+        let stop = failed.unwrap_or((k, 0));
+        'replay: for (s, st) in self.stages.iter().enumerate() {
+            for (i, &proc) in procs.iter().enumerate() {
+                if (s, i) >= stop {
+                    break 'replay;
+                }
+                if st.charged {
+                    let (w, secs) = works[i * k + s];
+                    scl.charge(proc, w, secs, st.label);
+                }
+            }
+        }
+        if let Some((_, i)) = failed {
+            let Err((_, e)) = results.swap_remove(i) else {
+                unreachable!("part {i} failed")
+            };
+            return Err(e);
+        }
+        results.into_iter().map(|r| r.map_err(|(_, e)| e)).collect()
     }
 }
 

@@ -35,8 +35,8 @@
 //! ## Fused, partition-resident execution
 //!
 //! A plan is one operator chain (module [`fused`]), and [`Skel::run`] walks
-//! it stage by stage: every `.then()` materialises a full [`ParArray`] and
-//! pays its own fork-join dispatch. [`Scl::run_fused`] walks the same
+//! it as the eager skeletons would, charging every stage as its own
+//! compute event. [`Scl::run_fused`] walks the same
 //! chain partition-resident: runs of part-local **compute** skeletons
 //! (`map`, `imap`, `zip_with`, `farm`, their costed forms) execute
 //! back-to-back on the worker owning each partition — no intermediate

@@ -15,9 +15,9 @@
 //! enters it as a labelled [`Skel::barrier`], and [`Skel::identity`] is the
 //! empty chain. The back-ends interpret that one form:
 //!
-//! 1. [`Skel::run`] walks the chain eagerly: one dispatch (and one
-//!    materialised intermediate) per stage, charged per stage — the same
-//!    events the skeleton methods on [`Scl`] emit;
+//! 1. [`Skel::run`] walks the chain eagerly, at the eager skeletons'
+//!    schedule and charged per stage — the same events the skeleton
+//!    methods on [`Scl`] emit;
 //! 2. [`Scl::run_fused`] walks the same chain partition-resident: runs of
 //!    compute skeletons (`map` / `imap` / `zip_with` / `farm` and their
 //!    costed forms) execute back-to-back on the worker that owns each
@@ -74,7 +74,7 @@ use std::cell::RefCell;
 ///
 /// Built by the constructors in this module and composed with
 /// [`Skel::then`]. A plan is an op chain (see [`crate::fused`]), and two
-/// interpreters run it: [`Skel::run`] (one dispatch per stage) and
+/// interpreters run it: [`Skel::run`] (charged per stage) and
 /// [`Scl::run_fused`] (partition-resident). Optimised through
 /// [`Skel::lower`] / [`Skel::from_expr`] when it stays inside the lowerable
 /// fragment. The lifetime `'a` bounds everything the plan borrows
@@ -98,12 +98,11 @@ impl<'a, A, B> Skel<'a, A, B> {
     }
 
     /// Run the plan eagerly on `scl`, consuming `input`: the op chain's
-    /// walker with one dispatch per stage — scheduled as [`Scl::imap`] is,
-    /// at [`ExecPolicy::effective_threads`](scl_exec::ExecPolicy::effective_threads)
-    /// — and per-stage charging. A configuration that does not fit the
-    /// machine panics, as the skeleton methods on [`Scl`] do, and a
-    /// panicking compute stage re-raises labelled, with the text
-    /// [`Scl::run_fused`] uses.
+    /// walker with per-stage charging, scheduled as [`Scl::imap`] is, at
+    /// [`ExecPolicy::effective_threads`](scl_exec::ExecPolicy::effective_threads).
+    /// A configuration that does not fit the machine panics, as the
+    /// skeleton methods on [`Scl`] do, and a panicking compute stage
+    /// re-raises labelled, with the text [`Scl::run_fused`] uses.
     pub fn run(&self, scl: &mut Scl, input: A) -> B {
         scl.exec_ops(&mut self.plan.borrow_mut(), input, false)
             .unwrap_or_else(|e| panic!("{e}"))

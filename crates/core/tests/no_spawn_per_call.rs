@@ -43,7 +43,7 @@ fn one_request(k: i64, seen: &Mutex<HashSet<ThreadId>>) {
     let e = scl.run_fused(&plan, d.clone()).expect("fits the machine");
     let expect: Vec<i64> = (k..k + 8).map(|x| ((x + x + 1) * 2 - 1) * 3).collect();
     assert_eq!(e.to_vec(), expect);
-    // the eager walk of the same chain: one dispatch per stage
+    // the eager walk of the same chain, charged per stage
     assert_eq!(plan.run(&mut scl, d), e);
 }
 

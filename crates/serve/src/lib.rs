@@ -591,7 +591,9 @@ where
     ///    request with its own private [`MachineReport`], and release the
     ///    leases. A request left alone in its graph — a batch of one, or
     ///    the last of a batch — runs its remaining segments on the
-    ///    draining thread instead of waking a replica per farm.
+    ///    draining thread instead of waking a replica per farm, fanned
+    ///    out across the farm's granted width when the farm's measured
+    ///    service time shows the segment is heavy.
     ///
     /// Budget honesty is best-effort at the edge: the budget is shared
     /// (see [`Serve::thread_budget`]), and when another consumer holds

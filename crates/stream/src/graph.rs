@@ -15,8 +15,13 @@
 //! request). It then runs the item's segments itself — the same
 //! [`serve_item`] a replica runs, result into the same reorder buffer —
 //! because a hand-off to a parked replica would buy no overlap, only a
-//! wake-up per farm. Streaming callers (`push`, `try_pop*`) never take this
-//! path, so their items keep the replicas' overlap.
+//! wake-up per farm. The replicas are idle at that moment, so when the
+//! farm's measured mean service time reaches [`LONE_FAN_OUT_NS`] the pump
+//! runs the segment data-parallel across the farm's width (its
+//! `max_width`, which already honours the external cap); a farm's first
+//! item, with nothing measured yet, runs on the pump alone. Streaming
+//! callers (`push`, `try_pop*`) never take this path, so their items keep
+//! the replicas' overlap.
 //!
 //! When a round moves nothing, the pump parks on the graph's one
 //! [`ParkSlot`]: the producer park of every farm's input matrix and the
@@ -35,6 +40,12 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Mean farm service time at which the pump fans a lone item's segment
+/// out over the farm's width instead of running it on one thread: about
+/// 60× a fork-join dispatch (≈ 1.7 µs on a 2-vCPU host), so only a
+/// segment whose measured work dwarfs the dispatch pays for it.
+const LONE_FAN_OUT_NS: u64 = 100_000;
 
 /// An operator the pump executes inline while relaying an item across a
 /// stage boundary.
@@ -357,19 +368,19 @@ impl Graph {
         self.extern_cap
     }
 
-    /// Refine each farm's width ceiling from the first item's payload:
-    /// under a cost-driven policy, ask the machine's cost model whether
-    /// farming a window of `capacity` items of this size across threads is
-    /// worth the coordination at all, exactly as fused execution gates a
-    /// segment ([`CostModel::fused_decision`]). Non-cost-driven policies
-    /// keep the policy cap.
+    /// Refine each farm's width ceiling from the first healthy item's
+    /// payload: under a cost-driven policy, ask the machine's cost model
+    /// whether farming a window of `capacity` items of this size across
+    /// threads is worth the coordination at all, exactly as fused execution
+    /// gates a segment ([`CostModel::fused_decision`]). Non-cost-driven
+    /// policies keep the policy cap.
     ///
     /// [`CostModel::fused_decision`]: scl_machine::CostModel::fused_decision
-    pub(crate) fn calibrate(&mut self, env: &Envelope, machine: &Machine) {
+    pub(crate) fn calibrate(&mut self, val: &ErasedArr, machine: &Machine) {
         if !self.cost_driven {
             return;
         }
-        let item_bytes = item_bytes(env.payload.as_ref().ok());
+        let item_bytes = val.parts() * val.elem_bytes();
         for farm in &mut self.farms {
             let d = machine.model().fused_decision(
                 self.capacity.max(2),
@@ -505,17 +516,26 @@ impl Graph {
 
     /// Hand an envelope to hop `h`'s target: farm `h`'s queue — or, for a
     /// `lone` item, farm `h`'s segment run right here into its reorder
-    /// buffer, exactly where a replica's output would arrive — or the
-    /// completion list after the last hop. `Err` hands it back when the
-    /// queue is full.
+    /// buffer, exactly where a replica's output would arrive (fanned out
+    /// across the farm's width once its mean service time reaches
+    /// [`LONE_FAN_OUT_NS`]) — or the completion list after the last hop.
+    /// `Err` hands it back when the queue is full.
     #[allow(clippy::result_large_err)] // Err hands the envelope back, by design
-    fn accept(&mut self, h: usize, env: Envelope, lone: bool) -> Result<(), Envelope> {
+    fn accept(&mut self, h: usize, mut env: Envelope, lone: bool) -> Result<(), Envelope> {
         if h < self.farms.len() {
             let farm = &mut self.farms[h];
             if lone {
                 // every earlier item has completed, so this one is next
                 debug_assert_eq!(env.seq, farm.expect, "a lone item is next in order");
-                let env = serve_item(&farm.seg, &farm.stats, self.summed_charging, env);
+                // the replicas are idle: a farm measured heavy lends its
+                // width to the item's own segment run
+                let items = farm.stats.items.load(Ordering::Relaxed);
+                let busy = farm.stats.busy_nanos.load(Ordering::Relaxed);
+                if farm.max_width > 1 && items > 0 && busy / items >= LONE_FAN_OUT_NS {
+                    env.scl.policy = ExecPolicy::Threads(farm.max_width);
+                }
+                let mut env = serve_item(&farm.seg, &farm.stats, self.summed_charging, env);
+                env.scl.policy = ExecPolicy::Sequential;
                 farm.reorder.insert(env.seq, env);
                 return Ok(());
             }
@@ -656,11 +676,6 @@ fn serve_item(
         deadline,
         payload,
     }
-}
-
-/// Static payload estimate of one stream item, for calibration.
-fn item_bytes(val: Option<&ErasedArr>) -> usize {
-    val.map_or(0, |v| v.parts() * v.elem_bytes())
 }
 
 fn mean_secs(busy_nanos: u64, items: u64) -> f64 {

@@ -31,7 +31,9 @@
 //!   the pumping thread — which also runs the segments of an item that is
 //!   alone in the graph while its caller blocks for it
 //!   ([`StreamExec::pop_outcome`]): a lone request costs one fused run,
-//!   not a hand-off per farm;
+//!   not a hand-off per farm. The replicas are idle then, so once a farm's
+//!   measured service time shows its segment is heavy, the pump runs that
+//!   segment data-parallel across the farm's width;
 //! * stages are linked by **bounded queues** of `capacity` items, so
 //!   backpressure propagates all the way to [`StreamExec::push`] and
 //!   in-flight memory stays **O(capacity × stages)** regardless of stream
@@ -152,7 +154,7 @@ impl StreamPolicy {
     /// replicas (and at the link capacity, see
     /// [`StreamPolicy::with_capacity`]); `CostDriven` additionally lets the
     /// machine's cost model refine each stage's ceiling from the first
-    /// item's payload.
+    /// healthy item's payload.
     pub fn with_exec(mut self, exec: ExecPolicy) -> StreamPolicy {
         self.exec = exec;
         self
@@ -258,6 +260,7 @@ pub struct StreamExec<A: FusePort, B: FusePort> {
     adaptive: bool,
     next_seq: u64,
     completed: u64,
+    /// No healthy item has been pushed yet, so the graph is uncalibrated.
     first_item: bool,
     started: Option<Instant>,
     peak_in_flight: u64,
@@ -382,8 +385,11 @@ where
     pub fn push_deadline(&mut self, item: A, deadline: Option<Instant>) -> Result<(), SclError> {
         self.started.get_or_insert_with(Instant::now);
         let env = self.make_env(item, deadline)?;
-        if std::mem::take(&mut self.first_item) {
-            self.graph.calibrate(&env, &self.machine);
+        // calibrate on the first healthy payload: an item that expired
+        // before it entered carries none to size the farms by
+        if let (true, Ok(val)) = (self.first_item, &env.payload) {
+            self.first_item = false;
+            self.graph.calibrate(val, &self.machine);
         }
         // the push-side backpressure point: the graph must have swallowed
         // the previous item off the entry slot
@@ -415,10 +421,13 @@ where
     /// farm for an item that is alone in the graph: it runs that item's
     /// remaining segments itself — same segment kernel, deadline check,
     /// charges and stage statistics as a replica — instead of handing it
-    /// to a parked worker at each farm. With two or more items in flight
-    /// every segment goes to the replicas as usual. Every blocking
-    /// collection API (`pop*`, `drain*`, [`StreamIter`] once its input is
-    /// exhausted) waits here.
+    /// to a parked worker at each farm. The replicas are idle then, so at
+    /// a farm whose measured mean service time is 100 µs or more the
+    /// caller runs the segment data-parallel across the farm's width (at
+    /// most [`StreamExec::width_cap`]); the per-item report is the same
+    /// either way. With two or more items in flight every segment goes to
+    /// the replicas as usual. Every blocking collection API (`pop*`,
+    /// `drain*`, [`StreamIter`] once its input is exhausted) waits here.
     pub fn pop_outcome(&mut self) -> Option<StreamOutcome<B>> {
         self.pump_until(true, |s| !s.done.is_empty() || s.in_flight() == 0);
         self.done.pop_front()
@@ -509,8 +518,9 @@ where
 
     /// Wrap an input into an envelope with its own fresh machine context.
     /// Per-item contexts run host-sequential — the stream's parallelism
-    /// comes from the graph's farm replicas and pipeline overlap, not
-    /// from intra-item thread fan-out.
+    /// comes from the graph's farm replicas and pipeline overlap — except
+    /// for a heavy lone item, whose segments the pump fans out across the
+    /// idle farm's width (see [`StreamExec::pop_outcome`]).
     fn make_env(&mut self, item: A, deadline: Option<Instant>) -> Result<Envelope, SclError> {
         if item.parts_len() > self.machine.nprocs() {
             return Err(SclError::MachineTooSmall {

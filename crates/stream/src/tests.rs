@@ -681,6 +681,76 @@ fn lone_round_trip_runs_every_segment_on_the_caller() {
     assert!(log.iter().all(|t| *t == me), "a segment ran off the caller");
 }
 
+/// [`mixed_plan`] whose first stage sleeps 300 µs per part and logs the
+/// thread it runs on: a farm heavy enough for a lone item to fan out.
+fn heavy_logged_plan(
+    log: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+) -> Skel<'static, ParArray<i64>, ParArray<i64>> {
+    let log = Arc::clone(log);
+    Skel::map(move |x: &i64| {
+        std::thread::sleep(Duration::from_micros(300));
+        log.lock().unwrap().push(std::thread::current().id());
+        x * 3
+    })
+    .then(Skel::rotate(1))
+    .then(Skel::map_costed(|x: &i64| (x + 1, Work::flops(1))))
+}
+
+/// One lone round trip of `arr(k)`: checks the report against the eager
+/// run and returns the distinct threads the logged stage ran on.
+fn lone_trip(
+    s: &mut StreamExec<ParArray<i64>, ParArray<i64>>,
+    log: &Mutex<Vec<std::thread::ThreadId>>,
+    k: i64,
+) -> std::collections::HashSet<std::thread::ThreadId> {
+    s.push(arr(k)).unwrap();
+    assert_eq!(s.pop_with_report(), Some(eager_item(k)), "item {k}");
+    log.lock().unwrap().drain(..).collect()
+}
+
+#[test]
+fn lone_heavy_item_fans_out_once_its_farm_is_measured() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut s = StreamExec::new(heavy_logged_plan(&log), two_replicas());
+    let me = std::thread::current().id();
+    // nothing measured yet: the farm's first item runs on the caller alone
+    assert_eq!(lone_trip(&mut s, &log, 0), [me].into());
+    // from then on a lone trip runs the segment at the farm's width; the
+    // caller takes its share and a pool worker the rest, so some trip
+    // shows both even if a worker wakes late once
+    let widest = (1..=8).map(|k| lone_trip(&mut s, &log, k).len()).max();
+    assert_eq!(widest, Some(2), "no lone trip fanned out");
+}
+
+#[test]
+fn width_cap_keeps_a_lone_heavy_item_on_the_caller() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut s = StreamExec::new(heavy_logged_plan(&log), two_replicas());
+    s.set_width_cap(1);
+    let me = std::thread::current().id();
+    for k in 0..4 {
+        assert_eq!(lone_trip(&mut s, &log, k), [me].into(), "item {k}");
+    }
+}
+
+#[test]
+fn an_expired_first_item_leaves_calibration_to_the_next() {
+    let width = |expired_first: bool| {
+        let policy =
+            StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::CostDriven { threads: 2 });
+        let mut s = StreamExec::new(Skel::map(|x: &i64| x + 1), policy);
+        if expired_first {
+            s.push_deadline(arr(0), Some(Instant::now())).unwrap();
+            assert_eq!(s.pop_outcome(), Some(Err(RequestError::DeadlineExceeded)));
+        }
+        s.push(arr(1)).unwrap();
+        assert_eq!(s.pop().unwrap().to_vec(), vec![2, 3, 4, 5]);
+        s.stage_stats()[0].max_width
+    };
+    assert_eq!(width(false), 2, "a healthy first item calibrates wide");
+    assert_eq!(width(true), 2, "an expired first item pinned the graph");
+}
+
 #[test]
 fn two_items_in_flight_run_on_a_replica() {
     let log = Arc::new(Mutex::new(Vec::new()));
