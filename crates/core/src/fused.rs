@@ -244,7 +244,7 @@ where
 /// *uncosted* stages (plain `map`/`imap`/`farm`), mirroring the eager
 /// layer: costed stages charge exactly their reported work, uncosted ones
 /// charge per the context's `MeasureMode`. `Send + Sync` so a streaming
-/// runtime can replicate a stage across persistent farm workers.
+/// runtime can replicate a stage across farm lanes.
 type ComputeFn<'a> = Box<dyn Fn(usize, PartVal) -> (PartVal, Work, f64) + Send + Sync + 'a>;
 type BarrierFn<'a> = Box<dyn FnMut(&mut Scl, ErasedArr) -> Result<ErasedArr> + 'a>;
 
@@ -305,7 +305,7 @@ impl BranchKind<'_> {
 pub enum PlanOp<'a> {
     /// A maximal run of part-local compute stages: output part `i` depends
     /// only on input part `i`, so the run executes back-to-back on the
-    /// owning worker. Pure, hence replicable across farm workers.
+    /// owning worker. Pure, hence replicable across farm lanes.
     Segment(SegmentOp<'a>),
     /// Whole-configuration: a fusion barrier, stateful and order-serial.
     /// Runs on the calling thread through the eager skeleton layer.

@@ -33,10 +33,11 @@
 //!   transpose, `gather` concat, `partition` scatter) when the cost model
 //!   says the payload justifies fanning out.
 //! * [`ThreadPool`] — the persistent workers themselves, also usable
-//!   directly for `'static` jobs with joinable [`JobHandle`]s. Idle
-//!   workers spin, then yield, then sleep on a condvar that releases the
-//!   queue lock; a submitter pays a wake-up only when nobody awake is free
-//!   to take its job.
+//!   directly for fire-and-forget `'static` jobs
+//!   ([`ThreadPool::execute`]). Idle workers spin, then yield, then sleep
+//!   on a condvar that releases the queue lock; a submitter pays a wake-up
+//!   only when nobody awake is free to take its job.
+//!   [`ThreadPool::live_workers`] counts the workers alive in the process.
 //!
 //! For *streaming* execution (the `scl-stream` crate) one queue family
 //! lives here — lock-free rings — and every stage-to-stage link is built
@@ -47,26 +48,22 @@
 //!   ([`ring_mpmc`], [`mpmc`]), with spin-then-park waiting ([`Backoff`],
 //!   [`backoff`]): links whose hot path takes no lock and whose idle path
 //!   costs nothing;
-//! * [`spawn_farm_workers`] — long-lived farm replicas on a
-//!   [`ThreadPool`], each owning a private ring pair and looping
-//!   `recv → work → send`; admission control lives in the pump's routing
-//!   ([`RingSender::try_send_within`]), so an autonomic controller widens
-//!   or narrows a farm by storing one integer;
+//! * per-lane gauges ([`RingSender::lane_len`],
+//!   [`RingReceiver::lane_is_full`]) and prefix routing
+//!   ([`RingSender::try_send_within`]) — what a stream graph needs to
+//!   serve each lane of a farm with run-to-empty jobs on
+//!   [`ThreadPool::shared`] and to widen or narrow the farm by storing
+//!   one integer;
 //! * [`StealRange`] ([`deque`]) — the per-worker stealing deques under
 //!   [`par_pipeline`];
 //! * [`Bounded`] — the textbook mutex+condvar channel, carried by no
 //!   runtime path: the baseline the benchmark ladder's
 //!   `exec.bounded_ns_per_msg` measures beside `exec.ring_ns_per_msg`.
 //!
-//! When several such runtimes share one process — a multi-tenant plan
-//! service running many graphs against one machine — [`ThreadBudget`]
-//! accounts for the host-wide thread capacity: consumers claim
-//! [`BudgetLease`]s and cap their width gates at the grant, keeping the
-//! sum of *active* replicas across all tenants within the host budget
-//! whenever capacity is claimable. The budget accounts rather than
-//! enforces: a consumer that chooses to run after an empty grant (as a
-//! serving layer may, preferring admission over stalling) does so at
-//! minimum width, outside the accounted total.
+//! Every thread this crate starts belongs to a [`ThreadPool`], and every
+//! runtime above it — fork-join dispatch and stream farms alike — runs on
+//! the one shared pool, so a process serving many graphs holds the widest
+//! demand's worth of workers, not a set per graph.
 //!
 //! An [`ExecPolicy`] selects between sequential, threaded, and
 //! cost-model-driven execution and is threaded through `scl-core`'s context
@@ -76,7 +73,6 @@
 //! unrecognised values.
 
 pub mod backoff;
-pub mod budget;
 pub mod chan;
 pub mod deque;
 pub mod mpmc;
@@ -84,17 +80,14 @@ pub mod policy;
 pub mod pool;
 pub mod scope;
 pub mod spsc;
-pub mod stage;
 
 pub use backoff::{Backoff, ParkSlot};
-pub use budget::{BudgetLease, ThreadBudget};
 pub use chan::{Bounded, TryRecv};
 pub use deque::StealRange;
 pub use mpmc::{ring_mpmc, ring_mpmc_parked, RingReceiver, RingSender};
 pub use policy::{host_threads, ExecPolicy, POLICY_ENV_VAR};
-pub use pool::{JobHandle, ThreadPool};
+pub use pool::ThreadPool;
 pub use scope::{
     par_concat, par_for_each, par_map, par_map_indexed, par_permute, par_pipeline, par_scatter,
 };
 pub use spsc::{ring, SpscReceiver, SpscSender};
-pub use stage::spawn_farm_workers;

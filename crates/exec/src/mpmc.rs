@@ -157,6 +157,17 @@ impl<T: Send> RingSender<T> {
         self.len() == 0
     }
 
+    /// Items queued on this row's lane to consumer `c` (racy gauge).
+    pub fn lane_len(&self, c: usize) -> usize {
+        self.lanes[c].len()
+    }
+
+    /// Whether this row's lane to consumer `c` is at its capacity (racy
+    /// gauge; only a push by this producer can fill it).
+    pub fn lane_is_full(&self, c: usize) -> bool {
+        self.lanes[c].len() >= self.lanes[c].capacity()
+    }
+
     /// Close this producer's lanes: each consumer drains what this row
     /// published, then stops counting it.
     pub fn close(&self) {
@@ -260,6 +271,12 @@ impl<T: Send> RingReceiver<T> {
     /// True when the column gauge reads zero.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether this column's lane from producer `p` is at its capacity
+    /// (racy gauge; only a pop by this consumer can free it).
+    pub fn lane_is_full(&self, p: usize) -> bool {
+        self.lanes[p].len() >= self.lanes[p].capacity()
     }
 
     /// Close this consumer's lanes: producers stop routing to this

@@ -1,13 +1,13 @@
-//! A persistent thread pool: joinable `'static` jobs and the
-//! fire-and-forget lane the fork-join dispatch rides.
+//! A persistent thread pool: fire-and-forget `'static` jobs on
+//! long-lived workers.
 //!
-//! [`ThreadPool`] owns long-lived workers fed from one shared queue.
-//! [`ThreadPool::submit`] returns a [`JobHandle`] that can be joined for
-//! the job's result (the stream runtime's stage crews live this way);
-//! panics inside a job are caught and surfaced at join time, never
-//! killing a worker. `ThreadPool::execute` is the bare lane under it:
-//! one boxed closure into the queue, no result channel — what
-//! [`crate::scope`] uses to offer helper tickets.
+//! [`ThreadPool`] owns workers fed from one shared queue, and
+//! [`ThreadPool::execute`] is its one submit path: a boxed closure into
+//! the queue, no result channel. A panic inside a job is caught by the
+//! worker and dropped, never killing it; a caller that wants a result or
+//! a panic report sends it back itself. The fork-join dispatch
+//! ([`crate::scope`]) offers its helper tickets this way, and a stream
+//! graph's farm lanes are served by run-to-empty jobs on the same pool.
 //!
 //! The queue is a plain mutex-guarded deque; what makes it cheap is when
 //! the condvar beside it is *not* touched. An idle worker first searches
@@ -19,20 +19,25 @@
 //! back-to-back submissions cost no system call.
 //!
 //! [`ThreadPool::shared`] is the process-wide pool the data-parallel
-//! skeletons dispatch onto: contexts come and go (one per request in the
-//! serving layers) but the workers persist, so no skeleton call spawns a
-//! thread once the pool has grown to the widest dispatch seen.
+//! skeletons dispatch onto and the farm jobs run on: contexts and graphs
+//! come and go (one per request or cached plan in the serving layers) but
+//! the workers persist, so no skeleton call or graph build spawns a
+//! thread once the pool has grown to the widest demand seen.
+//! [`ThreadPool::live_workers`] counts the workers of every pool alive
+//! in the process.
 
 use crate::backoff::Backoff;
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Workers alive across every pool in the process; see
+/// [`ThreadPool::live_workers`].
+static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// How long an idle worker keeps yield-polling after its [`Backoff`]
 /// ladder, before it sleeps. Waking a sleeper costs the *submitter* a
@@ -85,9 +90,7 @@ impl Shared {
         loop {
             if let Some(job) = self.pop(&mut q) {
                 drop(q);
-                // `submit` catches inside the job to report the payload; a
-                // bare `execute` job that panics must not take the worker
-                // down
+                // a job that panics must not take the worker down
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                 backoff.reset();
                 idle_since = None;
@@ -132,40 +135,6 @@ pub struct ThreadPool {
     size: AtomicUsize,
 }
 
-/// The result of a submitted job: either its return value or the panic
-/// payload it raised.
-pub struct JobHandle<R> {
-    rx: Receiver<std::thread::Result<R>>,
-}
-
-impl<R> JobHandle<R> {
-    /// Wait for the job and return its result; a panicking job yields
-    /// `Err(payload)` just like [`std::thread::JoinHandle::join`].
-    pub fn join(self) -> std::thread::Result<R> {
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(Box::new("scl-exec: job dropped before completion") as Box<dyn Any + Send>)
-        })
-    }
-
-    /// Non-blocking poll: `Some(result)` once the job has finished — or
-    /// once its result channel died, which yields the same "job dropped
-    /// before completion" panic payload [`JobHandle::join`] synthesizes.
-    /// (Mapping disconnection to `None`, as this used to, turns every
-    /// poll loop over a dead job into an infinite spin.)
-    pub fn try_join(&self) -> Option<std::thread::Result<R>>
-    where
-        R: Send,
-    {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(Box::new(
-                "scl-exec: job dropped before completion",
-            ) as Box<dyn Any + Send>)),
-        }
-    }
-}
-
 impl ThreadPool {
     /// Spawn a pool with `size` workers (at least 1).
     pub fn new(size: usize) -> ThreadPool {
@@ -187,10 +156,11 @@ impl ThreadPool {
         pool
     }
 
-    /// The process-wide pool the data-parallel skeletons dispatch onto,
-    /// grown (never shrunk) so that a dispatch asking for `threads`
-    /// threads — the caller plus `threads − 1` helpers — finds that many
-    /// workers. Growing is the only time a skeleton call spawns a thread.
+    /// The process-wide pool the data-parallel skeletons dispatch onto
+    /// and stream farms run their jobs on, grown (never shrunk) so that a
+    /// dispatch asking for `threads` threads — the caller plus
+    /// `threads − 1` helpers — finds that many workers. Growing is the
+    /// only time a skeleton call or a farm spawns a thread.
     pub fn shared(threads: usize) -> &'static ThreadPool {
         static POOL: OnceLock<ThreadPool> = OnceLock::new();
         let helpers = threads.saturating_sub(1).max(1);
@@ -206,9 +176,15 @@ impl ThreadPool {
         let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
         while workers.len() < size {
             let shared = Arc::clone(&self.shared);
+            // counted before the spawn, uncounted as the loop returns: the
+            // gauge never misses a thread that can still run a job
+            LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
             let handle = std::thread::Builder::new()
                 .name(format!("scl-worker-{}", workers.len()))
-                .spawn(move || shared.worker_loop())
+                .spawn(move || {
+                    shared.worker_loop();
+                    LIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
+                })
                 .expect("failed to spawn scl-exec worker");
             workers.push(handle);
         }
@@ -221,10 +197,17 @@ impl ThreadPool {
         self.size.load(Ordering::Relaxed)
     }
 
+    /// Worker threads alive right now across every pool in the process —
+    /// the shared pool and any built with [`ThreadPool::new`] (a read-only
+    /// gauge; a dropped pool's workers leave it as they are joined).
+    pub fn live_workers() -> usize {
+        LIVE_WORKERS.load(Ordering::Relaxed)
+    }
+
     /// Fire-and-forget: queue `job` for the next free worker. No handle,
     /// no result channel; a panic inside `job` is caught by the worker and
     /// dropped.
-    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let wake = {
             let mut q = self.shared.lock();
             q.jobs.push_back(Box::new(job));
@@ -236,40 +219,6 @@ impl ThreadPool {
         if wake {
             self.shared.wake.notify_one();
         }
-    }
-
-    /// Submit a job, returning a handle to its eventual result.
-    pub fn submit<R, F>(&self, f: F) -> JobHandle<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let (rtx, rrx) = sync_channel::<std::thread::Result<R>>(1);
-        self.execute(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            let _ = rtx.send(result);
-        });
-        JobHandle { rx: rrx }
-    }
-
-    /// Submit a batch and wait for all results, in submission order.
-    ///
-    /// # Panics
-    /// Re-raises the first job panic encountered.
-    pub fn submit_all<R, F, I>(&self, jobs: I) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-        I: IntoIterator<Item = F>,
-    {
-        let handles: Vec<JobHandle<R>> = jobs.into_iter().map(|f| self.submit(f)).collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
     }
 }
 
@@ -296,48 +245,39 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn executes_submitted_jobs() {
         let pool = ThreadPool::new(4);
         assert_eq!(pool.size(), 4);
-        let h = pool.submit(|| 21 * 2);
-        assert_eq!(h.join().unwrap(), 42);
+        let (tx, rx) = channel();
+        pool.execute(move || tx.send(21 * 2).unwrap());
+        assert_eq!(rx.recv().unwrap(), 42);
     }
 
     #[test]
     fn size_is_at_least_one() {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.size(), 1);
-        assert_eq!(pool.submit(|| 1).join().unwrap(), 1);
+        let (tx, rx) = channel();
+        pool.execute(move || tx.send(1).unwrap());
+        assert_eq!(rx.recv().unwrap(), 1);
     }
 
     #[test]
-    fn submit_all_preserves_order() {
-        let pool = ThreadPool::new(3);
-        let jobs: Vec<_> = (0..100).map(|i| move || i * i).collect();
-        let out = pool.submit_all(jobs);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn job_panic_is_caught_at_join() {
-        let pool = ThreadPool::new(2);
-        let h = pool.submit(|| -> u32 { panic!("job exploded") });
-        assert!(h.join().is_err());
-        // the worker survived and keeps serving:
-        assert_eq!(pool.submit(|| 7).join().unwrap(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "job exploded")]
-    fn submit_all_reraises_panics() {
-        let pool = ThreadPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("job exploded"))];
-        let _ = pool.submit_all(jobs);
+    fn panicking_job_leaves_its_worker_alive() {
+        let pool = ThreadPool::new(1);
+        let (tx, rx) = channel::<u32>();
+        pool.execute(move || {
+            let _tx = tx; // dropped by the unwind: the receiver sees it
+            panic!("job exploded");
+        });
+        assert!(rx.recv().is_err(), "the panicking job sent nothing");
+        // the pool's only worker survived and keeps serving
+        let (tx, rx) = channel();
+        pool.execute(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv().unwrap(), 7);
     }
 
     #[test]
@@ -347,8 +287,7 @@ mod tests {
             let pool = ThreadPool::new(2);
             for _ in 0..50 {
                 let hits = hits.clone();
-                // fire-and-forget handles: results discarded
-                let _ = pool.submit(move || {
+                pool.execute(move || {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -358,61 +297,27 @@ mod tests {
     }
 
     #[test]
-    fn try_join_eventually_ready() {
-        let pool = ThreadPool::new(1);
-        let h = pool.submit(|| 5u32);
-        // the property is "ready eventually", not "ready within N yields":
-        // poll until a deadline generous enough for a loaded host
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let val = loop {
-            if let Some(r) = h.try_join() {
-                break r.unwrap();
-            }
-            assert!(Instant::now() < deadline, "job not ready after 10 s");
-            std::thread::yield_now();
-        };
-        assert_eq!(val, 5);
-    }
-
-    /// Regression (issue 7): a dropped result channel used to come back
-    /// as `None` from `try_join`, indistinguishable from "still running"
-    /// — a poll loop on such a job spins forever. It must surface the
-    /// same panic payload `join` synthesizes.
-    #[test]
-    fn try_join_reports_dropped_job_instead_of_none() {
-        let (tx, rx) = sync_channel::<std::thread::Result<u32>>(1);
-        drop(tx); // the job's result can never arrive
-        let h = JobHandle { rx };
-        let result = h
-            .try_join()
-            .expect("disconnection must be reported, not polled forever");
-        let payload = result.expect_err("a lost job is an error, not a value");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("scl-exec: job dropped before completion")
-        );
-        // and join agrees with try_join on the payload
-        let (tx, rx) = sync_channel::<std::thread::Result<u32>>(1);
-        drop(tx);
-        let payload = JobHandle { rx }.join().unwrap_err();
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("scl-exec: job dropped before completion")
-        );
-    }
-
-    #[test]
     fn many_concurrent_submitters() {
         let pool = Arc::new(ThreadPool::new(4));
+        let (tx, rx) = channel();
         let mut joins = vec![];
-        for t in 0..8 {
+        for t in 0..8u64 {
             let pool = pool.clone();
+            let tx = tx.clone();
             joins.push(std::thread::spawn(move || {
-                let jobs: Vec<_> = (0..50u64).map(|i| move || i + t).collect();
-                pool.submit_all(jobs).iter().sum::<u64>()
+                for i in 0..50u64 {
+                    let tx = tx.clone();
+                    pool.execute(move || tx.send(i + t).unwrap());
+                }
             }));
         }
-        let total: u64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
+        drop(tx);
+        for j in joins {
+            j.join().unwrap();
+        }
+        // every sender clone lives in a job: the channel closes once all
+        // 400 jobs have run
+        let total: u64 = rx.iter().sum();
         let expect: u64 = (0..8u64)
             .map(|t| (0..50u64).map(|i| i + t).sum::<u64>())
             .sum();

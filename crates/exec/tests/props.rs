@@ -36,8 +36,16 @@ fn pool_submit_all_matches_direct() {
         let len = rng.range_usize(0, 100);
         let values = rng.vec_of(len, |r| r.next_u64() as u16);
         let pool = ThreadPool::new(3);
-        let jobs: Vec<_> = values.iter().map(|&v| move || v as u32 + 1).collect();
-        let out = pool.submit_all(jobs);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for (i, &v) in values.iter().enumerate() {
+            let tx = tx.clone();
+            pool.execute(move || tx.send((i, v as u32 + 1)).unwrap());
+        }
+        drop(tx);
+        let mut out = vec![0u32; values.len()];
+        for (i, x) in rx {
+            out[i] = x;
+        }
         let expect: Vec<u32> = values.iter().map(|&v| v as u32 + 1).collect();
         assert_eq!(out, expect);
     });

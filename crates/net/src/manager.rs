@@ -10,7 +10,7 @@
 //! * **Analyze** — classify each contract as met or violated, and the
 //!   plan cache as within or over its memory cap.
 //! * **Plan** — pick actuations: latency misses shrink the batch window
-//!   (smaller rounds finish sooner) and cap farm width (frees budget so
+//!   (smaller rounds finish sooner) and cap farm width (frees threads so
 //!   tenants overlap instead of queueing behind one wide batch), plus a
 //!   weight boost for the violated tenant; throughput misses boost
 //!   weight only; an all-clear tick relaxes every actuator one step back
@@ -149,7 +149,7 @@ impl Manager {
         now: Instant,
     ) -> Vec<String> {
         let mut actions = Vec::new();
-        let budget_total = srv.thread_budget().total();
+        let threads = srv.threads();
 
         // Monitor + Analyze: which contracts are violated right now?
         let mut latency_violations: Vec<usize> = Vec::new();
@@ -184,8 +184,8 @@ impl Manager {
                     "shrink batch window {window} -> {next} (p99 over SLO)"
                 ));
             }
-            let cap = srv.width_cap().min(budget_total);
-            let floor = (budget_total / 2).max(1);
+            let cap = srv.width_cap().min(threads);
+            let floor = (threads / 2).max(1);
             if cap > floor {
                 let next = (cap / 2).max(floor);
                 srv.set_width_cap(next);
@@ -201,8 +201,8 @@ impl Manager {
                 ));
             }
             let cap = srv.width_cap();
-            if cap < budget_total {
-                let next = (cap * 2).min(budget_total);
+            if cap < threads {
+                let next = (cap * 2).min(threads);
                 srv.set_width_cap(next);
                 actions.push(format!("relax width cap {cap} -> {next} (SLOs met)"));
             }
@@ -274,6 +274,7 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scl_exec::ExecPolicy;
     use scl_machine::{CostModel, Machine, Topology};
     use scl_serve::ServePolicy;
     use std::time::Duration;
@@ -284,7 +285,7 @@ mod tests {
                 Topology::FullyConnected { procs: 4 },
                 CostModel::unit(),
             ))
-            .with_threads(threads),
+            .with_exec(ExecPolicy::Threads(threads)),
         )
     }
 
@@ -362,7 +363,7 @@ mod tests {
             srv.batch_window(),
             ManagerConfig::default().rest_batch_window
         );
-        assert_eq!(srv.width_cap(), srv.thread_budget().total());
+        assert_eq!(srv.width_cap(), srv.threads());
         assert_eq!(srv.tenant_weight(t), 1, "boost decayed to base");
     }
 

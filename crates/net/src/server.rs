@@ -108,10 +108,9 @@ pub struct NetConfig {
     pub addr: String,
     /// Simulated machine size (fully connected, unit cost model).
     pub procs: usize,
-    /// Execution policy for served plans.
+    /// Execution policy for served plans; its thread count is what the
+    /// service splits into tenants' fair shares.
     pub exec: ExecPolicy,
-    /// Host thread budget for the service (`0` = the policy's default).
-    pub threads: usize,
     /// Initial batch window (a manager actuator thereafter).
     pub batch_window: usize,
     /// Serve-layer LRU plan-cache capacity.
@@ -134,7 +133,6 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             procs: 8,
             exec: ExecPolicy::auto(),
-            threads: 0,
             batch_window: 16,
             plan_cache_cap: 32,
             queue_capacity: 64,
@@ -146,6 +144,11 @@ impl Default for NetConfig {
     }
 }
 
+/// The open connections: a duplicate of each socket (so `shutdown` can
+/// unblock its reader) paired with that reader's thread. The accept loop
+/// drops the pairs whose reader has finished.
+type Conns = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
+
 /// A running server. Dropping it without [`NetServer::shutdown`] leaves
 /// the threads running for the process lifetime; call `shutdown` for a
 /// graceful drain + join.
@@ -153,9 +156,8 @@ pub struct NetServer {
     addr: SocketAddr,
     admission: Arc<Admission>,
     metrics: Arc<Mutex<NetMetrics>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     threads: Vec<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl NetServer {
@@ -171,8 +173,7 @@ impl NetServer {
         let admission = Arc::new(Admission::new(cfg.queue_capacity, cfg.shed));
         let names: Vec<String> = cfg.tenants.iter().map(|t| t.name.clone()).collect();
         let metrics = Arc::new(Mutex::new(NetMetrics::new(&names)));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::new(Mutex::new(Vec::new()));
         let buckets: Arc<Vec<Mutex<TokenBucket>>> = Arc::new(
             cfg.tenants
                 .iter()
@@ -195,13 +196,10 @@ impl NetServer {
             let admission = Arc::clone(&admission);
             let metrics = Arc::clone(&metrics);
             let conns = Arc::clone(&conns);
-            let readers = Arc::clone(&readers);
             threads.push(
                 std::thread::Builder::new()
                     .name("scl-net-accept".to_string())
-                    .spawn(move || {
-                        accept_loop(listener, admission, metrics, buckets, conns, readers)
-                    })?,
+                    .spawn(move || accept_loop(listener, admission, metrics, buckets, conns))?,
             );
         }
 
@@ -211,7 +209,6 @@ impl NetServer {
             metrics,
             conns,
             threads,
-            readers,
         })
     }
 
@@ -253,16 +250,17 @@ impl NetServer {
             });
         }
         let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-        // unblock reader threads parked in read()
-        for c in self.conns.lock().unwrap().iter() {
-            let _ = c.shutdown(std::net::Shutdown::Both);
-        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        let readers = std::mem::take(&mut *self.readers.lock().unwrap());
-        for r in readers {
-            let _ = r.join();
+        // the accept loop is gone, so the registry is final: unblock the
+        // reader threads parked in read(), then join them
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
+        for (c, _) in &conns {
+            let _ = c.shutdown(std::net::Shutdown::Both);
+        }
+        for (_, reader) in conns {
+            let _ = reader.join();
         }
     }
 }
@@ -272,8 +270,7 @@ fn accept_loop(
     admission: Arc<Admission>,
     metrics: Arc<Mutex<NetMetrics>>,
     buckets: Arc<Vec<Mutex<TokenBucket>>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 ) {
     // blocking accept: a new connection is served the moment it arrives;
     // `shutdown` connects once after stopping the queue to wake this loop
@@ -283,17 +280,22 @@ fn accept_loop(
         }
         let Ok(stream) = stream else { break };
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            conns.lock().unwrap().push(clone);
-        }
+        // a socket `shutdown` could not unblock is refused (closed here)
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         let admission = Arc::clone(&admission);
         let metrics = Arc::clone(&metrics);
         let buckets = Arc::clone(&buckets);
         let handle = std::thread::Builder::new()
             .name("scl-net-conn".to_string())
             .spawn(move || connection_loop(stream, admission, metrics, buckets));
-        if let Ok(h) = handle {
-            readers.lock().unwrap().push(h);
+        let mut conns = conns.lock().unwrap();
+        // closed connections leave with this accept: their duplicate
+        // socket closes and their finished reader needs no join
+        conns.retain(|(_, reader)| !reader.is_finished());
+        if let Ok(reader) = handle {
+            conns.push((clone, reader));
         }
     }
 }
@@ -579,13 +581,10 @@ fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<Ne
         },
         CostModel::unit(),
     );
-    let mut policy = ServePolicy::new(machine)
+    let policy = ServePolicy::new(machine)
         .with_exec(cfg.exec)
         .with_batch_window(cfg.batch_window)
         .with_plan_cache_cap(cfg.plan_cache_cap);
-    if cfg.threads > 0 {
-        policy = policy.with_threads(cfg.threads);
-    }
     let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(policy);
     let ids: Vec<TenantId> = cfg
         .tenants
@@ -688,7 +687,7 @@ fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<Ne
         m.serve.cached_plans = srv.cached_plans();
         m.serve.quarantined_plans = srv.quarantined_plans();
         m.serve.batch_window = srv.batch_window();
-        m.serve.width_cap = srv.width_cap().min(srv.thread_budget().total());
+        m.serve.width_cap = srv.width_cap().min(srv.threads());
         m.queue_depth = admission.depth();
         drop(m);
 
@@ -751,4 +750,43 @@ fn submit_job(
     let handle = plan_handle(mode, &key, &source);
     sources.entry(handle).or_insert((mode, key, source));
     Ok((ticket, handle))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::NetClient;
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let server = NetServer::start(NetConfig {
+            manager_tick: Duration::ZERO,
+            ..NetConfig::default()
+        })
+        .unwrap();
+        for _ in 0..50 {
+            NetClient::connect(server.local_addr())
+                .unwrap()
+                .ping()
+                .unwrap();
+        }
+        // each accept drops the connections whose reader has finished:
+        // connect fresh clients until the 50 closed ones are gone
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            NetClient::connect(server.local_addr())
+                .unwrap()
+                .ping()
+                .unwrap();
+            let registered = server.conns.lock().unwrap().len();
+            if registered <= 2 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{registered} connections still registered after their clients closed"
+            );
+        }
+        server.shutdown();
+    }
 }

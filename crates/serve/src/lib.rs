@@ -8,8 +8,8 @@
 //! opposite shape: **many independent clients** submitting **many
 //! different plans** concurrently against **one** shared machine budget.
 //! Paying plan compilation (optimise → fuse → build a persistent operator
-//! graph, spawning its farm workers) per request would dwarf the work of
-//! most requests, and letting every client fan out as if it owned the
+//! graph and its farm lanes) per request would dwarf the work of most
+//! requests, and letting every client fan out as if it owned the
 //! host would oversubscribe it — the behavioural-skeleton literature
 //! frames this as autonomic management of multiple non-functional
 //! concerns; here the concerns are compilation cost, host-thread
@@ -29,16 +29,15 @@
 //!   the hash. Entries are evicted least-recently-used beyond
 //!   [`ServePolicy::with_plan_cache_cap`].
 //!
-//! * **A shard scheduler.** One host-wide
-//!   [`ThreadBudget`] is partitioned across the
-//!   *active* tenants in weighted fair shares (largest-remainder
-//!   apportionment over [`Serve::add_tenant_weighted`] weights),
-//!   recomputed every service round as tenants arrive and finish. A
-//!   batch's share is claimed as a [`BudgetLease`](scl_exec::BudgetLease)
-//!   and handed to the graph through its external width cap
-//!   ([`StreamExec::set_width_cap`](scl_stream::StreamExec::set_width_cap)),
-//!   so farm replicas beyond the share park on their gates — adaptation
-//!   without spawning or joining a single thread.
+//! * **A shard scheduler.** The policy's host threads
+//!   ([`Serve::threads`]) are split across the *active* tenants in
+//!   weighted fair shares (largest-remainder apportionment over
+//!   [`Serve::add_tenant_weighted`] weights), recomputed every service
+//!   round as tenants arrive and finish. A batch's share is handed to its
+//!   graph as the external width cap
+//!   ([`StreamExec::set_width_cap`](scl_stream::StreamExec::set_width_cap)):
+//!   the most farm lanes the pump routes to, and so the most jobs the
+//!   graph has on the shared pool at once.
 //!
 //! * **Request batching.** Same-plan requests waiting at the start of a
 //!   service round are coalesced — up to
@@ -86,10 +85,11 @@
 //! `Serve` is single-threaded at the front: submissions enqueue, and
 //! [`Serve::step`] / [`Serve::run_until_idle`] pump the compiled graphs
 //! on the calling thread (exactly like driving a `StreamExec` directly).
-//! All parallelism lives *inside* the cached graphs — their persistent
-//! farm replicas — bounded collectively by the thread budget. That keeps
-//! the stateful pieces (plan closures, per-entry queues) free of locks
-//! while the shared budget stays honest.
+//! All parallelism lives *inside* the cached graphs — their farm lanes,
+//! served by jobs on the one process-wide `scl-exec` pool — so however
+//! many graphs the cache holds, the process holds the widest farm's
+//! worth of workers. That keeps the stateful pieces (plan closures,
+//! per-entry queues) free of locks.
 //!
 //! [`Skel::run`]: scl_core::Skel::run
 //! [`Skel::fingerprint`]: scl_core::Skel::fingerprint
@@ -97,12 +97,11 @@
 //! [`Scl::run_optimized`]: scl_core::Scl::run_optimized
 
 use scl_core::{FusePort, PlanFingerprint, RequestError, SclError, Skel};
-use scl_exec::{ExecPolicy, ThreadBudget};
+use scl_exec::ExecPolicy;
 use scl_machine::{Machine, MachineReport};
 use scl_stream::{StreamExec, StreamPolicy};
 use scl_transform::{optimize, Registry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
 mod scheduler;
@@ -116,12 +115,11 @@ pub type RequestOutcome<B> = Result<(B, MachineReport), RequestError>;
 
 /// How a [`Serve`] front-end runs: the machine template every request's
 /// context is cloned from, the execution policy compiled graphs serve
-/// under, and the serving knobs (thread budget, batch window, plan-cache
-/// capacity, channel capacity, adaptive width control).
+/// under, and the serving knobs (batch window, plan-cache capacity,
+/// channel capacity, adaptive width control).
 pub struct ServePolicy {
     machine: Machine,
     exec: ExecPolicy,
-    threads: Option<usize>,
     batch_window: usize,
     plan_cache_cap: usize,
     capacity: usize,
@@ -130,15 +128,14 @@ pub struct ServePolicy {
 }
 
 impl ServePolicy {
-    /// Defaults: [`ExecPolicy::auto`] execution, a thread budget matching
-    /// the policy, batch window 16, plan cache capacity 32, capacity-8
+    /// Defaults: [`ExecPolicy::auto`] execution, batch window 16, plan
+    /// cache capacity 32, capacity-8
     /// channels, adaptive width control on, quarantine after 3
     /// consecutive crashed batches.
     pub fn new(machine: Machine) -> ServePolicy {
         ServePolicy {
             machine,
             exec: ExecPolicy::auto(),
-            threads: None,
             batch_window: 16,
             plan_cache_cap: 32,
             capacity: 8,
@@ -150,16 +147,10 @@ impl ServePolicy {
     /// Set the execution policy compiled graphs serve under (farm width
     /// ceilings, cost-model consultation) — see
     /// [`StreamPolicy::with_exec`](scl_stream::StreamPolicy::with_exec).
+    /// Its thread count is also what the shard scheduler splits into
+    /// weighted fair shares each round ([`Serve::threads`]).
     pub fn with_exec(mut self, exec: ExecPolicy) -> ServePolicy {
         self.exec = exec;
-        self
-    }
-
-    /// Set the host-wide thread budget shared by **all** tenants (≥ 1).
-    /// Defaults to the execution policy's thread count. The shard
-    /// scheduler splits this budget into weighted fair shares each round.
-    pub fn with_threads(mut self, threads: usize) -> ServePolicy {
-        self.threads = Some(threads.max(1));
         self
     }
 
@@ -172,8 +163,9 @@ impl ServePolicy {
     }
 
     /// Set the plan-cache capacity: compiled graphs kept resident.
-    /// Beyond it, the least-recently-used idle entry is evicted (its farm
-    /// workers join). `0` disables retention **across service rounds** —
+    /// Beyond it, the least-recently-used idle entry is evicted (its links
+    /// close; no thread is joined). `0` disables retention **across
+    /// service rounds** —
     /// the benchmark's "cold" baseline: every round recompiles, though
     /// same-plan submissions queued within one round still share that
     /// round's compile (they are one batch; eviction happens at the end
@@ -184,7 +176,7 @@ impl ServePolicy {
     }
 
     /// Set the per-graph link capacity: the backpressure bound, and the
-    /// most replicas any one farm runs — see
+    /// most lanes any one farm has — see
     /// [`StreamPolicy::with_capacity`](scl_stream::StreamPolicy::with_capacity).
     pub fn with_capacity(mut self, capacity: usize) -> ServePolicy {
         self.capacity = capacity.max(1);
@@ -208,13 +200,6 @@ impl ServePolicy {
     pub fn with_quarantine_after(mut self, crashes: u32) -> ServePolicy {
         self.quarantine_after = crashes.max(1);
         self
-    }
-
-    /// The effective thread budget: the explicit setting, else the
-    /// execution policy's thread count.
-    fn budget_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| self.exec.effective_threads(usize::MAX))
     }
 
     fn stream_policy(&self, fused_charging: bool) -> StreamPolicy {
@@ -312,7 +297,6 @@ struct Entry<A: FusePort, B: FusePort> {
 /// plans* of that signature, each cached under its own fingerprint.
 pub struct Serve<A: FusePort + Send + 'static, B: FusePort + 'static> {
     policy: ServePolicy,
-    budget: Arc<ThreadBudget>,
     tenants: Vec<Tenant>,
     /// The plan cache. A `BTreeMap` so service rounds visit entries in a
     /// deterministic (fingerprint) order.
@@ -334,10 +318,8 @@ where
 {
     /// A service with no tenants and an empty cache.
     pub fn new(policy: ServePolicy) -> Serve<A, B> {
-        let budget = ThreadBudget::new(policy.budget_threads());
         Serve {
             policy,
-            budget,
             tenants: Vec::new(),
             cache: BTreeMap::new(),
             done: HashMap::new(),
@@ -412,9 +394,10 @@ where
         self.cache.values().map(|e| e.queue.len()).sum()
     }
 
-    /// The host-wide thread budget the shard scheduler partitions.
-    pub fn thread_budget(&self) -> &Arc<ThreadBudget> {
-        &self.budget
+    /// The host threads the shard scheduler splits into fair shares: the
+    /// execution policy's thread count.
+    pub fn threads(&self) -> usize {
+        self.policy.exec.effective_threads(usize::MAX)
     }
 
     // ---- autonomic-manager hooks -------------------------------------------
@@ -455,11 +438,9 @@ where
         self.width_cap
     }
 
-    /// Cap every batch's farm width at `cap` active replicas (≥ 1),
-    /// composing with the per-round budget grant (the effective width is
-    /// the minimum of the two). A claim never asks the budget for more
-    /// than the cap, so the withheld threads stay claimable by other
-    /// consumers of the shared budget. `usize::MAX` removes the cap.
+    /// Cap every batch's farm width at `cap` active lanes (≥ 1),
+    /// composing with the batch's fair share (the effective width is the
+    /// minimum of the two). `usize::MAX` removes the cap.
     pub fn set_width_cap(&mut self, cap: usize) {
         self.width_cap = cap.max(1);
     }
@@ -515,7 +496,7 @@ where
             .filter(|(_, t)| t.pending > 0)
             .map(|(i, t)| (TenantId(i), t.weight))
             .collect();
-        fair_shares(self.budget.total(), &active)
+        fair_shares(self.threads(), &active)
     }
 
     /// Submit a request: run `plan` over `input` on behalf of `tenant`.
@@ -557,7 +538,7 @@ where
     /// request. Once the deadline passes, the request short-circuits to
     /// [`RequestError::DeadlineExceeded`] wherever it happens to be —
     /// still queued, mid-batch, or between farm stages — instead of
-    /// occupying replicas. `None` means no deadline.
+    /// occupying farm lanes. `None` means no deadline.
     pub fn submit_keyed_deadline(
         &mut self,
         tenant: TenantId,
@@ -579,28 +560,23 @@ where
     /// genuinely overlaps:
     ///
     /// 1. **Push.** For every cached plan with waiting requests: coalesce
-    ///    up to the batch window of them, claim the batch's thread share
-    ///    from the budget as a [`BudgetLease`](scl_exec::BudgetLease)
-    ///    (the share: the sum of the batch's distinct tenants' fair
-    ///    shares), cap the graph's width at the grant, and push the whole
-    ///    batch. From here each graph's farm replicas process their items
-    ///    on worker threads concurrently with every other graph's — the
-    ///    per-graph caps are what keep the *sum* of active replicas
-    ///    within the budget while they overlap.
+    ///    up to the batch window of them, cap the graph's width at the
+    ///    batch's share (the sum of its distinct tenants' fair shares,
+    ///    at most [`Serve::threads`] and the manager's
+    ///    [`Serve::set_width_cap`]), and push the whole batch. From here
+    ///    each graph's farm lanes are served by jobs on the shared pool
+    ///    concurrently with every other graph's; the cap bounds how many
+    ///    of them one graph has at once, and the pool's size bounds them
+    ///    all.
     /// 2. **Drain.** Collect each graph's outputs in turn, pairing every
-    ///    request with its own private [`MachineReport`], and release the
-    ///    leases. A request left alone in its graph — a batch of one, or
-    ///    the last of a batch — runs its remaining segments on the
-    ///    draining thread instead of waking a replica per farm, fanned
-    ///    out across the farm's granted width when the farm's measured
-    ///    service time shows the segment is heavy.
+    ///    request with its own private [`MachineReport`]. A request left
+    ///    alone in its graph — a batch of one, or the last of a batch —
+    ///    runs its remaining segments on the draining thread instead of
+    ///    handing it to a lane per farm, fanned out across the farm's
+    ///    capped width when the farm's measured service time shows the
+    ///    segment is heavy.
     ///
-    /// Budget honesty is best-effort at the edge: the budget is shared
-    /// (see [`Serve::thread_budget`]), and when another consumer holds
-    /// all capacity `try_claim` grants nothing — the batch then still
-    /// runs at width 1 rather than stalling the round (admission over
-    /// strict capacity, the same trade the scheduler's one-thread floor
-    /// makes). Returns how many requests completed.
+    /// Returns how many requests completed.
     ///
     /// This method **never unwinds on a plan failure**: a crashing plan
     /// resolves its own tickets to `Err` outcomes (collect them with
@@ -614,6 +590,7 @@ where
     pub fn step(&mut self) -> usize {
         self.expire_queued();
         let shares: HashMap<TenantId, usize> = self.shares().into_iter().collect();
+        let total = self.threads();
         let window = self.policy.batch_window;
         let fps: Vec<PlanFingerprint> = self
             .cache
@@ -622,19 +599,15 @@ where
             .map(|(fp, _)| *fp)
             .collect();
 
-        // phase 1: claim shares and push every plan's batch
-        struct InFlight {
-            fp: PlanFingerprint,
-            tickets: Vec<(Ticket, TenantId)>,
-            lease: Option<scl_exec::BudgetLease>,
-        }
-        let mut in_flight: Vec<InFlight> = Vec::with_capacity(fps.len());
+        // phase 1: cap each graph at its batch's share and push the batch
+        let mut in_flight: Vec<(PlanFingerprint, Vec<(Ticket, TenantId)>)> =
+            Vec::with_capacity(fps.len());
         for fp in fps {
             let entry = self.cache.get_mut(&fp).expect("listed above");
             let batch: Vec<Request<A>> =
                 entry.queue.drain(..window.min(entry.queue.len())).collect();
             // the batch's share: the sum of its distinct tenants' shares,
-            // clamped to the whole budget
+            // clamped to the whole thread count
             let mut want = 0usize;
             let mut seen: Vec<TenantId> = Vec::new();
             for r in &batch {
@@ -643,35 +616,32 @@ where
                     want += shares.get(&r.tenant).copied().unwrap_or(1);
                 }
             }
-            let want = want.clamp(1, self.budget.total()).min(self.width_cap);
-            let lease = self.budget.try_claim(want, 1);
-            let granted = lease.as_ref().map_or(1, |l| l.granted());
             let exec = entry
                 .exec
                 .as_mut()
                 .expect("a queued entry always has a live graph");
-            exec.set_width_cap(granted.min(self.width_cap));
+            exec.set_width_cap(want.clamp(1, total).min(self.width_cap));
 
             let tickets: Vec<(Ticket, TenantId)> =
                 batch.iter().map(|r| (r.ticket, r.tenant)).collect();
-            // push never unwinds on a plan failure: a crashing stage — on
-            // a replica, or on this thread when the drain below carries a
-            // lone item or the graph runs inline — poisons the item's
+            // push never unwinds on a plan failure: a crashing stage — in
+            // a lane's job, or on this thread when the drain below carries
+            // a lone item or the graph runs inline — poisons the item's
             // envelope, resolved at drain as a typed error
             for r in batch {
                 exec.push_deadline(r.input, r.deadline)
                     .expect("submit validated the input against this machine");
             }
-            in_flight.push(InFlight { fp, tickets, lease });
+            in_flight.push((fp, tickets));
         }
 
-        // phase 2: drain each graph (their farm replicas have been
-        // working concurrently since the pushes; a lone request waits on
+        // phase 2: drain each graph (their farm lanes have been served
+        // concurrently since the pushes; a lone request waits on
         // its graph's entry slot and the drain runs it on this thread)
         // and deliver outcomes — healthy results and typed failures
         // alike, one per ticket
         let mut completed = 0usize;
-        for InFlight { fp, tickets, lease } in in_flight {
+        for (fp, tickets) in in_flight {
             let outcomes = {
                 let entry = self.cache.get_mut(&fp).expect("still resident");
                 entry
@@ -680,7 +650,6 @@ where
                     .expect("graph stays live until this drain settles")
                     .drain_outcomes()
             };
-            drop(lease);
             assert_eq!(
                 outcomes.len(),
                 tickets.len(),
@@ -718,7 +687,7 @@ where
     }
 
     /// Shed queued requests whose deadline already passed — before any
-    /// batch forms, so dead work never claims budget or a batch slot.
+    /// batch forms, so dead work never takes a batch slot.
     fn expire_queued(&mut self) {
         let mut expired: Vec<(Ticket, TenantId)> = Vec::new();
         let mut now = None;
@@ -742,8 +711,8 @@ where
         }
     }
 
-    /// Supervise a crashed plan: tear the graph down (its farm workers
-    /// join; the next submission rebuilds from the plan), fail every
+    /// Supervise a crashed plan: tear the graph down (its links close;
+    /// the next submission rebuilds from the plan), fail every
     /// request still queued behind the crashed batch with the same typed
     /// error, bump the consecutive-crash count, and quarantine the plan
     /// once it reaches the limit.
@@ -751,7 +720,7 @@ where
         let Some(entry) = self.cache.get_mut(&fp) else {
             return;
         };
-        entry.exec = None; // teardown: StreamExec drop joins its workers
+        entry.exec = None; // teardown: StreamExec drop closes its links
         entry.crashes += 1;
         if !entry.quarantined && entry.crashes >= self.policy.quarantine_after {
             entry.quarantined = true;
@@ -931,7 +900,7 @@ where
                 .map(|(fp, _)| *fp);
             match victim {
                 Some(fp) => {
-                    self.cache.remove(&fp); // StreamExec drop joins its workers
+                    self.cache.remove(&fp); // StreamExec drop closes its links
                     self.stats.evictions += 1;
                 }
                 None => break, // everything resident is still in use
@@ -954,7 +923,7 @@ impl Serve<scl_core::ParArray<i64>, scl_core::ParArray<i64>> {
     /// A plan outside the lowerable fragment has no optimised program to
     /// cache: it is rejected with [`SclError::NotLowerable`] and no ticket
     /// is issued (submit it plainly instead). The borrowed `plan` is only
-    /// read; `reg` must outlive the service's worker threads, hence
+    /// read; `reg` must outlive the jobs serving the cached graph, hence
     /// `'static` (lowerable-fragment registries are cheap to build once
     /// and leak, see the serving example).
     ///

@@ -1,5 +1,5 @@
-//! The shard scheduler's apportionment rule: split one host-wide thread
-//! budget into weighted fair shares over the currently active tenants.
+//! The shard scheduler's apportionment rule: split the host's threads
+//! into weighted fair shares over the currently active tenants.
 //!
 //! The rule is largest-remainder (Hamilton) apportionment with a
 //! one-thread floor:
@@ -14,10 +14,10 @@
 //! Because of the one-thread floor the shares may *sum above* the budget
 //! whenever any tenant's proportional share rounds to zero — active
 //! tenants outnumbering threads, or heavily skewed weights (budget 4 over
-//! weights 100:1 yields shares 4 and 1); the budget itself
-//! ([`scl_exec::ThreadBudget`]) stays honest at claim time — a batch
-//! whose share exceeds what is left is granted less, and farm gates cap
-//! at the grant.
+//! weights 100:1 yields shares 4 and 1). A share caps how many farm lanes
+//! one graph routes to; what actually runs at once is bounded by the
+//! shared `scl-exec` pool, which holds the widest farm's worth of workers
+//! whatever the shares add up to.
 
 use crate::TenantId;
 
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn floored_tenant_never_silently_loses_its_share_to_a_heavyweight() {
         // budget 4, weights 100:1 → 4 and the floor's 1; the heavyweight's
-        // grant is uncut (the budget stays honest at claim time instead)
+        // share is uncut (the shared pool's size bounds what runs instead)
         assert_eq!(shares(4, &[100, 1]), vec![4, 1]);
         // ... and the same holds as more floor-bound tenants pile in
         assert_eq!(shares(4, &[100, 1, 1, 1]), vec![4, 1, 1, 1]);

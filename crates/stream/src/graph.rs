@@ -3,42 +3,52 @@
 //! pump-side hops (barrier chains), plus the pump loop and the autonomic
 //! width controller.
 //!
-//! Threading model: farm replicas are the only worker threads; everything
-//! else — barrier execution, reordering, relaying between stages,
-//! completion — happens on the *pumping* thread (whoever calls
-//! `push`/`pop`/`drain`). That keeps the stateful pieces (`FnMut` barrier
-//! closures) on a single thread with no synchronisation, while the pure
-//! segments overlap across items.
+//! Threading model: the graph owns no thread. A farm replica is a *lane*
+//! — a private input/output ring pair — served by run-to-empty jobs on the
+//! process-wide [`ThreadPool::shared`], the pool every fork-join dispatch
+//! also runs on; everything else — barrier execution, reordering,
+//! relaying between stages, completion — happens on the *pumping* thread
+//! (whoever calls `push`/`pop`/`drain`). That keeps the stateful pieces
+//! (`FnMut` barrier closures) on a single thread with no synchronisation,
+//! while the pure segments overlap across items.
+//!
+//! At most one job serves a lane at a time, so every ring stays SPSC. The
+//! pump submits one when a lane has input, room in its output and no job
+//! outstanding; the job serves items until its input is empty or its
+//! output full — it never blocks, so a job cannot hold a pool worker
+//! hostage while another graph's jobs wait behind it — then releases the
+//! lane and re-checks it, re-claiming it if work arrived meanwhile: the
+//! publish–fence–recheck handshake of the rings' park slots, with the
+//! pump's push or pop as the other side.
 //!
 //! The pump is also one more replica of every farm, for one case only: an
 //! item alone in the graph while its caller blocks waiting for it (a lone
 //! request). It then runs the item's segments itself — the same
-//! [`serve_item`] a replica runs, result into the same reorder buffer —
-//! because a hand-off to a parked replica would buy no overlap, only a
-//! wake-up per farm. The replicas are idle at that moment, so when the
-//! farm's measured mean service time reaches [`LONE_FAN_OUT_NS`] the pump
-//! runs the segment data-parallel across the farm's width (its
-//! `max_width`, which already honours the external cap); a farm's first
-//! item, with nothing measured yet, runs on the pump alone. Streaming
-//! callers (`push`, `try_pop*`) never take this path, so their items keep
-//! the replicas' overlap.
+//! [`serve_item`] a lane's job runs, result into the same reorder buffer
+//! — because a hand-off to a lane would buy no overlap, only a job
+//! submission and a wake-up per farm. The lanes are idle at that moment,
+//! so when the farm's measured mean service time reaches
+//! [`LONE_FAN_OUT_NS`] the pump runs the segment data-parallel across the
+//! farm's width (its `max_width`, which already honours the external
+//! cap); a farm's first item, with nothing measured yet, runs on the pump
+//! alone. Streaming callers (`push`, `try_pop*`) never take this path, so
+//! their items keep the lanes' overlap.
 //!
 //! When a round moves nothing, the pump parks on the graph's one
 //! [`ParkSlot`]: the producer park of every farm's input matrix and the
-//! consumer park of every output matrix, so a replica that frees an input
+//! consumer park of every output matrix, so a job that frees an input
 //! slot or publishes an output wakes it.
 
 use crate::{Envelope, FarmStats, StageStat};
 use scl_core::{panic_message, BarrierOp, BranchOp, ErasedArr, PlanOp, RequestError, SegmentOp};
 use scl_exec::{
-    ring_mpmc_parked, spawn_farm_workers, ExecPolicy, ParkSlot, RingReceiver, RingSender,
-    ThreadPool, TryRecv,
+    ring_mpmc_parked, ExecPolicy, ParkSlot, RingReceiver, RingSender, ThreadPool, TryRecv,
 };
 use scl_machine::Machine;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Mean farm service time at which the pump fans a lone item's segment
@@ -100,38 +110,36 @@ impl Hop {
     }
 }
 
-/// One farm stage: a fused compute segment replicated across workers,
-/// with the pump-side reorder buffer that restores stream order.
+/// One farm stage: a fused compute segment replicated across lanes, with
+/// the pump-side reorder buffer that restores stream order.
 ///
 /// The links exploit the farm's known topology — exactly one pumping
 /// thread on each side — as two SPSC lane matrices: a 1×W input matrix
-/// (pump → replicas) and a W×1 output matrix (replicas → pump). Each
-/// replica owns its private (receiver, sender) lane pair, so the whole
-/// `take → work → emit` loop is lock-free; the width gate steers the
-/// **pump's routing** ([`RingSender::try_send_within`]) instead of gating
-/// the workers — a narrowed-off replica just stops receiving new items,
-/// drains its own ring, and parks in `recv` for free.
+/// (pump → lanes) and a W×1 output matrix (lanes → pump). Each [`Lane`]
+/// owns its private (receiver, sender) pair, so serving it is lock-free
+/// end to end; the width gate steers the **pump's routing**
+/// ([`RingSender::try_send_within`]) — a narrowed-off lane just stops
+/// receiving new items and is served dry.
 pub(crate) struct Farm {
     label: String,
     seg: Arc<SegmentOp<'static>>,
     /// The pump's row of the input matrix.
     in_tx: RingSender<Envelope>,
+    /// The lanes' job side, lane `r` being column `r` of the input matrix
+    /// and row `r` of the output one.
+    lanes: Vec<Arc<Lane>>,
     /// The pump's column of the output matrix.
     out_rx: RingReceiver<Envelope>,
-    /// The replicas' private lane ends, moved out by [`Farm::spawn`].
-    worker_links: Vec<(RingReceiver<Envelope>, RingSender<Envelope>)>,
-    /// Replicas the pump currently routes to (the autonomic gate). Like
-    /// every field below it is pump-thread state: replicas never read it.
+    /// Lanes the pump currently routes to (the autonomic gate). Like every
+    /// field below it is pump-thread state: jobs never read it.
     active: usize,
-    /// Current ceiling for `active` (≤ `spawned`): the policy/cost-model
-    /// ceiling clamped by the graph's external width cap.
+    /// Current ceiling for `active` (≤ the lane count): the
+    /// policy/cost-model ceiling clamped by the graph's external width cap.
     max_width: usize,
     /// The policy-side ceiling alone (exec policy cap, possibly lowered by
     /// the cost model at calibration) — kept so an external cap change can
     /// recompute `max_width` without re-calibrating.
     policy_cap: usize,
-    /// Workers actually spawned — the hard ceiling.
-    spawned: usize,
     stats: Arc<FarmStats>,
     /// Completed-but-out-of-order items, keyed by stream position.
     reorder: BTreeMap<u64, Envelope>,
@@ -142,16 +150,72 @@ pub(crate) struct Farm {
     last_tick: Instant,
 }
 
+/// One replica lane's job side: its ends of the two matrices, and the
+/// flag that admits one job at a time.
+struct Lane {
+    /// Set while a job is outstanding; claimed false → true by whoever
+    /// submits or continues the job, so the ends below are only ever
+    /// touched by one job at a time.
+    running: AtomicBool,
+    /// The lane's input column and output row. The lock is uncontended
+    /// but for the instant a finishing job re-checks the lane while its
+    /// successor starts.
+    ends: Mutex<(RingReceiver<Envelope>, RingSender<Envelope>)>,
+    seg: Arc<SegmentOp<'static>>,
+    stats: Arc<FarmStats>,
+    summed: bool,
+}
+
+impl Lane {
+    /// One job: serve items until the input is empty or the output full —
+    /// never blocking — then release the lane and re-check it. An item
+    /// the pump routed (or a slot it freed) after the job's last look is
+    /// seen either by the re-check or by the pump's own check after its
+    /// push or pop ([`Farm::kick`]); whichever side wins the claim
+    /// continues.
+    fn serve(&self) {
+        let ends = self.ends.lock().unwrap_or_else(|e| e.into_inner());
+        let (rx, tx) = &*ends;
+        loop {
+            while !tx.lane_is_full(0) {
+                match rx.try_recv() {
+                    TryRecv::Item(env) => {
+                        let env = serve_item(&self.seg, &self.stats, self.summed, env);
+                        if tx.try_send(env).is_err() {
+                            return; // the graph closed its links
+                        }
+                    }
+                    TryRecv::Empty => break,
+                    TryRecv::Closed => return,
+                }
+            }
+            self.running.store(false, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            if rx.is_empty() || tx.lane_is_full(0) || !self.claim() {
+                return;
+            }
+        }
+    }
+
+    /// Claim the lane for one job.
+    fn claim(&self) -> bool {
+        self.running
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+}
+
 impl Farm {
-    /// A farm of `width_cap.min(capacity)` replicas: the rings need one
-    /// slot per lane, and `capacity` is the backpressure bound, so a farm
-    /// is never wider than its links are deep. The pump's ends of both
+    /// A farm of `width_cap.min(capacity)` lanes: the rings need one slot
+    /// per lane, and `capacity` is the backpressure bound, so a farm is
+    /// never wider than its links are deep. The pump's ends of both
     /// matrices park on `pump_park`.
     fn new(
         seg: Arc<SegmentOp<'static>>,
         capacity: usize,
         width_cap: usize,
         adaptive: bool,
+        summed: bool,
         pump_park: &Arc<ParkSlot>,
     ) -> Farm {
         let width = width_cap.min(capacity);
@@ -159,17 +223,30 @@ impl Farm {
             ring_mpmc_parked(1, width, capacity, Some(Arc::clone(pump_park)), None);
         let (out_txs, mut out_rxs) =
             ring_mpmc_parked(width, 1, capacity, None, Some(Arc::clone(pump_park)));
+        let stats = Arc::new(FarmStats::default());
+        let lanes = in_rxs
+            .into_iter()
+            .zip(out_txs)
+            .map(|ends| {
+                Arc::new(Lane {
+                    running: AtomicBool::new(false),
+                    ends: Mutex::new(ends),
+                    seg: Arc::clone(&seg),
+                    stats: Arc::clone(&stats),
+                    summed,
+                })
+            })
+            .collect();
         Farm {
             label: seg.label(),
             seg,
             in_tx: in_txs.remove(0),
+            lanes,
             out_rx: out_rxs.remove(0),
-            worker_links: in_rxs.into_iter().zip(out_txs).collect(),
             active: if adaptive { 1 } else { width },
             max_width: width,
             policy_cap: width,
-            spawned: width,
-            stats: Arc::new(FarmStats::default()),
+            stats,
             reorder: BTreeMap::new(),
             expect: 0,
             last_busy: 0,
@@ -177,35 +254,36 @@ impl Farm {
         }
     }
 
-    /// Spawn this farm's replicas: each claims envelopes off its input
-    /// link, runs [`serve_item`] on them, and emits downstream — blocking
-    /// there when full, so backpressure reaches the replicas too.
-    fn spawn(&mut self, pool: &ThreadPool, summed: bool) {
-        let seg = Arc::clone(&self.seg);
-        let stats = Arc::clone(&self.stats);
-        // each replica owns a private lane pair: its loop is lock-free
-        // end to end, and admission happens upstream in the pump's
-        // routing (no gate in the loop). Replicas never panic (they
-        // poison instead), and the pool joins the threads on shutdown.
-        let links = std::mem::take(&mut self.worker_links);
-        spawn_farm_workers(
-            pool,
-            links,
-            Arc::new(move |_replica, env| serve_item(&seg, &stats, summed, env)),
-        );
+    /// Submit a job for every lane that has input, room in its output
+    /// and no job outstanding — narrowed-off lanes included, so they are
+    /// served dry. Called after each pump pass, whose pushes and pops
+    /// each end in a SeqCst fence: the pump's half of the handshake in
+    /// [`Lane::serve`]. No caller works beside a farm's jobs, so the
+    /// shared pool is grown to one worker per lane.
+    fn kick(&self) {
+        for (r, lane) in self.lanes.iter().enumerate() {
+            if !lane.running.load(Ordering::SeqCst)
+                && self.in_tx.lane_len(r) > 0
+                && !self.out_rx.lane_is_full(r)
+                && lane.claim()
+            {
+                let lane = Arc::clone(lane);
+                ThreadPool::shared(self.lanes.len() + 1).execute(move || lane.serve());
+            }
+        }
     }
 
-    /// Items queued toward the replicas right now (racy gauge).
+    /// Items queued toward the lanes right now (racy gauge).
     fn in_depth(&self) -> usize {
         self.in_tx.len()
     }
 
     /// Input capacity the pump can currently route into: only the
-    /// gate-admitted lanes count (each lane holds `capacity / spawned`).
+    /// gate-admitted lanes count (each lane holds `capacity / lanes`).
     /// The controller's widen threshold is relative to this, so a narrow
     /// farm still detects backlog when its few admitted lanes fill up.
     fn in_routable_capacity(&self) -> usize {
-        self.in_tx.capacity() / self.spawned * self.active
+        self.in_tx.capacity() / self.lanes.len() * self.active
     }
 
     /// Recompute the width ceiling from the policy-side cap and the
@@ -213,7 +291,7 @@ impl Farm {
     /// keeps its current width if that still fits, a fixed-width farm runs
     /// at the ceiling.
     fn clamp_width(&mut self, extern_cap: usize, adaptive: bool) {
-        let cap = self.policy_cap.min(extern_cap).clamp(1, self.spawned);
+        let cap = self.policy_cap.min(extern_cap).clamp(1, self.lanes.len());
         self.max_width = cap;
         self.active = if adaptive { self.active.min(cap) } else { cap };
     }
@@ -243,18 +321,13 @@ pub(crate) struct Graph {
     adaptive: bool,
     /// Where the pump parks: shared by the pump's end of every farm link.
     pub(crate) park: Arc<ParkSlot>,
-    /// The persistent worker pool, held for its drop (which joins the
-    /// replica threads); `None` when the graph has no farms. The `Graph`
-    /// drop impl closes every ring first, so the workers the pool joins
-    /// are guaranteed to exit.
-    _pool: Option<ThreadPool>,
 }
 
 impl Graph {
     /// Compile an operator list into a live graph. A 1-thread policy
-    /// inlines every segment on the pump (zero worker threads); otherwise
-    /// each segment becomes a farm capped at the policy's thread count
-    /// and at `capacity` (see [`Farm::new`]).
+    /// inlines every segment on the pump (no jobs); otherwise each segment
+    /// becomes a farm capped at the policy's thread count and at
+    /// `capacity` (see [`Farm::new`]).
     pub(crate) fn build(
         ops: Vec<PlanOp<'static>>,
         capacity: usize,
@@ -268,7 +341,16 @@ impl Graph {
         };
         let inline = exec_cap <= 1;
         let park = Arc::new(ParkSlot::default());
-        let farm = |seg| Farm::new(Arc::new(seg), capacity, exec_cap, adaptive, &park);
+        let farm = |seg| {
+            Farm::new(
+                Arc::new(seg),
+                capacity,
+                exec_cap,
+                adaptive,
+                summed_charging,
+                &park,
+            )
+        };
         let mut hops = vec![Hop::new()];
         let mut farms: Vec<Farm> = Vec::new();
         for op in ops {
@@ -325,15 +407,6 @@ impl Graph {
                 },
             }
         }
-        let pool = if farms.is_empty() {
-            None
-        } else {
-            let pool = ThreadPool::new(farms.iter().map(|f| f.spawned).sum());
-            for farm in &mut farms {
-                farm.spawn(&pool, summed_charging);
-            }
-            Some(pool)
-        };
         Graph {
             farms,
             hops,
@@ -346,16 +419,15 @@ impl Graph {
             summed_charging,
             adaptive,
             park,
-            _pool: pool,
         }
     }
 
-    /// Clamp every farm's width ceiling at `cap` active replicas (≥ 1) —
-    /// the external control a shard scheduler drives when this graph's
-    /// share of a host-wide thread budget changes. The cap composes with
+    /// Clamp every farm's width ceiling at `cap` active lanes (≥ 1) — the
+    /// external control a shard scheduler drives when this graph's fair
+    /// share of the host's threads changes. The cap composes with
     /// the policy/cost-model ceiling (the effective ceiling is the
     /// minimum) and survives re-calibration; widening restores headroom
-    /// for the autonomic controller rather than forcing replicas active.
+    /// for the autonomic controller rather than forcing lanes active.
     pub(crate) fn set_width_cap(&mut self, cap: usize) {
         self.extern_cap = cap.max(1);
         for farm in &mut self.farms {
@@ -388,7 +460,7 @@ impl Graph {
                 item_bytes.max(1),
                 self.exec_cap,
             );
-            farm.policy_cap = d.threads.clamp(1, farm.spawned);
+            farm.policy_cap = d.threads.clamp(1, farm.lanes.len());
             farm.clamp_width(self.extern_cap, self.adaptive);
         }
     }
@@ -406,7 +478,8 @@ impl Graph {
     /// the hop's barrier chain, into the next farm's queue or the
     /// completion list. With `lone` (the caller blocks on the graph's only
     /// item) the pump runs that item's next segment itself instead of
-    /// routing it to a replica. Never blocks; returns whether any item
+    /// routing it to a lane. Ends by submitting a job to every lane that
+    /// needs one ([`Farm::kick`]). Never blocks; returns whether any item
     /// moved.
     pub(crate) fn pump(&mut self, lone: bool) -> bool {
         let n = self.farms.len();
@@ -432,6 +505,9 @@ impl Graph {
                 }
             }
         }
+        for farm in &self.farms {
+            farm.kick();
+        }
         moved
     }
 
@@ -442,7 +518,7 @@ impl Graph {
             return self.ingress.take();
         }
         let farm = &mut self.farms[h - 1];
-        // drain whatever the replicas have finished into the reorder
+        // drain whatever the lanes have finished into the reorder
         // buffer; release only the next item in stream order
         while let TryRecv::Item(env) = farm.out_rx.try_recv() {
             farm.reorder.insert(env.seq, env);
@@ -543,16 +619,16 @@ impl Graph {
             // one busy lane while the others race ahead into the reorder
             // buffer — and on through it, admitting ever more pushes.
             // Capping admitted-minus-released at the farm's static buffer
-            // space (in + out + one in hand per replica) keeps the reorder
+            // space (in + out + one in hand per lane) keeps the reorder
             // buffer — and the whole stream's in-flight gauge — bounded by
             // O(capacity).
-            let window = (farm.in_tx.capacity() + farm.out_rx.capacity() + farm.spawned) as u64;
+            let window = (farm.in_tx.capacity() + farm.out_rx.capacity() + farm.lanes.len()) as u64;
             if env.seq - farm.expect >= window {
                 return Err(env);
             }
             // the width gate is enforced here, in the pump's routing: only
-            // the first `active` replicas' lanes are eligible, so
-            // narrowed-off replicas drain dry and park
+            // the first `active` lanes are eligible, so narrowed-off lanes
+            // are served dry and then left alone
             farm.in_tx.try_send_within(env, farm.active)
         } else {
             self.completed.push_back(env);
@@ -563,8 +639,8 @@ impl Graph {
     /// One autonomic tick: sample every farm's queue depth and service
     /// utilisation since the last tick; widen a backlogged stage (depth ≥
     /// ¾ capacity) by one replica up to its ceiling, narrow a starved one
-    /// (empty queue, active replicas under 25 % busy) down to one. Width
-    /// changes only move the routing gate — no threads spawn or join.
+    /// (empty queue, active lanes under 25 % busy) down to one. Width
+    /// changes only move the routing gate.
     pub(crate) fn tick_controller(&mut self) {
         let now = Instant::now();
         for farm in &mut self.farms {
@@ -626,21 +702,21 @@ impl Graph {
 
 impl Drop for Graph {
     fn drop(&mut self) {
-        // Close every link before the pool field drops: replicas blocked
-        // on a full output or an empty input wake, observe the close,
-        // and exit, letting the pool's drop join them. In-flight
-        // envelopes are dropped with the queues.
+        // Close every link and return: a job still running finishes its
+        // item, sees the close and returns. Nothing is joined — a job
+        // holds only `'static` pieces — and in-flight envelopes drop with
+        // the queues.
         for farm in &self.farms {
             // closing the pump's row/column closes every lane of both
-            // matrices (1×W and W×1) and wakes parked ends
+            // matrices (1×W and W×1)
             farm.in_tx.close();
             farm.out_rx.close();
         }
     }
 }
 
-/// Serve one envelope through farm segment `seg` — what a replica does
-/// with every item it claims, and the pump with a lone one: run the
+/// Serve one envelope through farm segment `seg` — what a lane's job does
+/// with every item it takes, and the pump with a lone one: run the
 /// segment against the item's own machine context, counting the work in
 /// the farm's `stats`. A panicking stage poisons the envelope with a typed
 /// [`RequestError`] instead of unwinding; an item whose deadline already

@@ -18,11 +18,13 @@
 //! maximal fused compute segments separated by barriers — and
 //! [`StreamExec::new`] turns that chain into a graph:
 //!
-//! * each **segment** becomes a long-lived **farm stage**: an input queue,
-//!   `N` replica workers on a persistent `scl-exec` pool
-//!   ([`spawn_farm_workers`](scl_exec::spawn_farm_workers)), and an
-//!   output queue. Segments are pure and part-local (`Fn + Send + Sync`),
-//!   so replicas process *different stream items* concurrently; a reorder
+//! * each **segment** becomes a long-lived **farm stage**: `N` replica
+//!   *lanes*, each a private input/output ring pair, served by
+//!   run-to-empty jobs on the process-wide `scl-exec` pool
+//!   ([`ThreadPool::shared`](scl_exec::ThreadPool::shared)) — the graph
+//!   owns no thread, so building one spawns none and dropping one joins
+//!   none. Segments are pure and part-local (`Fn + Send + Sync`), so
+//!   lanes process *different stream items* concurrently; a reorder
 //!   buffer restores stream order on collection (emitter / N replicas /
 //!   **order-preserving** collector);
 //! * each **barrier** (communication skeletons, scans, repartitioning,
@@ -38,10 +40,11 @@
 //!   backpressure propagates all the way to [`StreamExec::push`] and
 //!   in-flight memory stays **O(capacity × stages)** regardless of stream
 //!   length. Every link is a **lock-free SPSC ring matrix**
-//!   ([`scl_exec::ring_mpmc`]) — each replica owns a private lane pair,
+//!   ([`scl_exec::ring_mpmc`]) — at most one job serves a lane at a
+//!   time, so each lane stays single-producer/single-consumer,
 //!   FastFlow-style, and the width gate steers the pump's routing. A
-//!   ring needs one slot per lane, so a farm runs at most `capacity`
-//!   replicas ([`StreamPolicy::with_capacity`]).
+//!   ring needs one slot per lane, so a farm has at most `capacity`
+//!   lanes ([`StreamPolicy::with_capacity`]).
 //!
 //! ## Per-item charging
 //!
@@ -58,15 +61,15 @@
 //!
 //! ## Autonomic degree control
 //!
-//! Each farm stage carries a width gate (`active` replicas out of
-//! `max_width` spawned). A lightweight controller samples every stage's
+//! Each farm stage carries a width gate (`active` lanes out of
+//! `max_width`). A lightweight controller samples every stage's
 //! queue depth and service time each *tick* (every
 //! [`StreamPolicy::with_tick_items`] completions) and widens a backlogged
 //! stage / narrows an underutilised one, within bounds derived from the
 //! [`ExecPolicy`] thread cap and — under `ExecPolicy::CostDriven` — the
-//! machine's `CostModel::fused_decision`. Replicas beyond the gate are
-//! routed nothing and park on their empty rings, so adaptation never
-//! spawns or joins threads.
+//! machine's `CostModel::fused_decision`. Lanes beyond the gate are
+//! routed nothing and, once served dry, get no job, so adaptation is
+//! one stored integer.
 //!
 //! ## Serving integration
 //!
@@ -74,12 +77,11 @@
 //! service) that manages *many* graphs against one host:
 //!
 //! * **External width control** — [`StreamExec::set_width_cap`] clamps
-//!   every farm at a share of a host-wide thread budget
-//!   ([`scl_exec::ThreadBudget`]). The cap composes with the
-//!   policy/cost-model ceiling and with the autonomic controller (which
-//!   keeps adapting *within* it); replicas beyond the cap park on their
-//!   empty rings, so a scheduler can re-shard capacity between tenants
-//!   every round without spawning or joining threads.
+//!   every farm at a tenant's fair share of the host's threads: the most
+//!   jobs the graph has on the shared pool at once. The cap composes
+//!   with the policy/cost-model ceiling and with the autonomic controller
+//!   (which keeps adapting *within* it), so a scheduler can re-shard
+//!   capacity between tenants every round by storing one integer.
 //! * **Fused-style charging** — [`StreamPolicy::with_fused_charging`]
 //!   makes segments charge one summed `"fused"` compute event per part
 //!   ([`SegmentOp::run`] with `summed = true`) instead of replaying eager
@@ -149,9 +151,9 @@ impl StreamPolicy {
     }
 
     /// Set the execution policy. `Sequential` (or a 1-thread cap) runs the
-    /// whole graph inline on the pumping thread — zero worker threads,
-    /// fully deterministic scheduling; `Threads(t)` caps every farm at `t`
-    /// replicas (and at the link capacity, see
+    /// whole graph inline on the pumping thread — no jobs, fully
+    /// deterministic scheduling; `Threads(t)` caps every farm at `t`
+    /// lanes (and at the link capacity, see
     /// [`StreamPolicy::with_capacity`]); `CostDriven` additionally lets the
     /// machine's cost model refine each stage's ceiling from the first
     /// healthy item's payload.
@@ -164,11 +166,11 @@ impl StreamPolicy {
     /// in-flight items are O(capacity × stages).
     ///
     /// The capacity also bounds farm width: links are ring lane matrices
-    /// with one lane per replica and at least one slot per lane, so a farm
-    /// spawns `min(policy threads, capacity)` replicas — the default
-    /// capacity of 8 gives at most 8 replicas per farm however many cores
-    /// the host has. A caller who wants 16-wide farms asks for
-    /// `with_capacity(16)`; [`StageStat::max_width`] reports the result.
+    /// with at least one slot per lane, so a farm has
+    /// `min(policy threads, capacity)` lanes — the default capacity of 8
+    /// gives at most 8 lanes per farm however many cores the host has. A
+    /// caller who wants 16-wide farms asks for `with_capacity(16)`;
+    /// [`StageStat::max_width`] reports the result.
     pub fn with_capacity(mut self, capacity: usize) -> StreamPolicy {
         self.capacity = capacity.max(1);
         self
@@ -211,7 +213,7 @@ struct Envelope {
     scl: Scl,
     /// Absolute deadline: once passed, every remaining stage
     /// short-circuits the item as [`RequestError::DeadlineExceeded`]
-    /// instead of occupying a replica.
+    /// instead of occupying a lane.
     deadline: Option<Instant>,
     payload: Result<ErasedArr, RequestError>,
 }
@@ -220,8 +222,8 @@ struct Envelope {
 /// report, or the typed reason it failed.
 pub type StreamOutcome<B> = Result<(B, MachineReport), RequestError>;
 
-/// Per-farm counters the replicas (and the pump, for a lone item) update
-/// and the controller samples.
+/// Per-farm counters the lanes' jobs (and the pump, for a lone item)
+/// update and the controller samples.
 #[derive(Default)]
 struct FarmStats {
     busy_nanos: AtomicU64,
@@ -236,9 +238,10 @@ pub struct StageStat {
     pub label: String,
     /// True for a farm (segment) stage, false for a barrier boundary.
     pub farm: bool,
-    /// Currently active replicas (1 for barriers and inline stages).
+    /// Currently active lanes (1 for barriers and inline stages).
     pub width: usize,
-    /// Replica ceiling (spawned workers).
+    /// Lane ceiling: the farm's lane count, clamped by the cost model and
+    /// the external width cap.
     pub max_width: usize,
     /// Input-queue depth right now (0 for barriers).
     pub queue_depth: usize,
@@ -279,8 +282,9 @@ where
     B: FusePort + 'static,
 {
     /// Compile `plan` into a persistent operator graph served under
-    /// `policy`. Farm workers spawn here and live until the `StreamExec`
-    /// drops.
+    /// `policy`. No thread is spawned: the farms' lanes are served by jobs
+    /// on the shared `scl-exec` pool, which grows here (once per process)
+    /// to the widest farm.
     pub fn new(plan: Skel<'static, A, B>, policy: StreamPolicy) -> StreamExec<A, B> {
         let StreamPolicy {
             machine,
@@ -344,13 +348,12 @@ where
         self.graph.stage_stats()
     }
 
-    /// Clamp every farm stage at `cap` active replicas (≥ 1) — the
-    /// external width control a shard scheduler drives when this graph's
-    /// share of a host-wide thread budget changes
-    /// ([`scl_exec::ThreadBudget`]). Composes with the policy/cost-model
+    /// Clamp every farm stage at `cap` active lanes (≥ 1) — the external
+    /// width control a shard scheduler drives when this graph's fair share
+    /// of the host's threads changes. Composes with the policy/cost-model
     /// ceiling (the effective ceiling is the minimum); widening again
-    /// restores headroom without forcing replicas active. Replicas beyond
-    /// the cap park on their empty rings — no threads spawn or join.
+    /// restores headroom without forcing lanes active. Lanes beyond the
+    /// cap are routed nothing, so they get no job once served dry.
     pub fn set_width_cap(&mut self, cap: usize) {
         self.graph.set_width_cap(cap);
     }
@@ -368,7 +371,7 @@ where
     ///
     /// An item pushed into an empty farmed graph stays on the entry slot
     /// and `push` returns without a pump round: the next `push` or
-    /// `try_pop*` routes it to a replica, and a blocking pop carries it
+    /// `try_pop*` routes it to a lane, and a blocking pop carries it
     /// through the farms on the calling thread (see
     /// [`StreamExec::pop_outcome`]). `push` itself never runs a farm
     /// segment.
@@ -380,7 +383,7 @@ where
     /// item. Once the deadline passes, every stage the item has not yet
     /// reached short-circuits it as [`RequestError::DeadlineExceeded`]
     /// instead of running — the item still completes (in stream order) so
-    /// the caller gets a typed failure, but it stops occupying replicas.
+    /// the caller gets a typed failure, but it stops occupying lanes.
     /// `None` streams the item with no deadline, exactly like `push`.
     pub fn push_deadline(&mut self, item: A, deadline: Option<Instant>) -> Result<(), SclError> {
         self.started.get_or_insert_with(Instant::now);
@@ -420,13 +423,13 @@ where
     /// While it waits, the calling thread is one more replica of every
     /// farm for an item that is alone in the graph: it runs that item's
     /// remaining segments itself — same segment kernel, deadline check,
-    /// charges and stage statistics as a replica — instead of handing it
-    /// to a parked worker at each farm. The replicas are idle then, so at
+    /// charges and stage statistics as a lane's job — instead of handing
+    /// it to a lane at each farm. The lanes are idle then, so at
     /// a farm whose measured mean service time is 100 µs or more the
     /// caller runs the segment data-parallel across the farm's width (at
     /// most [`StreamExec::width_cap`]); the per-item report is the same
     /// either way. With two or more items in flight every segment goes to
-    /// the replicas as usual. Every blocking collection API (`pop*`,
+    /// the lanes as usual. Every blocking collection API (`pop*`,
     /// `drain*`, [`StreamIter`] once its input is exhausted) waits here.
     pub fn pop_outcome(&mut self) -> Option<StreamOutcome<B>> {
         self.pump_until(true, |s| !s.done.is_empty() || s.in_flight() == 0);
@@ -518,7 +521,7 @@ where
 
     /// Wrap an input into an envelope with its own fresh machine context.
     /// Per-item contexts run host-sequential — the stream's parallelism
-    /// comes from the graph's farm replicas and pipeline overlap — except
+    /// comes from the graph's farm lanes and pipeline overlap — except
     /// for a heavy lone item, whose segments the pump fans out across the
     /// idle farm's width (see [`StreamExec::pop_outcome`]).
     fn make_env(&mut self, item: A, deadline: Option<Instant>) -> Result<Envelope, SclError> {
@@ -550,8 +553,8 @@ where
     /// blocking pops. A round that moved nothing climbs the [`Backoff`]
     /// ladder; once that is spent the pump parks on the graph's park slot
     /// behind one more re-check round, and never right after a round that
-    /// made progress. Replicas wake the slot when they free an input slot
-    /// or publish an output.
+    /// made progress. Lanes' jobs wake the slot when they free an input
+    /// slot or publish an output.
     fn pump_until(&mut self, blocking_pop: bool, ready: impl Fn(&Self) -> bool) {
         let mut backoff = Backoff::new();
         while !ready(self) {

@@ -904,3 +904,57 @@ fn round_trip_soak_never_loses_a_wake_up() {
     }
     soak.join().unwrap();
 }
+
+/// Capacity 1 and 2 at two threads: single-slot lanes fill and empty on
+/// almost every item, so a job keeps releasing its lane just as the pump
+/// routes the next item into it or frees its output slot. 100 000 items
+/// under a seeded mix of `push`, `try_pop` and `pop` must come back
+/// exactly in order; an item stranded by a lost claim would cost a 100 ms
+/// safety-net park each, which would blow the watchdog.
+#[test]
+fn lane_race_soak_keeps_every_item_in_order() {
+    const N: i64 = 100_000;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let soak = std::thread::spawn(move || {
+        for capacity in [1, 2] {
+            let plan = Skel::map(|x: &i64| x + 1)
+                .then(Skel::rotate(1))
+                .then(Skel::map(|x: &i64| x * 2));
+            let mut s = StreamExec::new(
+                plan,
+                StreamPolicy::new(unit_machine(4))
+                    .with_exec(ExecPolicy::Threads(2))
+                    .with_capacity(capacity),
+            );
+            let mut rng = scl_testkit::Rng::seed_from_u64(0x1a4e + capacity as u64);
+            let (mut pushed, mut popped) = (0i64, 0i64);
+            while popped < N {
+                let out = match rng.below(4) {
+                    0 | 1 if pushed < N => {
+                        s.push(ParArray::from_parts(vec![pushed; 4])).unwrap();
+                        pushed += 1;
+                        None
+                    }
+                    2 => s.try_pop(),
+                    _ => s.pop(),
+                };
+                if let Some(out) = out {
+                    // every part of item k is 2 (k + 1): order is exact
+                    assert_eq!(
+                        out.to_vec(),
+                        vec![2 * (popped + 1); 4],
+                        "capacity {capacity}"
+                    );
+                    popped += 1;
+                }
+            }
+            assert_eq!(s.in_flight(), 0);
+        }
+        done_tx.send(()).unwrap();
+    });
+    let finished = done_rx.recv_timeout(Duration::from_secs(120));
+    if finished.is_err() && !soak.is_finished() {
+        panic!("soak still running after 120 s: a lane was stranded");
+    }
+    soak.join().unwrap();
+}

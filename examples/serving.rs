@@ -5,7 +5,7 @@
 //! share one compiled graph — watch the cache hit counter), the third
 //! submits a symbolic plan through the optimize-then-execute path (the
 //! §4 rewrite laws run once, at compile time, not per request). The
-//! shard scheduler splits the host thread budget into weighted fair
+//! shard scheduler splits the host's threads into weighted fair
 //! shares each round, and every request completes with its own
 //! `MachineReport`, exactly as a solo run would have produced.
 //!
@@ -24,8 +24,7 @@ fn main() {
     let p = 8;
 
     let policy = ServePolicy::new(Machine::ap1000(p))
-        .with_exec(ExecPolicy::Threads(4))
-        .with_threads(4) // the host budget every tenant shares
+        .with_exec(ExecPolicy::Threads(4)) // the host threads every tenant shares
         .with_batch_window(8)
         .with_plan_cache_cap(16);
     let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(policy);
@@ -69,7 +68,7 @@ fn main() {
         srv.pending_requests(),
         srv.cached_plans()
     );
-    println!("  weighted fair shares of the {}-thread budget:", 4);
+    println!("  weighted fair shares of {} host threads:", srv.threads());
     for (t, share) in srv.shares() {
         println!("    {:<6} -> {} threads", srv.tenant_name(t), share);
     }

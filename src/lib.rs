@@ -20,7 +20,7 @@
 //!   input through it with backpressure and autonomic farm widths.
 //! * [`serve`] (`scl-serve`) — the multi-tenant plan service: a
 //!   fingerprint-keyed plan cache over compiled stream graphs, a shard
-//!   scheduler splitting one host thread budget into weighted fair
+//!   scheduler splitting the host threads into weighted fair
 //!   tenant shares, and request batching — shared infrastructure with
 //!   per-request machine accounting.
 //! * [`apps`] (`scl-apps`) — Gauss–Jordan, hyperquicksort (nested and
