@@ -836,8 +836,9 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
         // Group the stages so that every emitted piece is array→array:
         // shape-preserving leaves become their own (possibly fused)
         // stage; a `split … combine` region accumulates until the shape is
-        // flat again and runs as one barrier.
-        let mut plan: Option<Self> = None;
+        // flat again and runs as one barrier. Only the op chains compose
+        // here: the plan's `repr` is `e` itself, set once.
+        let mut chain = FusedPlan::empty();
         let mut region: Vec<Expr> = Vec::new(); // execution order
         let mut shape = Shape::Arr;
         for st in elements {
@@ -851,14 +852,12 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
                 }
                 Self::expr_barrier(Expr::pipeline(std::mem::take(&mut region)), reg)?
             };
-            plan = Some(match plan {
-                None => stage,
-                Some(p) => p.then(stage),
-            });
+            chain = fused::compose(chain, stage.plan.into_inner());
         }
-        let mut plan = plan.unwrap_or_else(Skel::identity);
-        plan.repr = Some(e.clone());
-        Ok(plan)
+        Ok(Skel {
+            plan: RefCell::new(chain),
+            repr: Some(e.clone()),
+        })
     }
 
     /// One shape-preserving IR form as a plan stage, fused where the form

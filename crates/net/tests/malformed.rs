@@ -237,6 +237,24 @@ fn bad_fingerprints_and_corrupt_submits_never_panic_the_service() {
 }
 
 #[test]
+fn deeply_nested_source_is_a_parse_error_not_an_abort() {
+    // 30 KB of `mapGroups[` nesting, under the source length limit: the
+    // service thread parses it, and a parse recursing once per level would
+    // overflow that thread's stack and abort the whole server
+    let server = start();
+    let source = format!("{}id{}", "mapGroups[".repeat(3000), "]".repeat(3000));
+    let mut c = NetClient::connect(server.local_addr()).unwrap();
+    match c.submit_source(0, Mode::Plain, &source, "", &[1, 2, 3]) {
+        Err(scl_net::ClientError::Server { code, .. }) => {
+            assert_eq!(code, ErrorCode::ParseError)
+        }
+        other => panic!("expected ParseError, got {other:?}"),
+    }
+    assert_still_serving(&server);
+    server.shutdown();
+}
+
+#[test]
 fn randomized_garbage_storm_never_kills_the_server() {
     // Seeded fuzz: random byte blobs, random mutations of valid frames,
     // random truncations — every connection must end in typed errors or

@@ -13,8 +13,10 @@
 //! * [`rules`] — the paper's laws: **map fusion**, **map distribution**,
 //!   the **communication algebra** (`send`/`fetch`/`rotate` fusion), and
 //!   nested-SPMD **flattening**;
-//! * [`rewrite`] — normalisation and a fixpoint engine that applies the
-//!   rules until none fires;
+//! * [`rewrite`] — normalisation and a fixpoint engine that rewrites the
+//!   program in place until no rule fires. [`optimize`]'s log records
+//!   only which rules fired; [`narrate`] runs the same engine and renders
+//!   each rewritten node before and after, for people reading the steps;
 //! * [`cost`] — a static estimator sharing the simulator's collective
 //!   formulas;
 //! * [`interp`] — a reference interpreter used to property-test that every
@@ -58,8 +60,8 @@ pub use interp::{eval, Value};
 pub use ir::{shape_of, Expr, FnRef, IdxRef, Shape};
 pub use parse::{parse, ParseError};
 pub use registry::Registry;
-pub use rewrite::{normalize, optimize, rewrite_fixpoint, Applied};
-pub use rules::Rule;
+pub use rewrite::{narrate, normalize, optimize, rewrite_fixpoint, Applied, Step};
+pub use rules::{Edit, Rule};
 
 /// Everything a transformation client usually needs.
 pub mod prelude {
@@ -68,6 +70,6 @@ pub mod prelude {
     pub use crate::ir::{shape_of, Expr, FnRef, IdxRef, Shape};
     pub use crate::parse::parse;
     pub use crate::registry::Registry;
-    pub use crate::rewrite::{normalize, optimize};
+    pub use crate::rewrite::{narrate, normalize, optimize};
     pub use crate::rules::Rule;
 }

@@ -27,9 +27,18 @@
 //! ```
 //!
 //! `parse` is the left inverse of printing: for any normalised expression
-//! `e`, `parse(&e.to_string()) == Ok(e)` (property-tested).
+//! `e`, `parse(&e.to_string()) == Ok(e)` (property-tested), as long as `e`
+//! nests at most [`MAX_NESTING`] levels deep.
 
 use crate::ir::{Expr, FnRef, IdxRef};
+
+/// How deeply `parse` lets programs nest: the program itself is one level,
+/// and every `[…]` body and parenthesised function or index reference
+/// inside it adds one. The parser, and every pass over the tree it builds,
+/// recurses once per level, so without a bound a short input could
+/// overflow the stack of the thread parsing it — a process abort, not an
+/// error. Deeper input is a [`ParseError`].
+pub const MAX_NESTING: usize = 128;
 
 /// Parse error with byte position context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,6 +141,8 @@ struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     len: usize,
+    /// Levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -154,6 +165,21 @@ impl Parser {
             message: message.into(),
             at: self.at(),
         })
+    }
+
+    /// Run `inner` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("program nests deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 
     fn expect(&mut self, want: Tok, what: &str) -> Result<(), ParseError> {
@@ -187,17 +213,19 @@ impl Parser {
         }
     }
 
-    /// `expr := term (. term)*`
+    /// `expr := term (. term)*`, one nesting level.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut terms = vec![self.term()?];
-        while self.peek() == Some(&Tok::Dot) {
-            self.bump();
-            terms.push(self.term()?);
-        }
-        Ok(if terms.len() == 1 {
-            terms.pop().unwrap()
-        } else {
-            Expr::Compose(terms)
+        self.nested(|p| {
+            let mut terms = vec![p.term()?];
+            while p.peek() == Some(&Tok::Dot) {
+                p.bump();
+                terms.push(p.term()?);
+            }
+            Ok(if terms.len() == 1 {
+                terms.pop().unwrap()
+            } else {
+                Expr::Compose(terms)
+            })
         })
     }
 
@@ -351,20 +379,20 @@ impl Parser {
     fn fnref(&mut self) -> Result<FnRef, ParseError> {
         match self.peek() {
             Some(Tok::Ident(_)) => Ok(FnRef::Named(self.expect_ident("a function name")?)),
-            Some(Tok::LParen) => {
-                self.bump();
-                let mut items = vec![self.fnref()?];
-                while self.peek() == Some(&Tok::Dot) {
-                    self.bump();
-                    items.push(self.fnref()?);
+            Some(Tok::LParen) => self.nested(|p| {
+                p.bump();
+                let mut items = vec![p.fnref()?];
+                while p.peek() == Some(&Tok::Dot) {
+                    p.bump();
+                    items.push(p.fnref()?);
                 }
-                self.expect(Tok::RParen, "`)`")?;
+                p.expect(Tok::RParen, "`)`")?;
                 Ok(if items.len() == 1 {
                     items.pop().unwrap()
                 } else {
                     FnRef::Comp(items)
                 })
-            }
+            }),
             _ => self.err("expected a function reference"),
         }
     }
@@ -372,20 +400,20 @@ impl Parser {
     fn idxref(&mut self) -> Result<IdxRef, ParseError> {
         match self.peek() {
             Some(Tok::Ident(_)) => Ok(IdxRef::Named(self.expect_ident("an index function")?)),
-            Some(Tok::LParen) => {
-                self.bump();
-                let mut items = vec![self.idxref()?];
-                while self.peek() == Some(&Tok::Dot) {
-                    self.bump();
-                    items.push(self.idxref()?);
+            Some(Tok::LParen) => self.nested(|p| {
+                p.bump();
+                let mut items = vec![p.idxref()?];
+                while p.peek() == Some(&Tok::Dot) {
+                    p.bump();
+                    items.push(p.idxref()?);
                 }
-                self.expect(Tok::RParen, "`)`")?;
+                p.expect(Tok::RParen, "`)`")?;
                 Ok(if items.len() == 1 {
                     items.pop().unwrap()
                 } else {
                     IdxRef::Comp(items)
                 })
-            }
+            }),
             _ => self.err("expected an index-function reference"),
         }
     }
@@ -404,6 +432,7 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
         toks,
         pos: 0,
         len: src.len(),
+        depth: 0,
     };
     let e = p.expr()?;
     if p.pos != p.toks.len() {
@@ -553,6 +582,39 @@ mod tests {
 
         let err = parse("map(").unwrap_err();
         assert!(err.message.contains("function reference"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let groups =
+            |depth: usize| format!("{}id{}", "mapGroups[".repeat(depth), "]".repeat(depth));
+        let parens = |skel: &str, depth: usize, name: &str| {
+            format!("{skel}({}{name}{})", "(".repeat(depth), ")".repeat(depth))
+        };
+        // the program is one level, each `mapGroups[…]` or `(` one more
+        assert!(parse(&groups(MAX_NESTING - 1)).is_ok());
+        assert!(parse(&parens("map", MAX_NESTING - 1, "inc")).is_ok());
+        // 30 KB of nesting, well inside the network front end's source
+        // limit: an error, on a thread with a default-sized stack
+        let too_deep = [
+            groups(MAX_NESTING),
+            parens("fetch", MAX_NESTING, "succ"),
+            groups(3000),
+            parens("map", 15_000, "inc"),
+            parens("send", 15_000, "half"),
+            format!("{}id{}", "choice(pos)[".repeat(3000), "][id]".repeat(3000)),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for src in &too_deep {
+                    let err = parse(src).unwrap_err();
+                    assert!(err.message.contains("nests deeper"), "{err}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -1,17 +1,33 @@
 //! The rewrite engine: normalisation and fixpoint rewriting.
+//!
+//! The engine keeps the program in normal form and rewrites it in place.
+//! Each step searches from the root: at a node every rule is tried in
+//! [`Rule::ALL`] order (a window rule at its leftmost window) before the
+//! node's children, left to right. The first rule that fires edits its
+//! node ([`Edit::splice`]), and the ancestors on the way back up settle
+//! into normal form again. Steps repeat until no rule fires. The log
+//! records which rules fired; [`narrate`] runs the same engine and also
+//! renders every rewritten node before and after.
 
 use crate::ir::Expr;
 use crate::registry::Registry;
-use crate::rules::Rule;
+use crate::rules::{Edit, Rule};
 
 /// A record of one applied rewrite.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Applied {
     /// Which rule fired.
     pub rule: &'static str,
-    /// Pretty-printed expression before.
+}
+
+/// One applied rewrite, rendered by [`narrate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Step {
+    /// Which rule fired.
+    pub rule: &'static str,
+    /// The rewritten node as it was.
     pub before: String,
-    /// Pretty-printed expression after.
+    /// The rewritten node once the rule and normalisation ran.
     pub after: String,
 }
 
@@ -63,88 +79,125 @@ pub fn normalize(e: Expr) -> Expr {
     }
 }
 
-/// Try one rule application anywhere in `e` (root first, then children,
-/// leftmost-first). Returns the rewritten whole expression.
-fn rewrite_once(e: &Expr, rules: &[Rule], reg: &Registry, log: &mut Vec<Applied>) -> Option<Expr> {
-    for rule in rules {
-        if let Some(out) = rule.apply(e, reg) {
-            log.push(Applied {
-                rule: rule.name(),
-                before: e.to_string(),
-                after: normalize(out.clone()).to_string(),
-            });
-            return Some(out);
+/// Put `node` back in normal form after its part at `i` (an element of a
+/// composition, or a `mapGroups` body) changed in place; every other part
+/// is already normal. An `id` element drops out, a composed one splices
+/// in, a composition left with fewer than two elements collapses, and a
+/// `mapGroups` of `id` becomes `id`.
+pub(crate) fn settle(node: &mut Expr, i: usize) {
+    match node {
+        Expr::Compose(es) => {
+            match std::mem::replace(&mut es[i], Expr::Id) {
+                Expr::Id => {
+                    es.remove(i);
+                }
+                Expr::Compose(inner) => {
+                    es.splice(i..=i, inner);
+                }
+                other => es[i] = other,
+            }
+            match es.len() {
+                0 => *node = Expr::Id,
+                1 => *node = es.pop().expect("one element"),
+                _ => {}
+            }
+        }
+        Expr::MapGroups(body) if **body == Expr::Id => *node = Expr::Id,
+        _ => {}
+    }
+}
+
+/// One rule application anywhere in `e`, in the engine's search order,
+/// made in place. `watch` sees each firing rule with its node and edit
+/// before the edit is made. Returns whether a rule fired.
+fn rewrite_once(
+    e: &mut Expr,
+    rules: &[Rule],
+    reg: &Registry,
+    watch: &mut impl FnMut(Rule, &Expr, &Edit),
+) -> bool {
+    for &rule in rules {
+        if let Some(edit) = rule.apply(e, reg) {
+            watch(rule, e, &edit);
+            edit.splice(e);
+            return true;
         }
     }
     match e {
         Expr::Compose(es) => {
-            for (i, sub) in es.iter().enumerate() {
-                if let Some(new_sub) = rewrite_once(sub, rules, reg, log) {
-                    let mut out = es.clone();
-                    out[i] = new_sub;
-                    return Some(Expr::Compose(out));
-                }
+            let Some(i) = (0..es.len()).find(|&i| rewrite_once(&mut es[i], rules, reg, watch))
+            else {
+                return false;
+            };
+            settle(e, i);
+            true
+        }
+        Expr::MapGroups(body) => {
+            let fired = rewrite_once(body, rules, reg, watch);
+            if fired {
+                settle(e, 0);
             }
-            None
+            fired
         }
-        Expr::MapGroups(b) => {
-            rewrite_once(b, rules, reg, log).map(|nb| Expr::MapGroups(Box::new(nb)))
+        Expr::Choice { left, right, .. } | Expr::Fanout { left, right, .. } => {
+            rewrite_once(left, rules, reg, watch) || rewrite_once(right, rules, reg, watch)
         }
-        Expr::Choice { pred, left, right } => {
-            if let Some(nl) = rewrite_once(left, rules, reg, log) {
-                return Some(Expr::Choice {
-                    pred: pred.clone(),
-                    left: Box::new(nl),
-                    right: right.clone(),
-                });
-            }
-            rewrite_once(right, rules, reg, log).map(|nr| Expr::Choice {
-                pred: pred.clone(),
-                left: left.clone(),
-                right: Box::new(nr),
-            })
-        }
-        Expr::Fanout {
-            left,
-            right,
-            combine,
-        } => {
-            if let Some(nl) = rewrite_once(left, rules, reg, log) {
-                return Some(Expr::Fanout {
-                    left: Box::new(nl),
-                    right: right.clone(),
-                    combine: combine.clone(),
-                });
-            }
-            rewrite_once(right, rules, reg, log).map(|nr| Expr::Fanout {
-                left: left.clone(),
-                right: Box::new(nr),
-                combine: combine.clone(),
-            })
-        }
-        _ => None,
+        _ => false,
     }
 }
 
-/// Apply `rules` to a fixpoint (with an iteration cap as a safety net —
-/// the shipped rule set strictly shrinks the term, so the cap is never hit
-/// in practice). Returns the normal form and the log of applications.
-pub fn rewrite_fixpoint(e: Expr, rules: &[Rule], reg: &Registry) -> (Expr, Vec<Applied>) {
+/// Apply `rules` from the normal form of `e` until none fires, or for at
+/// most 10 000 steps. Every step decreases the measure stated in
+/// [`crate::rules`], so rewriting terminates without the cap; the cap
+/// bounds the work on very large programs, and stopping at it leaves a
+/// program that still means the same.
+fn fixpoint(
+    e: Expr,
+    rules: &[Rule],
+    reg: &Registry,
+    watch: &mut impl FnMut(Rule, &Expr, &Edit),
+) -> Expr {
     const CAP: usize = 10_000;
-    let mut log = Vec::new();
     let mut cur = normalize(e);
     for _ in 0..CAP {
-        match rewrite_once(&cur, rules, reg, &mut log) {
-            Some(next) => cur = normalize(next),
-            None => return (cur, log),
+        if !rewrite_once(&mut cur, rules, reg, watch) {
+            break;
         }
     }
-    (cur, log)
+    cur
+}
+
+/// Apply `rules` to a fixpoint. Returns the normal form and the log of
+/// applications.
+pub fn rewrite_fixpoint(e: Expr, rules: &[Rule], reg: &Registry) -> (Expr, Vec<Applied>) {
+    let mut log = Vec::new();
+    let out = fixpoint(e, rules, reg, &mut |rule, _, _| {
+        log.push(Applied { rule: rule.name() })
+    });
+    (out, log)
 }
 
 /// Optimise with the full safe rule set (the paper's laws) to fixpoint.
 pub fn optimize(e: Expr, reg: &Registry) -> (Expr, Vec<Applied>) {
     rewrite_fixpoint(e, &Rule::ALL, reg)
+}
+
+/// [`optimize`], with every step rendered: the same rewrites, in the same
+/// order, each with its node as it was and as it became. For people
+/// reading the rewrites (`sclopt`, the examples); `optimize` renders
+/// nothing.
+pub fn narrate(e: Expr, reg: &Registry) -> (Expr, Vec<Step>) {
+    let mut steps = Vec::new();
+    let out = fixpoint(e, &Rule::ALL, reg, &mut |rule, node, edit| {
+        let mut after = node.clone();
+        edit.clone().splice(&mut after);
+        steps.push(Step {
+            rule: rule.name(),
+            before: node.to_string(),
+            after: after.to_string(),
+        });
+    });
+    (out, steps)
 }
 
 #[cfg(test)]
@@ -244,9 +297,19 @@ mod tests {
             Expr::Map(FnRef::named("inc")),
             Expr::Map(FnRef::named("double")),
         ]);
-        let (_, log) = optimize(e, &reg());
-        assert_eq!(log[0].rule, "map-fusion");
-        assert!(log[0].before.contains("map"));
-        assert!(log[0].after.contains("map"));
+        let (out, steps) = narrate(e.clone(), &reg());
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].rule, "map-fusion");
+        assert_eq!(steps[0].before, "map(double) . map(inc)");
+        assert_eq!(steps[0].after, "map((double . inc))");
+        assert_eq!(
+            (
+                out,
+                vec![Applied {
+                    rule: steps[0].rule
+                }]
+            ),
+            optimize(e, &reg())
+        );
     }
 }

@@ -10,14 +10,24 @@
 //! | `RotateIdentity` | `rotate 0 → id` |
 //! | `Flatten` | `combine ∘ mapGroups(e) ∘ split p → segmented(e)` — nested SPMD to flat segmented form |
 //!
-//! Each rule is a partial function `Expr → Option<Expr>` applied at a single
-//! node by the engine in [`crate::rewrite`]. Rules never inspect more than
-//! one composition window, so they stay cheap and obviously terminating
-//! (each strictly reduces node count or the lexicographic measure used in
-//! the engine's iteration cap).
+//! Each rule looks at a single node and, where it fires, says what to
+//! change there as an [`Edit`]: the node rules (`rotate-identity`,
+//! `map-distribution`) replace the node, the window rules replace a window
+//! of the node's composition. The engine in [`crate::rewrite`] makes the
+//! edit in place with [`Edit::splice`]. Rules never inspect more than one
+//! composition window, so they stay cheap.
+//!
+//! Every engine step (a rule and the normalisation after it) strictly
+//! decreases, lexicographically, the number of `foldr` nodes, then the
+//! number of non-`id` nodes, then the summed distance of every `map` from
+//! the start of its composition's dataflow (the stages that run before
+//! it). `map-distribution` trades a `foldr` for two nodes,
+//! `map-comm-commute` keeps the node count and moves one map a stage
+//! earlier, and every other rule removes nodes. So rewriting terminates.
 
 use crate::ir::Expr;
 use crate::registry::Registry;
+use crate::rewrite::{normalize, settle};
 
 /// Identifier of a rewrite rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,18 +85,20 @@ impl Rule {
         }
     }
 
-    /// Try to apply this rule at the root of `e`.
-    pub fn apply(&self, e: &Expr, reg: &Registry) -> Option<Expr> {
+    /// Where this rule fires at the root of `e`, and the edit that
+    /// rewrites it there (make it with [`Edit::splice`]). A window rule
+    /// fires at its leftmost window.
+    pub fn apply(&self, e: &Expr, reg: &Registry) -> Option<Edit> {
         match self {
             Rule::RotateIdentity => match e {
-                Expr::Rotate(0) => Some(Expr::Id),
+                Expr::Rotate(0) => Some(Edit::Node(Expr::Id)),
                 _ => None,
             },
             Rule::MapDistribution => match e {
-                Expr::FoldrMap(op, g) if reg.is_assoc(op) => Some(Expr::Compose(vec![
+                Expr::FoldrMap(op, g) if reg.is_assoc(op) => Some(Edit::Node(Expr::Compose(vec![
                     Expr::Fold(op.clone()),
                     Expr::Map(g.clone()),
-                ])),
+                ]))),
                 _ => None,
             },
             Rule::MapFusion => window_rule(e, |a, b| match (a, b) {
@@ -117,6 +129,43 @@ impl Rule {
     }
 }
 
+/// A rule's rewrite of the node it fired at.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Edit {
+    /// Replace the whole node.
+    Node(Expr),
+    /// Replace `width` consecutive elements of the node's composition,
+    /// starting at `start`, with one expression.
+    Window {
+        /// Index of the window's first element.
+        start: usize,
+        /// Number of elements replaced.
+        width: usize,
+        /// What replaces them.
+        with: Expr,
+    },
+}
+
+impl Edit {
+    /// Make the edit in place in `node`, the node the rule fired at. The
+    /// replacement is normalised and, when the node was in normal form,
+    /// the node is again: an `id` replacement drops out of the
+    /// composition, a composed one splices in, and a composition left
+    /// with fewer than two elements collapses.
+    pub fn splice(self, node: &mut Expr) {
+        match self {
+            Edit::Node(with) => *node = normalize(with),
+            Edit::Window { start, width, with } => {
+                let Expr::Compose(es) = node else {
+                    panic!("a window edit applies to a composition, not `{node}`")
+                };
+                es.splice(start..start + width, [normalize(with)]);
+                settle(node, start);
+            }
+        }
+    }
+}
+
 /// Is this node a pure data permutation/duplication that commutes with
 /// point-wise maps?
 fn is_commuting_comm(e: &Expr) -> bool {
@@ -137,16 +186,17 @@ fn commute_window(a: &Expr, b: &Expr) -> Option<Expr> {
     None
 }
 
-/// Apply a two-element window rule inside a composition:
-/// `Compose([.., a, b, ..])` where `a` runs **after** `b`. The leftmost
-/// window that fires is rewritten.
-fn window_rule(e: &Expr, f: impl Fn(&Expr, &Expr) -> Option<Expr>) -> Option<Expr> {
+/// A two-element window rule inside a composition:
+/// `Compose([.., a, b, ..])` where `a` runs **after** `b`. Fires at the
+/// leftmost window `f` merges.
+fn window_rule(e: &Expr, f: impl Fn(&Expr, &Expr) -> Option<Expr>) -> Option<Edit> {
     let Expr::Compose(es) = e else { return None };
-    (0..es.len().saturating_sub(1)).find_map(|i| {
-        let merged = f(&es[i], &es[i + 1])?;
-        let mut out = es.clone();
-        out.splice(i..i + 2, [merged]);
-        Some(Expr::Compose(out))
+    es.windows(2).enumerate().find_map(|(start, w)| {
+        Some(Edit::Window {
+            start,
+            width: 2,
+            with: f(&w[0], &w[1])?,
+        })
     })
 }
 
@@ -175,20 +225,16 @@ pub fn flatten_body(e: &Expr, p: usize) -> Option<Expr> {
 
 /// The flattening rule over a 3-element window
 /// `[.., Combine, MapGroups(body), Split(p), ..]`.
-fn flatten_rule(e: &Expr) -> Option<Expr> {
+fn flatten_rule(e: &Expr) -> Option<Edit> {
     let Expr::Compose(es) = e else { return None };
-    for i in 0..es.len().saturating_sub(2) {
-        if let (Expr::Combine, Expr::MapGroups(body), Expr::Split(p)) =
-            (&es[i], &es[i + 1], &es[i + 2])
-        {
-            if let Some(flat) = flatten_body(body, *p) {
-                let mut out = es.clone();
-                out.splice(i..i + 3, [flat]);
-                return Some(Expr::Compose(out));
-            }
-        }
-    }
-    None
+    es.windows(3).enumerate().find_map(|(start, w)| match w {
+        [Expr::Combine, Expr::MapGroups(body), Expr::Split(p)] => Some(Edit::Window {
+            start,
+            width: 3,
+            with: flatten_body(body, *p)?,
+        }),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -200,19 +246,29 @@ mod tests {
         Registry::standard()
     }
 
+    /// Fire `rule` at the root of `e` in place; `None` if it does not fire.
+    fn fire(rule: Rule, mut e: Expr) -> Option<Expr> {
+        rule.apply(&e, &reg())?.splice(&mut e);
+        Some(e)
+    }
+
     #[test]
     fn map_fusion_merges_adjacent_maps() {
         let e = Expr::Compose(vec![
             Expr::Map(FnRef::named("square")),
             Expr::Map(FnRef::named("inc")),
         ]);
-        let out = Rule::MapFusion.apply(&e, &reg()).unwrap();
+        let merged = Expr::Map(FnRef::named("square").then_after(FnRef::named("inc")));
         assert_eq!(
-            out,
-            Expr::Compose(vec![Expr::Map(
-                FnRef::named("square").then_after(FnRef::named("inc"))
-            )])
+            Rule::MapFusion.apply(&e, &reg()),
+            Some(Edit::Window {
+                start: 0,
+                width: 2,
+                with: merged.clone()
+            })
         );
+        // the composition collapses to its one remaining element
+        assert_eq!(fire(Rule::MapFusion, e), Some(merged));
     }
 
     #[test]
@@ -228,7 +284,13 @@ mod tests {
     #[test]
     fn map_distribution_requires_associativity() {
         let ok = Expr::FoldrMap("add".into(), FnRef::named("square"));
-        assert!(Rule::MapDistribution.apply(&ok, &reg()).is_some());
+        assert_eq!(
+            fire(Rule::MapDistribution, ok),
+            Some(Expr::Compose(vec![
+                Expr::Fold("add".into()),
+                Expr::Map(FnRef::named("square"))
+            ]))
+        );
         let bad = Expr::FoldrMap("sub".into(), FnRef::named("square"));
         assert!(Rule::MapDistribution.apply(&bad, &reg()).is_none());
     }
@@ -236,14 +298,35 @@ mod tests {
     #[test]
     fn rotate_rules() {
         let e = Expr::Compose(vec![Expr::Rotate(2), Expr::Rotate(3)]);
+        assert_eq!(fire(Rule::RotateFusion, e), Some(Expr::Rotate(5)));
+        // the leftmost window fires, spliced into the composition in place
+        let e = Expr::Compose(vec![
+            Expr::Scan("add".into()),
+            Expr::Rotate(1),
+            Expr::Rotate(2),
+            Expr::Rotate(3),
+        ]);
         assert_eq!(
             Rule::RotateFusion.apply(&e, &reg()),
-            Some(Expr::Compose(vec![Expr::Rotate(5)]))
+            Some(Edit::Window {
+                start: 1,
+                width: 2,
+                with: Expr::Rotate(3)
+            })
+        );
+        assert_eq!(
+            fire(Rule::RotateFusion, e),
+            Some(Expr::Compose(vec![
+                Expr::Scan("add".into()),
+                Expr::Rotate(3),
+                Expr::Rotate(3)
+            ]))
         );
         assert_eq!(
             Rule::RotateIdentity.apply(&Expr::Rotate(0), &reg()),
-            Some(Expr::Id)
+            Some(Edit::Node(Expr::Id))
         );
+        assert_eq!(fire(Rule::RotateIdentity, Expr::Rotate(0)), Some(Expr::Id));
         assert_eq!(Rule::RotateIdentity.apply(&Expr::Rotate(1), &reg()), None);
     }
 
@@ -253,26 +336,24 @@ mod tests {
             Expr::Send(IdxRef::named("half")),
             Expr::Send(IdxRef::named("succ")),
         ]);
-        let out = Rule::SendFusion.apply(&e, &reg()).unwrap();
         // dest = half(succ(k)): half ∘ succ
         assert_eq!(
-            out,
-            Expr::Compose(vec![Expr::Send(
+            fire(Rule::SendFusion, e),
+            Some(Expr::Send(
                 IdxRef::named("half").then_after(IdxRef::named("succ"))
-            )])
+            ))
         );
 
         let e = Expr::Compose(vec![
             Expr::Fetch(IdxRef::named("half")),
             Expr::Fetch(IdxRef::named("succ")),
         ]);
-        let out = Rule::FetchFusion.apply(&e, &reg()).unwrap();
         // z[i] = x[succ(half(i))]: succ ∘ half
         assert_eq!(
-            out,
-            Expr::Compose(vec![Expr::Fetch(
+            fire(Rule::FetchFusion, e),
+            Some(Expr::Fetch(
                 IdxRef::named("succ").then_after(IdxRef::named("half"))
-            )])
+            ))
         );
     }
 
@@ -283,10 +364,9 @@ mod tests {
             Expr::MapGroups(Box::new(Expr::Rotate(1))),
             Expr::Split(4),
         ]);
-        let out = Rule::Flatten.apply(&e, &reg()).unwrap();
         assert_eq!(
-            out,
-            Expr::Compose(vec![Expr::SegRotate { groups: 4, k: 1 }])
+            fire(Rule::Flatten, e),
+            Some(Expr::SegRotate { groups: 4, k: 1 })
         );
     }
 
@@ -304,30 +384,27 @@ mod tests {
     fn flatten_handles_composed_bodies() {
         let body = Expr::Compose(vec![Expr::Map(FnRef::named("inc")), Expr::Rotate(2)]);
         let e = Expr::Compose(vec![
+            Expr::Scan("add".into()),
             Expr::Combine,
             Expr::MapGroups(Box::new(body)),
             Expr::Split(2),
         ]);
-        let out = Rule::Flatten.apply(&e, &reg()).unwrap();
-        let Expr::Compose(es) = out else { panic!() };
-        assert_eq!(es.len(), 1);
+        // the flattened body splices into the enclosing composition
         assert_eq!(
-            es[0],
-            Expr::Compose(vec![
+            fire(Rule::Flatten, e),
+            Some(Expr::Compose(vec![
+                Expr::Scan("add".into()),
                 Expr::Map(FnRef::named("inc")),
                 Expr::SegRotate { groups: 2, k: 2 }
-            ])
+            ]))
         );
     }
 
     #[test]
     fn commute_moves_map_past_rotate_and_fetch() {
         let e = Expr::Compose(vec![Expr::Map(FnRef::named("inc")), Expr::Rotate(1)]);
-        let out = Rule::MapCommCommute
-            .apply(&e, &reg())
-            .map(crate::rewrite::normalize);
         assert_eq!(
-            out,
+            fire(Rule::MapCommCommute, e),
             Some(Expr::Compose(vec![
                 Expr::Rotate(1),
                 Expr::Map(FnRef::named("inc"))

@@ -41,14 +41,19 @@ fn main() {
     let mut opt_ctx = Scl::ap1000(1024);
     let (optimized_out, log) = opt_ctx.run_optimized(&plan, &reg, input.clone());
 
+    // The log names the rules that fired; `narrate` runs the same rewrites
+    // again and renders each rewritten node before and after.
+    let (optimized, steps) = narrate(program.clone(), &reg);
+    assert_eq!(
+        log.iter().map(|a| a.rule).collect::<Vec<_>>(),
+        steps.iter().map(|s| s.rule).collect::<Vec<_>>()
+    );
     println!("applied rewrites:");
-    for step in &log {
+    for step in &steps {
         println!("  [{}]", step.rule);
         println!("      {}", step.before);
         println!("   => {}", step.after);
     }
-
-    let (optimized, _) = optimize(program.clone(), &reg);
     println!("\noptimized program:\n  {optimized}\n");
     let c1 = estimate(&optimized, &reg, &params).unwrap();
     println!(
@@ -77,8 +82,10 @@ fn main() {
     let nested_plan = Skel::from_expr(&nested, &reg).unwrap();
     let mut ctx = Scl::ap1000(1024);
     let (_, nested_log) = ctx.run_optimized(&nested_plan, &reg, input);
+    let (_, nested_steps) = narrate(nested, &reg);
+    assert_eq!(nested_log.len(), nested_steps.len());
     println!("\nnested plan rewrites:");
-    for step in &nested_log {
+    for step in &nested_steps {
         println!("  [{}] {} => {}", step.rule, step.before, step.after);
     }
 }

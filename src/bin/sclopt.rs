@@ -6,9 +6,10 @@
 //!
 //! Parses the program (the grammar is the pretty-printer's output — see
 //! `scl_transform::parse`), applies the paper's §4 laws to fixpoint, prints
-//! the rewrite log and the estimated cost on an `n`-processor AP1000 model
-//! before and after, and verifies meaning preservation on a sample input
-//! through the reference interpreter.
+//! each rewrite (`scl_transform::narrate`) and the estimated cost on an
+//! `n`-processor AP1000 model before and after, and verifies meaning
+//! preservation on a sample input through the reference interpreter. Exits
+//! non-zero when the optimised program means something else.
 
 use scl::prelude::*;
 use scl_transform::shape_of;
@@ -48,7 +49,7 @@ fn main() {
         }
     };
 
-    let (optimized, log) = optimize(program.clone(), &reg);
+    let (optimized, log) = narrate(program.clone(), &reg);
     println!("optimized: {optimized}");
     let after = estimate(&optimized, &reg, &params).unwrap();
     println!("cost:      {before} -> {after} on {n} AP1000 cells");

@@ -49,6 +49,6 @@ pub mod prelude {
     pub use scl_serve::{Serve, ServePolicy};
     pub use scl_stream::{StreamExec, StreamPolicy};
     pub use scl_transform::prelude::{
-        estimate, eval, optimize, CostParams, Expr, FnRef, IdxRef, Registry, Value,
+        estimate, eval, narrate, optimize, CostParams, Expr, FnRef, IdxRef, Registry, Value,
     };
 }

@@ -154,6 +154,11 @@ fn raised_plans_relower_to_the_same_program() {
         let e = plan.lower(&reg).unwrap();
         let raised = Skel::from_expr(&e, &reg).unwrap();
         assert_eq!(
+            raised.repr(),
+            Some(&e),
+            "from_expr keeps its program as the repr"
+        );
+        assert_eq!(
             raised.lower(&reg),
             Some(e),
             "lower ∘ from_expr must be the identity"
