@@ -3,18 +3,26 @@
 //! Hyperquicksort (§3) is written twice in this crate — once nested, once
 //! flattened — because the original skeleton language had no first-class
 //! `dc` form to hang the recursion on. [`Skel::dac`] closes that gap:
-//! `msort_plan` *is* the recursion tree, built from `pair` branches, so
-//! sibling subtrees are visible to the fused executor and run
-//! concurrently on the shared pool instead of being serialised by hand.
+//! `msort_plan` *is* the recursion tree, built from `pair` branches, and
+//! both walks of the plan see it whole.
 //!
 //! The shape is the textbook one: `levels = log2(p)` splits halve the
 //! part set until each leaf owns a single part, the base sorts that part
 //! with the instrumented quicksort, and each combine merges two globally
-//! sorted runs back into one, re-blocking the result across the united
-//! parts so every level stays load-balanced.
+//! sorted runs back into one, blocked evenly across the united parts so
+//! every level stays load-balanced.
+//!
+//! What overlaps on the host, under a multi-thread policy: the two leaf
+//! sorts below each last-level `pair` go out as one pool dispatch
+//! ([`BranchOp::try_apply`](scl_core::BranchOp::try_apply)), and every
+//! merge is rank-split, each output part merging its own slice of the two
+//! runs. Higher-level sibling subtrees hold barriers, so they run one
+//! after the other. The simulated machine is charged the same whatever
+//! the host does.
 
-use crate::seqkit::{merge_sorted, seq_quicksort};
+use crate::seqkit::{merge_range, merge_work, seq_quicksort};
 use scl_core::{block_ranges, prelude::*};
+use scl_exec::par_map;
 
 /// A distributed run: one sorted-or-not `Vec<i64>` chunk per part.
 pub type Run = ParArray<Vec<i64>>;
@@ -44,26 +52,23 @@ fn local_sort_stage() -> Skel<'static, Run, Run> {
     })
 }
 
-/// The combine stage: both inputs are globally sorted runs, so a single
-/// linear merge joins them; the result is re-blocked evenly across the
-/// united parts. The merge itself is inherently sequential at this node
-/// (its parallelism comes from *sibling* combines in the tree), so its
-/// work is charged to the run's first processor.
+/// The combine stage: both inputs are globally sorted runs, merged into
+/// the united parts' even blocks by rank split — each output part finds
+/// its slice of both runs by co-rank search and merges it into its own
+/// `Vec`, the parts in parallel under the context's policy. The machine
+/// is charged one linear merge of the two runs, as a single event on
+/// processor 0.
 fn merge_stage() -> Skel<'static, (Run, Run), Run> {
     Skel::barrier(
         "msort-merge",
         |scl: &mut Scl, (l, r): (ParArray<Vec<i64>>, ParArray<Vec<i64>>)| {
             let k = l.parts().len() + r.parts().len();
-            let lflat: Vec<i64> = l.into_parts().into_iter().flatten().collect();
-            let rflat: Vec<i64> = r.into_parts().into_iter().flatten().collect();
-            let (merged, w) = merge_sorted(&lflat, &rflat);
-            scl.machine.compute(0, w, "merge runs");
-            ParArray::from_parts(
-                block_ranges(merged.len(), k)
-                    .into_iter()
-                    .map(|rg| merged[rg].to_vec())
-                    .collect(),
-            )
+            let (a, b) = (l.into_parts().concat(), r.into_parts().concat());
+            scl.machine.compute(0, merge_work(&a, &b), "merge runs");
+            let blocks = block_ranges(a.len() + b.len(), k);
+            ParArray::from_parts(par_map(scl.policy, &blocks, |rg| {
+                merge_range(&a, &b, rg.clone())
+            }))
         },
     )
 }
@@ -98,7 +103,7 @@ pub fn msort_sort(scl: &mut Scl, data: &[i64], p: usize) -> Vec<i64> {
             .collect::<Vec<Vec<i64>>>(),
     );
     let out = msort_plan(p).run(scl, input);
-    out.into_parts().into_iter().flatten().collect()
+    out.into_parts().concat()
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! reproduced Table 1 / Figure 3 exactly reproducible.
 
 use scl_machine::Work;
+use std::ops::Range;
 
 /// Quicksort (Hoare partition, median-of-three pivot), counting key
 /// comparisons. This is the paper's `SEQ_QUICKSORT`.
@@ -140,6 +141,54 @@ pub fn merge_sorted(a: &[i64], b: &[i64]) -> (Vec<i64>, Work) {
     )
 }
 
+/// The [`Work`] [`merge_sorted`] reports for `a` and `b`, from the run
+/// sizes and one binary search instead of a merge: every key moves
+/// once, and the merge compares until the run whose last key leaves first
+/// is used up — ties go to `a`, so that is `a` when `last(a) ≤ last(b)`.
+pub fn merge_work(a: &[i64], b: &[i64]) -> Work {
+    let cmps = match (a.last(), b.last()) {
+        (Some(&la), Some(&lb)) if la <= lb => a.len() + b.partition_point(|&x| x < la),
+        (Some(_), Some(&lb)) => b.len() + a.partition_point(|&x| x <= lb),
+        _ => 0,
+    };
+    Work {
+        cmps: cmps as u64,
+        moves: (a.len() + b.len()) as u64,
+        ..Work::NONE
+    }
+}
+
+/// The co-rank of output position `k` in the merge of two **sorted**
+/// slices: how many of the merge's first `k` keys come from `a`, ties
+/// going to `a` as in [`merge_sorted`]. A binary search, so O(log n).
+///
+/// # Panics
+/// Panics if `k > a.len() + b.len()`.
+pub fn co_rank(k: usize, a: &[i64], b: &[i64]) -> usize {
+    assert!(k <= a.len() + b.len(), "co-rank past the end of the merge");
+    let (mut lo, mut hi) = (k.saturating_sub(b.len()), k.min(a.len()));
+    // take `a[i]` ahead of `b[k - i - 1]` exactly when it is no greater
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if a[i] <= b[k - i - 1] {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    lo
+}
+
+/// Output positions `range` of the merge of two **sorted** slices, merged
+/// on their own: the co-ranks of the range's ends bound the slice of each
+/// run it draws on. Disjoint ranges merge independently — the rank-split
+/// merge — and their results concatenate to [`merge_sorted`]`(a, b)`.
+pub fn merge_range(a: &[i64], b: &[i64], range: Range<usize>) -> Vec<i64> {
+    let (i0, i1) = (co_rank(range.start, a, b), co_rank(range.end, a, b));
+    let (j0, j1) = (range.start - i0, range.end - i1);
+    merge_sorted(&a[i0..i1], &b[j0..j1]).0
+}
+
 /// Is the slice sorted ascending?
 pub fn is_sorted(v: &[i64]) -> bool {
     v.windows(2).all(|w| w[0] <= w[1])
@@ -266,6 +315,66 @@ mod tests {
         assert_eq!(m, vec![1, 2]);
         let (m, _) = merge_sorted(&[1, 2], &[]);
         assert_eq!(m, vec![1, 2]);
+    }
+
+    /// Pairs of sorted runs covering the merge's edge cases — an empty
+    /// run, all-equal keys, keys shared across the runs, disjoint ranges in
+    /// either order — plus seeded random runs over narrow and wide ranges.
+    fn run_pairs() -> Vec<(Vec<i64>, Vec<i64>)> {
+        let sorted = |mut v: Vec<i64>| {
+            v.sort_unstable();
+            v
+        };
+        let mut pairs = vec![
+            (vec![], vec![]),
+            (vec![], vec![1, 2, 3]),
+            (vec![4, 5], vec![]),
+            (vec![7; 13], vec![7; 6]),
+            (vec![1, 3, 3, 5, 9], vec![3, 3, 5, 5, 9, 9]),
+            ((0..20).collect(), (100..111).collect()),
+            ((100..111).collect(), (0..20).collect()),
+        ];
+        let mut rng = scl_testkit::Rng::seed_from_u64(0x5eed);
+        for _ in 0..48 {
+            let (n, m) = (rng.range_usize(0, 40), rng.range_usize(0, 40));
+            let hi = [3, 50, 1_000_000][rng.range_usize(0, 3)];
+            let a = sorted((0..n).map(|_| rng.range_i64(0, hi)).collect());
+            let b = sorted((0..m).map(|_| rng.range_i64(0, hi)).collect());
+            pairs.push((a, b));
+        }
+        pairs
+    }
+
+    #[test]
+    fn merge_work_is_what_merge_sorted_counts() {
+        for (a, b) in run_pairs() {
+            assert_eq!(merge_work(&a, &b), merge_sorted(&a, &b).1, "{a:?} {b:?}");
+        }
+    }
+
+    #[test]
+    fn rank_split_parts_concatenate_to_the_merge() {
+        for (a, b) in run_pairs() {
+            let merged = merge_sorted(&a, &b).0;
+            for k in 1..=9 {
+                let blocks = scl_core::block_ranges(merged.len(), k);
+                let parts: Vec<Vec<i64>> = blocks
+                    .iter()
+                    .map(|rg| merge_range(&a, &b, rg.clone()))
+                    .collect();
+                for (part, rg) in parts.iter().zip(&blocks) {
+                    assert_eq!(part.len(), rg.len(), "k={k} {a:?} {b:?}");
+                }
+                assert_eq!(parts.concat(), merged, "k={k} {a:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn co_rank_sends_ties_left() {
+        let (a, b) = ([2, 2, 2], [2, 2]);
+        let ranks: Vec<usize> = (0..=5).map(|k| co_rank(k, &a, &b)).collect();
+        assert_eq!(ranks, vec![0, 1, 2, 3, 3, 3]);
     }
 
     #[test]

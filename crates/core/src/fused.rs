@@ -48,7 +48,9 @@
 //! decides whether fanning out is worth it and at what grain). *Per-stage*
 //! charging (what [`Skel::run`](crate::plan::Skel::run) uses) runs at the
 //! eager skeletons' schedule, also one dispatch per segment, and replays
-//! exactly their compute events. Either way the simulated machine is
+//! exactly their compute events. A `Split` branch whose two arms are each
+//! one segment is one dispatch under either convention (see
+//! [`BranchOp::try_apply`]). Either way the simulated machine is
 //! charged the same *totals* — makespan, flops / cmps / moves, message
 //! counts agree; only `compute_steps` and per-stage trace events differ,
 //! by design.
@@ -884,9 +886,7 @@ impl SegmentOp<'_> {
         } else {
             let threads = scl.policy.effective_threads(parts.len());
             if threads > 1 && self.len() > 1 {
-                parts = self
-                    .run_staged(scl, parts, &procs, threads)
-                    .map_err(|e| *e)?;
+                parts = run_staged(scl, &[(self, &procs)], parts, threads).map_err(|e| *e)?;
             } else {
                 for st in &self.stages {
                     let charge = |i: usize, (v, w, secs): (PartVal, Work, f64)| {
@@ -905,62 +905,81 @@ impl SegmentOp<'_> {
             ..val
         })
     }
+}
 
-    /// Per-stage charging of a multi-stage segment on `threads > 1`
-    /// threads, in one dispatch: each part runs every stage on its worker
-    /// and records what each stage reported, and the caller then replays
-    /// those charges in the stage-major order a dispatch per stage would
-    /// have made them — stage by stage, part by part.
-    ///
-    /// A part runs until it finishes or fails. The stage-major loop would
-    /// have stopped at the least failing `(stage, part)`: that failure is
-    /// the one reported, and only the charges the loop would have made
-    /// before it are replayed.
-    fn run_staged(
-        &self,
-        scl: &mut Scl,
-        parts: Vec<PartVal>,
-        procs: &[usize],
-        threads: usize,
-    ) -> PartResult<Vec<PartVal>> {
-        let (n, k) = (parts.len(), self.len());
-        // part-major: part `i`'s worker owns `works[i * k..][..k]`
-        let mut works = vec![(Work::NONE, 0.0); n * k];
-        let items: Vec<_> = parts.into_iter().zip(works.chunks_mut(k)).collect();
-        let chain = |i: usize, (mut v, slots): (PartVal, &mut [(Work, f64)])| {
-            for (s, (st, slot)) in self.stages.iter().zip(slots).enumerate() {
-                let (nv, w, secs) = st.apply(i, v).map_err(|e| (s, e))?;
-                (v, *slot) = (nv, (w, secs));
-            }
-            Ok(v)
-        };
-        // the shared pool only grows, so pass the cap (see `dispatch`)
-        let mut results = par_pipeline(ThreadPool::shared(threads), items, threads, 1, chain);
-        let failed = results
+/// Per-stage charging of one dispatch on `threads > 1` threads over the
+/// parts of one or more segments: `arms` lists each segment with the
+/// processors owning its parts, and `parts` holds those parts arm after
+/// arm. Each part runs every stage of its own segment on its worker and
+/// records what each stage reported. The caller then replays those
+/// charges arm by arm, each in the stage-major order a dispatch per stage
+/// would have made them — stage by stage, part by part — so the machine
+/// sees what running the arms one after the other would have charged.
+///
+/// A part runs until it finishes or fails. Within an arm, the stage-major
+/// loop would have stopped at the least failing `(stage, part)`: the first
+/// arm with a failure reports that one (its part index local to the arm),
+/// only the charges made before it are replayed, and later arms charge
+/// nothing.
+fn run_staged(
+    scl: &mut Scl,
+    arms: &[(&SegmentOp<'_>, &[usize])],
+    parts: Vec<PartVal>,
+    threads: usize,
+) -> PartResult<Vec<PartVal>> {
+    // part-major within each arm: a part's worker owns one slot per stage
+    let slots = arms
+        .iter()
+        .map(|(seg, procs)| seg.len() * procs.len())
+        .sum();
+    let mut works = vec![(Work::NONE, 0.0); slots];
+    let mut items = Vec::with_capacity(parts.len());
+    let (mut parts, mut free) = (parts.into_iter(), &mut works[..]);
+    for &(seg, procs) in arms {
+        for (i, v) in parts.by_ref().take(procs.len()).enumerate() {
+            let (mine, rest) = std::mem::take(&mut free).split_at_mut(seg.len());
+            free = rest;
+            items.push((v, seg, i, mine));
+        }
+    }
+    let chain = |_, (mut v, seg, i, mine): (PartVal, &SegmentOp<'_>, usize, &mut [_])| {
+        for (s, (st, slot)) in seg.stages.iter().zip(mine).enumerate() {
+            let (nv, w, secs) = st.apply(i, v).map_err(|e| (s, e))?;
+            (v, *slot) = (nv, (w, secs));
+        }
+        Ok(v)
+    };
+    // the shared pool only grows, so pass the cap (see `dispatch`)
+    let mut results = par_pipeline(ThreadPool::shared(threads), items, threads, 1, chain);
+    let (mut first, mut slot0) = (0, 0);
+    for &(seg, procs) in arms {
+        let k = seg.len();
+        let failed = results[first..first + procs.len()]
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().err().map(|(s, _)| (*s, i)))
             .min();
         let stop = failed.unwrap_or((k, 0));
-        'replay: for (s, st) in self.stages.iter().enumerate() {
+        'replay: for (s, st) in seg.stages.iter().enumerate() {
             for (i, &proc) in procs.iter().enumerate() {
                 if (s, i) >= stop {
                     break 'replay;
                 }
                 if st.charged {
-                    let (w, secs) = works[i * k + s];
+                    let (w, secs) = works[slot0 + i * k + s];
                     scl.charge(proc, w, secs, st.label);
                 }
             }
         }
         if let Some((_, i)) = failed {
-            let Err((_, e)) = results.swap_remove(i) else {
+            let Err((_, e)) = results.swap_remove(first + i) else {
                 unreachable!("part {i} failed")
             };
             return Err(e);
         }
-        results.into_iter().map(|r| r.map_err(|(_, e)| e)).collect()
+        (first, slot0) = (first + procs.len(), slot0 + k * procs.len());
     }
+    results.into_iter().map(|r| r.map_err(|(_, e)| e)).collect()
 }
 
 /// A part's failure inside a dispatch — boxed, so the per-part results a
@@ -1148,14 +1167,25 @@ impl<'a> BranchOp<'a> {
     /// stage (`summed = false`, eager-equivalent charging) or per segment
     /// (`summed = true`, fused-equivalent) — the same flag
     /// [`SegmentOp::run`] takes. A `Choose` branch runs exactly one arm; a
-    /// `Split` branch runs both, left arm first — and when both arms are a
-    /// single pure segment under summed charging (the shape
-    /// [`BranchOp::into_pipelined`] accepts, the common `pair`/`fanout`
-    /// one) the two halves go out as **one** dispatch over `left parts ++
-    /// right parts`, each part routed through its own arm's stages, so
-    /// under a multi-thread policy the arms genuinely overlap on distinct
-    /// pool workers. Machine charges are identical either way: each half's
-    /// parts are charged in order, left arm first.
+    /// `Split` branch runs both, left arm first. When both arms are a
+    /// single pure segment (the shape [`BranchOp::into_pipelined`]
+    /// accepts, the common `pair`/`fanout` one, and the lowest `pair`s of
+    /// a [`Skel::dac`](crate::plan::Skel::dac) tree over a compute base), the two
+    /// halves go out as **one** dispatch over `left parts ++ right parts`,
+    /// each part routed through its own arm's stages, so under a
+    /// multi-thread policy the arms overlap on distinct pool workers:
+    ///
+    /// * summed charging dispatches on the fused schedule, as
+    ///   [`SegmentOp::run`] does;
+    /// * per-stage charging dispatches when
+    ///   [`ExecPolicy::effective_threads`] of both arms' parts exceeds one
+    ///   — a one-part arm alone would run inline — and replays the
+    ///   recorded charges arm by arm; on one thread the arms run one after
+    ///   the other.
+    ///
+    /// Machine charges are identical either way: each arm is charged as
+    /// running it alone would charge it, left arm first. A failing left
+    /// arm leaves no charge of the right arm behind.
     ///
     /// Arm failures come back as typed [`RequestError`]s: a panicking arm
     /// stage is a [`RequestError::StagePanic`] with the part index *local
@@ -1180,8 +1210,11 @@ impl<'a> BranchOp<'a> {
             BranchKind::Split { split, join } => {
                 let (l, r) = split(val);
                 let (lo, ro) = match (&mut self.left[..], &mut self.right[..]) {
-                    ([PlanOp::Segment(ls)], [PlanOp::Segment(rs)]) if summed => {
-                        run_split(scl, ls, rs, l, r)?
+                    ([PlanOp::Segment(ls)], [PlanOp::Segment(rs)])
+                        if summed
+                            || scl.policy.effective_threads(l.arr.len() + r.arr.len()) > 1 =>
+                    {
+                        run_split(scl, ls, rs, l, r, summed)?
                     }
                     (left, right) => (
                         apply_ops(left, scl, l, summed)?,
@@ -1250,31 +1283,37 @@ impl<'a> BranchOp<'a> {
     }
 }
 
-/// Both single-segment arms of a `Split` branch as one dispatch — see
-/// [`BranchOp::try_apply`].
+/// Both single-segment arms of a `Split` branch as one dispatch over `left
+/// parts ++ right parts`, each part routed through its own arm's stages —
+/// see [`BranchOp::try_apply`]. Summed charging goes through [`run_parts`]
+/// on the fused schedule, per-stage charging through [`run_staged`] at
+/// [`ExecPolicy::effective_threads`] of both arms' parts.
 fn run_split(
     scl: &mut Scl,
     left: &SegmentOp<'_>,
     right: &SegmentOp<'_>,
     l: ErasedArr,
     r: ErasedArr,
+    summed: bool,
 ) -> std::result::Result<(ErasedArr, ErasedArr), RequestError> {
-    let ln = l.arr.len();
-    let schedule = scl.segment_schedule(
-        ln + r.arr.len(),
-        left.len().max(right.len()),
-        l.elem_bytes.max(r.elem_bytes),
-    );
+    let (ln, n) = (l.arr.len(), l.arr.len() + r.arr.len());
+    let elem_bytes = l.elem_bytes.max(r.elem_bytes);
     let (mut parts, lprocs, lshape) = l.arr.into_raw();
     let (rparts, rprocs, rshape) = r.arr.into_raw();
     parts.extend(rparts);
-    let mut lout = run_parts(scl, parts, schedule, |g| {
-        if g < ln {
-            (g, lprocs[g], left)
-        } else {
-            (g - ln, rprocs[g - ln], right)
-        }
-    })
+    let mut lout = if summed {
+        let schedule = scl.segment_schedule(n, left.len().max(right.len()), elem_bytes);
+        run_parts(scl, parts, schedule, |g| {
+            if g < ln {
+                (g, lprocs[g], left)
+            } else {
+                (g - ln, rprocs[g - ln], right)
+            }
+        })
+    } else {
+        let threads = scl.policy.effective_threads(n);
+        run_staged(scl, &[(left, &lprocs), (right, &rprocs)], parts, threads)
+    }
     .map_err(|e| *e)?;
     let rout = lout.split_off(ln);
     Ok((

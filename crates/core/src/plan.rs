@@ -192,9 +192,14 @@ where
     /// input is the pair of both inputs; its output the pair of both
     /// outputs.
     ///
-    /// A single **branch op** whose arms are the two sides' op chains, and
-    /// [`Scl::run_fused`] schedules independent pure arms as siblings
-    /// of one pool dispatch (see [`crate::fused`]). Not lowerable (the
+    /// A single **branch op** whose arms are the two sides' op chains.
+    /// When each arm is one pure segment, both walks schedule the arms as
+    /// siblings of one pool dispatch: [`Scl::run_fused`] on the fused
+    /// schedule, [`Skel::run`] whenever the policy gives both arms' parts
+    /// more than one thread (see
+    /// [`BranchOp::try_apply`](crate::fused::BranchOp::try_apply)). Arms
+    /// holding a barrier or a nested branch run one after the other, left
+    /// first. The machine is charged the same either way. Not lowerable (the
     /// IR's branch forms are the symbolic [`Skel::fanout_sym`] /
     /// [`Skel::choice_sym`]).
     ///
@@ -529,9 +534,12 @@ impl<'a, X: FusePort + 'a> Skel<'a, X, X> {
     /// levels of
     /// `divide(l) · (recurse ∥ recurse) · combine(l)`, bottoming out in
     /// `base()` at level 0. The recursion tree is a static plan DAG — the
-    /// two recursive halves at every level are a [`Skel::pair`], so under
-    /// [`Scl::run_fused`] independent pure halves run as siblings of one
-    /// pool dispatch.
+    /// two recursive halves at every level are a [`Skel::pair`]. Where
+    /// both halves are a pure base (the level just above the leaves, when
+    /// `base` is compute only), they run as siblings of one pool dispatch
+    /// under [`Scl::run_fused`] and [`Skel::run`] alike; higher levels
+    /// hold barriers in their halves, so those run one after the other,
+    /// and any parallelism there is the barriers' own.
     ///
     /// The factories are invoked once per node of the unfolded tree
     /// (`divide`/`combine` get the level, `1..=levels`); compare

@@ -7,12 +7,16 @@
 # run on one machine because numbers taken on two compare the machines.
 # The base is unpacked with `git archive`, so nothing is registered in .git.
 #
-# usage: scripts/ladder_compare.sh <base-ref> [pairs] [seconds]
-#        defaults: 5 pairs, 15 s per run (BENCHMARK.json's run_seconds);
-#        results in target/ladder-compare/{a,b}.jsonl
+# usage: scripts/ladder_compare.sh <base-ref> [pairs] [seconds] [workload...]
+#        defaults: 5 pairs, 15 s per run (BENCHMARK.json's run_seconds),
+#        all four workloads; name workloads to run only those (sizing a
+#        change that touches one workload); pairs and seconds must then
+#        be given too; results in target/ladder-compare/{a,b}.jsonl
 set -eu
 cd "$(dirname "$0")/.."
 base=$1 pairs=${2:-5} secs=${3:-15}
+workloads="ladder_heavy ladder_tiny apps_batch serve_open"
+if [ $# -gt 3 ]; then shift 3; workloads=$*; fi
 dir=$PWD/target/ladder-compare
 rm -rf "$dir" && mkdir -p "$dir/base"
 git archive "$base" | tar -x -C "$dir/base"
@@ -28,7 +32,7 @@ run() {
 }
 i=1
 while [ "$i" -le "$pairs" ]; do
-    for w in ladder_heavy ladder_tiny apps_batch serve_open; do
+    for w in $workloads; do
         if [ $((i % 2)) -eq 1 ]; then run a "$w" "$i"; run b "$w" "$i"; else run b "$w" "$i"; run a "$w" "$i"; fi
     done
     i=$((i + 1))

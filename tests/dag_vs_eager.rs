@@ -3,8 +3,8 @@
 //! stages) must agree bit-for-bit between eager `run`, branch-parallel
 //! `run_fused`, `run_optimized` and — wherever the DAG lowers — the
 //! reference interpreter `eval` — under sequential, threaded, and
-//! cost-driven policies — and the fused machine report must not depend on
-//! the policy that produced it.
+//! cost-driven policies — and neither the eager nor the fused machine
+//! report may depend on the policy that produced it.
 //!
 //! The CI harness pins the policy set through `SCL_EXEC_POLICY`
 //! (`seq` / `auto` / `cost`) and sweeps the generator seed through
@@ -62,6 +62,16 @@ fn randomized_dags_agree_three_ways() {
                 assert_eq!(Value::Arr(eager.to_vec()), expect, "{e}");
                 lowered += 1;
             }
+
+            // the eager walk under this policy: same output, same report
+            let mut policy_ctx = Scl::ap1000(n).with_policy(policy);
+            let eager_here = plan.run(&mut policy_ctx, input.clone());
+            assert_eq!(eager_here.to_vec(), eager.to_vec(), "policy {policy:?}");
+            assert_eq!(
+                policy_ctx.machine.report(),
+                eager_ctx.machine.report(),
+                "eager report drifted under {policy:?}"
+            );
 
             let mut fused_ctx = Scl::ap1000(n).with_policy(policy);
             let fused = fused_ctx.run_fused(&plan, input.clone()).unwrap();
@@ -174,6 +184,59 @@ fn pair_arms_run_concurrently_on_distinct_workers() {
         assert!(
             attempt + 1 < ATTEMPTS,
             "pair arms never rendezvoused: met={} distinct_workers={}",
+            met.load(Ordering::SeqCst),
+            distinct
+        );
+    }
+}
+
+/// The same rendezvous through the eager walk: `Skel::run` charges per
+/// stage, and under `Threads(2)` it still sends a `pair` whose arms are
+/// one part and one segment each out as a single pool dispatch, so the
+/// handshake completes there too.
+#[test]
+fn pair_arms_run_concurrently_under_skel_run() {
+    const ATTEMPTS: usize = 4;
+    const WAIT: Duration = Duration::from_millis(2500);
+
+    for attempt in 0..ATTEMPTS {
+        let left_up = Arc::new(AtomicBool::new(false));
+        let right_up = Arc::new(AtomicBool::new(false));
+        let met = Arc::new(AtomicBool::new(true));
+        let tids: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+
+        let arm = |mine: Arc<AtomicBool>, theirs: Arc<AtomicBool>| {
+            let met = Arc::clone(&met);
+            let tids = Arc::clone(&tids);
+            move |x: &i64| {
+                tids.lock().unwrap().insert(std::thread::current().id());
+                mine.store(true, Ordering::SeqCst);
+                let deadline = Instant::now() + WAIT;
+                while !theirs.load(Ordering::SeqCst) {
+                    if Instant::now() > deadline {
+                        met.store(false, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                *x
+            }
+        };
+        let left = Skel::map(arm(Arc::clone(&left_up), Arc::clone(&right_up)));
+        let right = Skel::map(arm(Arc::clone(&right_up), Arc::clone(&left_up)));
+        let plan = split_half().then(left.pair(right)).then(join_concat());
+
+        let mut ctx = Scl::ap1000(2).with_policy(ExecPolicy::Threads(2));
+        let out = plan.run(&mut ctx, ParArray::from_parts(vec![10, 20]));
+        assert_eq!(out.to_vec(), vec![10, 20]);
+
+        let distinct = tids.lock().unwrap().len();
+        if met.load(Ordering::SeqCst) && distinct >= 2 {
+            return; // both arms saw each other in flight, on distinct threads
+        }
+        assert!(
+            attempt + 1 < ATTEMPTS,
+            "pair arms never rendezvoused under Skel::run: met={} distinct_workers={}",
             met.load(Ordering::SeqCst),
             distinct
         );

@@ -117,3 +117,57 @@ fn histogram_threaded_equivalence() {
     assert_eq!(ra, rb);
     assert_eq!(a.makespan(), b.makespan());
 }
+
+#[test]
+fn msort_threaded_equivalence() {
+    let data = uniform_keys(6_000, 21);
+    let (mut a, mut b) = two_ctxs(8);
+    let ra = scl::apps::msort::msort_sort(&mut a, &data, 8);
+    let rb = scl::apps::msort::msort_sort(&mut b, &data, 8);
+    assert_eq!(ra, rb);
+    assert_eq!(a.machine.report(), b.machine.report());
+}
+
+/// The merge sort's charges, pinned: the `MachineReport` of `msort_sort`
+/// on a fixed input at p = 2, 4 and 8, bit for bit, under every policy.
+/// A change to how the sort is scheduled or merged on the host must leave
+/// these untouched; only a deliberate change to what the simulated
+/// machine is charged may move them.
+#[test]
+fn msort_reports_match_golden() {
+    use scl::machine::{MachineReport, Metrics, Time};
+    // (p, makespan bits, compute steps, cmps, moves)
+    const GOLDEN: [(usize, u64, u64, u64, u64); 3] = [
+        (2, 0x3f93_e872_44c0_fa2f, 3, 40_625, 15_957),
+        (4, 0x3f93_e765_d546_eed1, 7, 39_602, 17_983),
+        (8, 0x3f94_03d0_6f18_bc8e, 15, 38_730, 20_269),
+    ];
+    let data = uniform_keys(3_001, 35);
+    let mut expect = data.clone();
+    expect.sort_unstable();
+    for policy in [
+        ExecPolicy::Sequential,
+        ExecPolicy::Threads(2),
+        ExecPolicy::cost_driven(),
+    ] {
+        for (p, makespan, compute_steps, cmps, moves) in GOLDEN {
+            let mut scl = Scl::ap1000(p).with_policy(policy);
+            let sorted = scl::apps::msort::msort_sort(&mut scl, &data, p);
+            assert_eq!(sorted, expect, "p={p} ({policy:?})");
+            // every leaf sort and merge lands on processor 0 (see ROADMAP
+            // item 10), so the imbalance is exactly p
+            let golden = MachineReport {
+                procs: p,
+                makespan: Time(f64::from_bits(makespan)),
+                imbalance: p as f64,
+                metrics: Metrics {
+                    compute_steps,
+                    cmps,
+                    moves,
+                    ..Metrics::default()
+                },
+            };
+            assert_eq!(scl.machine.report(), golden, "p={p} ({policy:?})");
+        }
+    }
+}
