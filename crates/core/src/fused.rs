@@ -42,14 +42,14 @@
 //! partition **once** with the summed work of the whole segment — one
 //! `"fused"` compute event — and dispatches the segment **once** through
 //! [`scl_exec::par_pipeline`] on the process-wide worker pool when the
-//! context's [`ExecPolicy`] says so (under [`ExecPolicy::CostDriven`] the
-//! machine's
-//! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision)
-//! decides whether fanning out is worth it and at what grain). *Per-stage*
-//! charging (what [`Skel::run`](crate::plan::Skel::run) uses) runs at the
-//! eager skeletons' schedule, also one dispatch per segment, and replays
-//! exactly their compute events. A `Split` branch whose two arms are each
-//! one segment is one dispatch under either convention (see
+//! context's [`ExecPolicy`] says so. Under [`ExecPolicy::CostDriven`] each
+//! segment remembers the work its last run measured (wall time × threads)
+//! and fans out only while that reaches [`scl_exec::FAN_OUT_NS`]; a
+//! segment never run before fans out. *Per-stage*
+//! charging (what [`Skel::run`](crate::plan::Skel::run) uses) runs on the
+//! same schedule, also one dispatch per segment, and replays exactly the
+//! eager skeletons' compute events. A `Split` branch whose two arms are each
+//! one segment fans out as one dispatch under either convention (see
 //! [`BranchOp::try_apply`]). Either way the simulated machine is
 //! charged the same *totals* — makespan, flops / cmps / moves, message
 //! counts agree; only `compute_steps` and per-stage trace events differ,
@@ -84,10 +84,11 @@
 use crate::array::ParArray;
 use crate::ctx::Scl;
 use crate::error::{RequestError, Result, SclError};
-use scl_exec::{par_pipeline, ExecPolicy, ThreadPool};
+use scl_exec::{par_pipeline, ExecPolicy, ThreadPool, FAN_OUT_NS};
 use scl_machine::Work;
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 /// A type-erased partition payload flowing through a fused segment.
@@ -101,8 +102,9 @@ pub struct ErasedArr {
     pub(crate) arr: ParArray<PartVal>,
     pub(crate) side: Option<PartVal>,
     /// `size_of` of the concrete part type — a static payload estimate for
-    /// the cost model (heap-owning parts are under-estimated; the model
-    /// treats that as a reason to stay sequential, the cheap mistake).
+    /// the stream's farm calibration (heap-owning parts are
+    /// under-estimated; the model treats that as a reason to stay
+    /// sequential, the cheap mistake).
     pub(crate) elem_bytes: usize,
 }
 
@@ -113,7 +115,7 @@ impl ErasedArr {
     }
 
     /// Static per-element payload estimate (`size_of` of the concrete part
-    /// type) — what the cost model weighs when deciding fan-out.
+    /// type) — what the stream's farm calibration weighs.
     pub fn elem_bytes(&self) -> usize {
         self.elem_bytes
     }
@@ -337,6 +339,11 @@ impl PlanOp<'_> {
 /// runtime shares one `SegmentOp` across all replicas of a farm stage.
 pub struct SegmentOp<'a> {
     stages: Vec<ComputeStage<'a>>,
+    /// The work its last successful run measured under
+    /// [`ExecPolicy::CostDriven`] — wall time × threads, in ns. It starts
+    /// at [`FAN_OUT_NS`], so a segment never run before counts as heavy
+    /// and fans out. A statistic that publishes nothing, hence `Relaxed`.
+    last_ns: AtomicU64,
 }
 
 /// A whole-configuration barrier stage. Stateful (`FnMut`), so a streaming
@@ -405,6 +412,7 @@ impl<'a, A: FusePort + 'a, B: FusePort + 'a> FusedPlan<'a, A, B> {
         };
         Self::single(PlanOp::Segment(SegmentOp {
             stages: vec![stage],
+            last_ns: AtomicU64::new(FAN_OUT_NS),
         }))
     }
 
@@ -843,26 +851,28 @@ impl SegmentOp<'_> {
     /// * `summed = true` charges `scl` **exactly as [`Scl::run_fused`]
     ///   does**: each part *once*, with the summed work of every stage, as
     ///   a single `"fused"` compute event. The segment is one dispatch:
-    ///   inline, or fanned out through [`par_pipeline`] when the context's
-    ///   [`ExecPolicy`] schedules more than one thread.
+    ///   inline, or fanned out through [`par_pipeline`].
     /// * `summed = false` charges **exactly as [`Skel::run`]** — and the
     ///   skeleton methods it replaces, [`Scl::imap`], [`Scl::imap_costed`]
     ///   and [`Scl::zip_with`] — do: one compute event per part per
     ///   *charged* stage (all map flavours; `zip_with` stays free), stage
-    ///   by stage, in part order. It runs at
-    ///   [`ExecPolicy::effective_threads`] (the eager skeletons' schedule,
-    ///   not the cost model's). On one thread, or for a one-stage segment,
-    ///   each stage is one pass over the parts. A multi-stage segment on
-    ///   more threads is one dispatch: each part runs every stage on its
-    ///   worker, and the caller replays the recorded charges in that same
-    ///   stage-major order. Per-item metrics and makespan agree with the
-    ///   eager skeletons bit-for-bit under
+    ///   by stage, in part order. On one thread, or for a one-stage
+    ///   segment, each stage is one pass over the parts. A multi-stage
+    ///   segment on more threads is one dispatch: each part runs every
+    ///   stage on its worker, and the caller replays the recorded charges
+    ///   in that same stage-major order. Per-item metrics and makespan
+    ///   agree with the eager skeletons bit-for-bit under
     ///   [`MeasureMode::None`](crate::ctx::MeasureMode) and costed stages,
     ///   whatever the schedule.
     ///
     /// Same work totals and makespan either way; `compute_steps` and trace
     /// events differ by design. A streaming runtime picks the convention
     /// its per-item reports must agree with.
+    ///
+    /// Either way the schedule is [`ExecPolicy::effective_threads`], except
+    /// that under [`ExecPolicy::CostDriven`] a segment whose last run
+    /// measured less than [`FAN_OUT_NS`] of work runs inline. Charging
+    /// happens on the caller in part order whatever the schedule.
     ///
     /// A stage panic is caught and returned as a typed
     /// [`RequestError::StagePanic`] carrying the stage label, part index,
@@ -879,27 +889,24 @@ impl SegmentOp<'_> {
         val: ErasedArr,
         summed: bool,
     ) -> std::result::Result<ErasedArr, RequestError> {
-        let (mut parts, procs, shape) = val.arr.into_raw();
-        if summed {
-            let schedule = scl.segment_schedule(parts.len(), self.len(), val.elem_bytes);
-            parts = run_parts(scl, parts, schedule, |i| (i, procs[i], self)).map_err(|e| *e)?;
-        } else {
-            let threads = scl.policy.effective_threads(parts.len());
-            if threads > 1 && self.len() > 1 {
-                parts = run_staged(scl, &[(self, &procs)], parts, threads).map_err(|e| *e)?;
+        let (parts, procs, shape) = val.arr.into_raw();
+        let parts = scl.measured(parts.len(), &[&self.last_ns], |scl, schedule| {
+            if summed {
+                run_parts(scl, parts, schedule, |i| (i, procs[i], self))
+            } else if schedule.0 > 1 && self.len() > 1 {
+                run_staged(scl, &[(self, &procs)], parts, schedule)
             } else {
-                for st in &self.stages {
+                self.stages.iter().try_fold(parts, |parts, st| {
                     let charge = |i: usize, (v, w, secs): (PartVal, Work, f64)| {
                         if st.charged {
                             scl.charge(procs[i], w, secs, st.label);
                         }
                         v
                     };
-                    parts = dispatch(parts, (threads, 1), |i, v| st.apply(i, v), charge)
-                        .map_err(|e| *e)?;
-                }
+                    dispatch(parts, schedule, |i, v| st.apply(i, v), charge)
+                })
             }
-        }
+        })?;
         Ok(ErasedArr {
             arr: ParArray::from_raw(parts, procs, shape),
             ..val
@@ -925,7 +932,7 @@ fn run_staged(
     scl: &mut Scl,
     arms: &[(&SegmentOp<'_>, &[usize])],
     parts: Vec<PartVal>,
-    threads: usize,
+    (threads, grain): (usize, usize),
 ) -> PartResult<Vec<PartVal>> {
     // part-major within each arm: a part's worker owns one slot per stage
     let slots = arms
@@ -950,7 +957,7 @@ fn run_staged(
         Ok(v)
     };
     // the shared pool only grows, so pass the cap (see `dispatch`)
-    let mut results = par_pipeline(ThreadPool::shared(threads), items, threads, 1, chain);
+    let mut results = par_pipeline(ThreadPool::shared(threads), items, threads, grain, chain);
     let (mut first, mut slot0) = (0, 0);
     for &(seg, procs) in arms {
         let k = seg.len();
@@ -1022,11 +1029,8 @@ fn dispatch<T: Send>(
     // the shared pool only grows, so pass the cap: an earlier, wider
     // dispatch must not over-commit this smaller one
     let results = par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step);
-    let mut out = Vec::with_capacity(results.len());
-    for (i, res) in results.into_iter().enumerate() {
-        out.push(collect(i, res?));
-    }
-    Ok(out)
+    let collected = results.into_iter().enumerate();
+    collected.map(|(i, res)| Ok(collect(i, res?))).collect()
 }
 
 /// Push `parts` through the segments `route` assigns them, summed: global
@@ -1175,13 +1179,12 @@ impl<'a> BranchOp<'a> {
     /// each part routed through its own arm's stages, so under a
     /// multi-thread policy the arms overlap on distinct pool workers:
     ///
-    /// * summed charging dispatches on the fused schedule, as
-    ///   [`SegmentOp::run`] does;
-    /// * per-stage charging dispatches when
-    ///   [`ExecPolicy::effective_threads`] of both arms' parts exceeds one
-    ///   — a one-part arm alone would run inline — and replays the
-    ///   recorded charges arm by arm; on one thread the arms run one after
-    ///   the other.
+    /// * summed charging always dispatches them together, inline or not;
+    /// * per-stage charging dispatches them together when the schedule of
+    ///   both arms' parts — [`SegmentOp::run`]'s, on the sum of the arms'
+    ///   last measured work — has more than one thread (a one-part arm
+    ///   alone would run inline), and replays the recorded charges arm by
+    ///   arm; on one thread the arms run one after the other.
     ///
     /// Machine charges are identical either way: each arm is charged as
     /// running it alone would charge it, left arm first. A failing left
@@ -1210,10 +1213,7 @@ impl<'a> BranchOp<'a> {
             BranchKind::Split { split, join } => {
                 let (l, r) = split(val);
                 let (lo, ro) = match (&mut self.left[..], &mut self.right[..]) {
-                    ([PlanOp::Segment(ls)], [PlanOp::Segment(rs)])
-                        if summed
-                            || scl.policy.effective_threads(l.arr.len() + r.arr.len()) > 1 =>
-                    {
+                    ([PlanOp::Segment(ls)], [PlanOp::Segment(rs)]) => {
                         run_split(scl, ls, rs, l, r, summed)?
                     }
                     (left, right) => (
@@ -1285,9 +1285,9 @@ impl<'a> BranchOp<'a> {
 
 /// Both single-segment arms of a `Split` branch as one dispatch over `left
 /// parts ++ right parts`, each part routed through its own arm's stages —
-/// see [`BranchOp::try_apply`]. Summed charging goes through [`run_parts`]
-/// on the fused schedule, per-stage charging through [`run_staged`] at
-/// [`ExecPolicy::effective_threads`] of both arms' parts.
+/// see [`BranchOp::try_apply`]. Summed charging goes through [`run_parts`],
+/// per-stage charging through [`run_staged`], both on the sum of the
+/// arms' measured work, which the dispatch then shares out between them.
 fn run_split(
     scl: &mut Scl,
     left: &SegmentOp<'_>,
@@ -1297,24 +1297,27 @@ fn run_split(
     summed: bool,
 ) -> std::result::Result<(ErasedArr, ErasedArr), RequestError> {
     let (ln, n) = (l.arr.len(), l.arr.len() + r.arr.len());
-    let elem_bytes = l.elem_bytes.max(r.elem_bytes);
+    let memos = [&left.last_ns, &right.last_ns];
+    if !summed && scl.schedule(n, &memos).0 <= 1 {
+        // one thread: the arms run one after the other
+        return Ok((left.run(scl, l, false)?, right.run(scl, r, false)?));
+    }
     let (mut parts, lprocs, lshape) = l.arr.into_raw();
     let (rparts, rprocs, rshape) = r.arr.into_raw();
     parts.extend(rparts);
-    let mut lout = if summed {
-        let schedule = scl.segment_schedule(n, left.len().max(right.len()), elem_bytes);
-        run_parts(scl, parts, schedule, |g| {
-            if g < ln {
-                (g, lprocs[g], left)
-            } else {
-                (g - ln, rprocs[g - ln], right)
-            }
-        })
-    } else {
-        let threads = scl.policy.effective_threads(n);
-        run_staged(scl, &[(left, &lprocs), (right, &rprocs)], parts, threads)
-    }
-    .map_err(|e| *e)?;
+    let mut lout = scl.measured(n, &memos, |scl, schedule| {
+        if summed {
+            run_parts(scl, parts, schedule, |g| {
+                if g < ln {
+                    (g, lprocs[g], left)
+                } else {
+                    (g - ln, rprocs[g - ln], right)
+                }
+            })
+        } else {
+            run_staged(scl, &[(left, &lprocs), (right, &rprocs)], parts, schedule)
+        }
+    })?;
     let rout = lout.split_off(ln);
     Ok((
         ErasedArr {
@@ -1374,26 +1377,40 @@ impl Scl {
         self.machine.compute(proc, charged, label);
     }
 
-    /// `(threads, grain)` for a segment under the current [`ExecPolicy`] —
-    /// also the schedule for the owned compute maps in
-    /// [`crate::skeletons::elementary`], which are one-stage segments.
-    pub(crate) fn segment_schedule(
-        &self,
-        parts: usize,
-        stages: usize,
-        elem_bytes: usize,
-    ) -> (usize, usize) {
+    /// `(threads, grain)` for one dispatch over `parts` parts of the
+    /// segments whose measured work `memos` hold: the policy's thread
+    /// count, one part per claim, except that [`ExecPolicy::CostDriven`]
+    /// runs inline what measured less than [`FAN_OUT_NS`] in all and gives
+    /// each thread several claims of the rest.
+    pub(crate) fn schedule(&self, parts: usize, memos: &[&AtomicU64]) -> (usize, usize) {
+        let last_ns: u64 = memos.iter().map(|m| m.load(Relaxed)).sum();
+        let threads = self.policy.effective_threads(parts);
         match self.policy {
-            ExecPolicy::Sequential => (1, 1),
-            ExecPolicy::Threads(t) => (t.max(1).min(parts), 1),
-            ExecPolicy::CostDriven { threads } => {
-                let d = self
-                    .machine
-                    .model()
-                    .fused_decision(parts, stages, elem_bytes, threads);
-                (d.threads.min(parts.max(1)), d.grain)
-            }
+            ExecPolicy::CostDriven { .. } if last_ns < FAN_OUT_NS => (1, 1),
+            ExecPolicy::CostDriven { .. } => (threads, (parts / (threads * 4)).max(1)),
+            _ => (threads, 1),
         }
+    }
+
+    /// One dispatch over `parts` parts of the segments whose measured work
+    /// `memos` hold: `go` runs on [`Scl::schedule`] of their sum, and under
+    /// [`ExecPolicy::CostDriven`] the work it measured on the caller —
+    /// wall time × threads — is shared out evenly among them (only their
+    /// sum is read). A failed dispatch records nothing.
+    fn measured<T>(
+        &mut self,
+        parts: usize,
+        memos: &[&AtomicU64],
+        go: impl FnOnce(&mut Scl, (usize, usize)) -> PartResult<T>,
+    ) -> std::result::Result<T, RequestError> {
+        let schedule = self.schedule(parts, memos);
+        let t0 = matches!(self.policy, ExecPolicy::CostDriven { .. }).then(Instant::now);
+        let out = go(self, schedule).map_err(|e| *e)?;
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64 * schedule.0 as u64 / memos.len() as u64;
+            memos.iter().for_each(|m| m.store(ns, Relaxed));
+        }
+        Ok(out)
     }
 }
 
@@ -1468,15 +1485,149 @@ mod tests {
     }
 
     #[test]
-    fn segment_schedule_honours_policy() {
+    fn schedule_follows_policy_and_measured_work() {
+        let ns = |v: u64| AtomicU64::new(v);
+        let (heavy, light) = (ns(FAN_OUT_NS), ns(FAN_OUT_NS - 1));
+        // what a segment never run before holds
+        let fresh = Skel::map(|x: &i64| *x).into_stream_ops();
+        let unset = &segment(&fresh).last_ns;
         let s = unit_ctx(4);
-        assert_eq!(s.segment_schedule(8, 3, 8), (1, 1));
+        assert_eq!(s.schedule(8, &[unset]), (1, 1));
         let s = s.with_policy(ExecPolicy::Threads(4));
-        assert_eq!(s.segment_schedule(8, 3, 8), (4, 1));
-        assert_eq!(s.segment_schedule(2, 3, 8), (2, 1));
-        // unit model: any real work justifies fanning out
+        assert_eq!(s.schedule(8, &[&light]), (4, 1));
+        assert_eq!(s.schedule(2, &[unset]), (2, 1));
+        // cost-driven: fan out what is unmeasured or measured heavy, at
+        // several claims per thread; run the rest inline
         let s = s.with_policy(ExecPolicy::CostDriven { threads: 4 });
-        assert_eq!(s.segment_schedule(8, 3, 8), (4, 1));
-        assert_eq!(s.segment_schedule(1, 3, 8), (1, 1));
+        assert_eq!(s.schedule(32, &[unset]), (4, 2));
+        assert_eq!(s.schedule(8, &[&heavy]), (4, 1));
+        assert_eq!(s.schedule(8, &[&light]), (1, 1));
+        assert_eq!(s.schedule(8, &[&light, &ns(1)]), (4, 1), "arms add up");
+        assert_eq!(s.schedule(8, &[&light, unset]), (4, 1));
+        assert_eq!(s.schedule(1, &[unset]), (1, 1));
+    }
+
+    /// Notes the threads a plan's parts run on. While `meet` is set it
+    /// holds every part until two threads have arrived, so a run that
+    /// does not fan out fails; otherwise it holds each part for a few
+    /// milliseconds, so a run that does fan out gets a helper to note.
+    #[derive(Default)]
+    struct Probe {
+        seen: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+        two: std::sync::Condvar,
+        meet: std::sync::atomic::AtomicBool,
+    }
+
+    impl Probe {
+        fn visit(&self) {
+            let mut seen = self.seen.lock().unwrap();
+            seen.insert(std::thread::current().id());
+            self.two.notify_all();
+            let meet = self.meet.load(Relaxed);
+            let wait = std::time::Duration::from_millis(if meet { 20_000 } else { 5 });
+            let (_seen, timeout) = self
+                .two
+                .wait_timeout_while(seen, wait, |s| s.len() < 2)
+                .unwrap();
+            assert!(!(meet && timeout.timed_out()), "no second thread joined");
+        }
+
+        /// Every part so far ran on the calling thread.
+        fn stayed_on_caller(&self) -> bool {
+            let seen = std::mem::take(&mut *self.seen.lock().unwrap());
+            seen == std::collections::HashSet::from([std::thread::current().id()])
+        }
+
+        fn stage(&self) -> Skel<'_, ParArray<i64>, ParArray<i64>> {
+            Skel::imap(move |i, x: &i64| {
+                self.visit();
+                x + i as i64
+            })
+        }
+    }
+
+    use crate::plan::Skel;
+
+    fn parts(n: i64) -> ParArray<i64> {
+        ParArray::from_parts((0..n).collect())
+    }
+
+    fn segment<'p>(ops: &'p [PlanOp<'_>]) -> &'p SegmentOp<'p> {
+        match ops {
+            [PlanOp::Segment(seg)] => seg,
+            _ => panic!("one segment"),
+        }
+    }
+
+    #[test]
+    fn cost_driven_segments_follow_their_measured_work() {
+        let cost = || unit_ctx(8).with_policy(ExecPolicy::CostDriven { threads: 2 });
+        for (stages, summed) in [(1, false), (2, false), (1, true), (2, true)] {
+            let probe = Probe::default();
+            let mut plan = probe.stage();
+            if stages == 2 {
+                plan = plan.then(probe.stage());
+            }
+            let ops = plan.into_stream_ops();
+            let seg = segment(&ops);
+            let at = format!("{stages} stage(s), summed {summed}");
+            // measured light: inline, and the run's own work is recorded
+            seg.last_ns.store(FAN_OUT_NS - 1, Relaxed);
+            seg.run(&mut cost(), parts(8).erase(), summed).unwrap();
+            assert!(probe.stayed_on_caller(), "{at}: fanned out");
+            assert_ne!(seg.last_ns.load(Relaxed), FAN_OUT_NS - 1, "{at}");
+            // measured heavy: fans out, or the probe times out
+            seg.last_ns.store(FAN_OUT_NS, Relaxed);
+            probe.meet.store(true, Relaxed);
+            seg.run(&mut cost(), parts(8).erase(), summed).unwrap();
+            probe.meet.store(false, Relaxed);
+            // other policies neither read nor write the memo
+            seg.last_ns.store(7, Relaxed);
+            let mut threads = unit_ctx(8).with_policy(ExecPolicy::Threads(2));
+            seg.run(&mut threads, parts(8).erase(), summed).unwrap();
+            assert_eq!(seg.last_ns.load(Relaxed), 7, "{at}");
+        }
+    }
+
+    #[test]
+    fn a_failed_dispatch_records_nothing() {
+        let s = Skel::imap(|i, x: &i64| {
+            assert!(i != 3, "part 3 fails");
+            *x
+        });
+        let ops = s.into_stream_ops();
+        let seg = segment(&ops);
+        for summed in [true, false] {
+            seg.last_ns.store(FAN_OUT_NS + 5, Relaxed);
+            let mut scl = unit_ctx(8).with_policy(ExecPolicy::CostDriven { threads: 2 });
+            assert!(seg.run(&mut scl, parts(8).erase(), summed).is_err());
+            assert_eq!(seg.last_ns.load(Relaxed), FAN_OUT_NS + 5, "summed {summed}");
+        }
+    }
+
+    #[test]
+    fn a_pair_of_segments_follows_the_sum_of_their_work() {
+        let cost = || unit_ctx(8).with_policy(ExecPolicy::CostDriven { threads: 2 });
+        for summed in [true, false] {
+            let probe = Probe::default();
+            let mut ops = probe.stage().pair(probe.stage()).into_stream_ops();
+            let [PlanOp::Branch(b)] = &mut ops[..] else {
+                panic!("one branch");
+            };
+            let memos = |b: &BranchOp<'_>, l: u64, r: u64| {
+                segment(&b.left).last_ns.store(l, Relaxed);
+                segment(&b.right).last_ns.store(r, Relaxed);
+            };
+            let input = || (parts(4), parts(4)).erase();
+            // each arm light, and light together: inline
+            memos(b, FAN_OUT_NS / 2 - 1, FAN_OUT_NS / 2);
+            b.try_apply(&mut cost(), input(), summed).unwrap();
+            assert!(probe.stayed_on_caller(), "summed {summed}: fanned out");
+            // each arm light, heavy together: one dispatch on two threads
+            memos(b, FAN_OUT_NS / 2, FAN_OUT_NS / 2);
+            probe.meet.store(true, Relaxed);
+            b.try_apply(&mut cost(), input(), summed).unwrap();
+            probe.meet.store(false, Relaxed);
+        }
     }
 }

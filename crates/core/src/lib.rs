@@ -54,10 +54,10 @@
 //! Which segments fan out across host threads — and at what scheduling
 //! grain — is decided by the [`scl_exec::ExecPolicy`]:
 //! `ExecPolicy::Sequential` and `ExecPolicy::Threads` behave as named,
-//! while `ExecPolicy::CostDriven` consults the machine's
-//! [`CostModel::fused_decision`](scl_machine::CostModel::fused_decision)
-//! per segment, falling back to sequential execution when a segment's
-//! estimated work is within a few multiples of the dispatch overhead.
+//! while `ExecPolicy::CostDriven` has each segment remember the work its
+//! last run measured (wall time × threads) and runs it inline while that
+//! stays below [`scl_exec::FAN_OUT_NS`]; a segment never run before fans
+//! out.
 //! Host computations over the whole configuration join fused chains as
 //! explicit barriers via [`Skel::barrier`]. [`Scl::run_optimized`]
 //! executes the rewritten program through this executor, so §4

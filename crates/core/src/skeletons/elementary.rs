@@ -16,11 +16,11 @@
 //!
 //! [`MeasureMode`]: crate::ctx::MeasureMode
 
-use crate::array::ParArray;
+use crate::array::{GridShape, ParArray};
 use crate::bytes::Bytes;
 use crate::ctx::Scl;
 use scl_exec::{par_map_indexed, par_pipeline, ThreadPool};
-use scl_machine::Work;
+use scl_machine::{ProcId, Work};
 use std::time::Instant;
 
 impl Scl {
@@ -185,7 +185,7 @@ impl Scl {
     // ([`Scl::recycle_buf`]) instead of cloning every element each sweep.
     // Charging matches the borrowed forms exactly. Threaded execution is
     // the same [`scl_exec::par_pipeline`] dispatch the borrowed maps use,
-    // gated like a one-stage fused segment.
+    // at the same thread count.
 
     /// [`Scl::map`] consuming the array: `f` receives each part by value.
     #[must_use]
@@ -194,13 +194,11 @@ impl Scl {
         T: Send,
         R: Send,
     {
-        let (pairs, procs, shape) = self
-            .run_owned(a, |_, x| {
-                let t0 = Instant::now();
-                let r = f(x);
-                (r, t0.elapsed().as_secs_f64())
-            })
-            .into_raw();
+        let (pairs, procs, shape) = self.run_owned(a, |_, x| {
+            let t0 = Instant::now();
+            let r = f(x);
+            (r, t0.elapsed().as_secs_f64())
+        });
         let mut parts = Vec::with_capacity(pairs.len());
         for (i, (r, secs)) in pairs.into_iter().enumerate() {
             let w = self.measured_work(secs);
@@ -235,7 +233,7 @@ impl Scl {
         T: Send,
         R: Send,
     {
-        let (pairs, procs, shape) = self.run_owned(a, f).into_raw();
+        let (pairs, procs, shape) = self.run_owned(a, f);
         let mut parts = Vec::with_capacity(pairs.len());
         for (i, (r, w)) in pairs.into_iter().enumerate() {
             self.machine.compute(procs[i], w, "map");
@@ -244,32 +242,32 @@ impl Scl {
         ParArray::from_raw(parts, procs, shape)
     }
 
-    /// Dispatch an owned per-part step over the policy's threads.
+    /// Dispatch an owned per-part step over the policy's threads; the
+    /// results come back raw, in part order, for the caller to charge.
     fn run_owned<T, R>(
-        &mut self,
+        &self,
         a: ParArray<T>,
         step: impl Fn(usize, T) -> R + Sync,
-    ) -> ParArray<R>
+    ) -> (Vec<R>, Vec<ProcId>, GridShape)
     where
         T: Send,
         R: Send,
     {
-        let n = a.len();
-        // scheduled exactly like a one-stage fused segment: Threads(t)
-        // fans out unconditionally (as the borrowed maps do), CostDriven
-        // consults the model with the static payload estimate
-        let (threads, grain) = self.segment_schedule(n, 1, std::mem::size_of::<T>());
+        // at the policy's thread count, as the borrowed maps are: an owned
+        // map has no op to remember its measured work in, so even
+        // `CostDriven` fans it out
+        let threads = self.policy.effective_threads(a.len());
         let (parts, procs, shape) = a.into_raw();
-        let results: Vec<R> = if threads <= 1 {
+        let results = if threads <= 1 {
             parts
                 .into_iter()
                 .enumerate()
                 .map(|(i, x)| step(i, x))
                 .collect()
         } else {
-            par_pipeline(ThreadPool::shared(threads), parts, threads, grain, step)
+            par_pipeline(ThreadPool::shared(threads), parts, threads, 1, step)
         };
-        ParArray::from_raw(results, procs, shape)
+        (results, procs, shape)
     }
 }
 
@@ -462,11 +460,27 @@ mod tests {
     }
 
     #[test]
+    fn owned_maps_admit_a_helper_under_cost_driven() {
+        // jacobi's sweep: eight parts of 8 192 `f64`, each moved into the
+        // step. An owned map remembers no measured work, so it fans out
+        // at the policy's cap whatever the machine's cost model.
+        let a = ParArray::from_parts((0..8).map(|i| vec![i as f64; 8192]).collect());
+        let mut s = Scl::ap1000(8).with_policy(ExecPolicy::CostDriven { threads: 2 });
+        let meet = Rendezvous::default();
+        let out = s.imap_costed_owned(a, |_, v: Vec<f64>| {
+            meet.arrive();
+            (v.iter().sum::<f64>(), Work::flops(v.len() as u64))
+        });
+        let want: Vec<f64> = (0..8).map(|i| i as f64 * 8192.0).collect();
+        assert_eq!(out.to_vec(), want);
+    }
+
+    #[test]
     fn skel_run_keeps_the_eager_threads_under_cost_driven() {
         // `Skel::run` schedules a stage as `Scl::imap` does — at the
-        // policy's thread count — not by the fused cost model, which
-        // prices eight 24-byte `Vec` parts on the AP1000 below its
-        // fan-out overhead and would keep this stage on one thread.
+        // policy's thread count — until the segment has measured its own
+        // work: a first run has measured nothing, so it fans out, however
+        // small the parts (eight 4-element `Vec`s on the AP1000 here).
         use crate::plan::Skel;
         let a = ParArray::from_parts((0..8i64).map(|i| vec![i; 4]).collect());
         let mut s = Scl::ap1000(8).with_policy(ExecPolicy::CostDriven { threads: 2 });

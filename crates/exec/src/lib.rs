@@ -66,9 +66,10 @@
 //! demand's worth of workers, not a set per graph.
 //!
 //! An [`ExecPolicy`] selects between sequential, threaded, and
-//! cost-model-driven execution and is threaded through `scl-core`'s context
-//! type. Host parallelism is queried once per process ([`host_threads`]) —
-//! never per call. [`ExecPolicy::from_env`] reads the `SCL_EXEC_POLICY`
+//! cost-driven execution (fan out only work measured at [`FAN_OUT_NS`] or
+//! more) and is threaded through `scl-core`'s context type. Host
+//! parallelism is queried once per process ([`host_threads`]) — never per
+//! call. [`ExecPolicy::from_env`] reads the `SCL_EXEC_POLICY`
 //! pin the CI matrix sets, erroring (never silently falling back) on
 //! unrecognised values.
 
@@ -85,7 +86,7 @@ pub use backoff::{Backoff, ParkSlot};
 pub use chan::{Bounded, TryRecv};
 pub use deque::StealRange;
 pub use mpmc::{ring_mpmc, ring_mpmc_parked, RingReceiver, RingSender};
-pub use policy::{host_threads, ExecPolicy, POLICY_ENV_VAR};
+pub use policy::{host_threads, ExecPolicy, FAN_OUT_NS, POLICY_ENV_VAR};
 pub use pool::ThreadPool;
 pub use scope::{
     par_concat, par_for_each, par_map, par_map_indexed, par_permute, par_pipeline, par_scatter,

@@ -1,4 +1,4 @@
-//! Execution policy: sequential, threaded, or cost-model-driven.
+//! Execution policy: sequential, threaded, or cost-driven (measured work).
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -30,28 +30,31 @@ pub enum ExecPolicy {
     Sequential,
     /// Run on up to this many host threads (at least 1).
     Threads(usize),
-    /// Let a cost model decide, per fused segment, between sequential and
-    /// threaded execution and pick the scheduling grain. Outside a fused
-    /// segment (the borrowed `par_map` family) this behaves like
-    /// [`ExecPolicy::Threads`] at the cap. Either way a threaded answer is
-    /// the same fork-join dispatch: the caller works, up to `threads − 1`
-    /// pool workers may join, and a wrong "fan out" costs one enqueue.
+    /// Decide from measured work, per fused segment, between sequential
+    /// and threaded execution: a segment fans out at the cap, with a grain
+    /// of `parts / (threads · 4)` (at least 1), unless its last run
+    /// measured less than [`FAN_OUT_NS`] of work (wall time × threads
+    /// used) — then it runs inline. A segment never run before fans out.
+    /// Outside a fused segment (the borrowed `par_map` family, the owned
+    /// maps) this behaves like [`ExecPolicy::Threads`] at the cap. Either
+    /// way a threaded answer is the same fork-join dispatch: the caller
+    /// works, up to `threads − 1` pool workers may join, and a wrong "fan
+    /// out" costs one enqueue.
     ///
-    /// This crate knows nothing about cost models; the decision itself is
-    /// made by the caller (`scl-core` consults `scl-machine`'s
-    /// `CostModel::fused_decision`). The variant only carries the host
-    /// thread ceiling so the choice of *how many* threads stays cached here.
-    ///
-    /// The decision's payload estimate is **static** (`size_of` of the
-    /// part type), so heap-backed parts (`Vec<T>` partitions) are
-    /// under-estimated and bias the model toward sequential execution —
-    /// the cheap mistake. When the caller *knows* partitions carry heavy
-    /// heap payloads, [`ExecPolicy::Threads`] states that directly.
+    /// The variant only carries the host thread ceiling; the segment
+    /// executor in `scl-core` keeps the measurements.
     CostDriven {
         /// Upper bound on host threads (usually [`host_threads`]).
         threads: usize,
     },
 }
+
+/// Measured work (wall time × threads, in ns) at which a dispatch is
+/// worth fanning out: about 60× a fork-join dispatch (≈ 1.7 µs on a 2-vCPU
+/// host), so only work that dwarfs the dispatch pays for it. Read by
+/// [`ExecPolicy::CostDriven`]'s segments and by the stream pump's lone
+/// items.
+pub const FAN_OUT_NS: u64 = 100_000;
 
 /// The environment variable [`ExecPolicy::from_env`] reads.
 pub const POLICY_ENV_VAR: &str = "SCL_EXEC_POLICY";

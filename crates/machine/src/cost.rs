@@ -131,6 +131,11 @@ impl CostModel {
     /// (`size_of::<T>()` of the part type), so heap-heavy parts are
     /// under-estimated — the decision errs toward sequential, which is the
     /// cheap mistake.
+    ///
+    /// Two callers remain: [`CostModel::comm_decision`] (a communication
+    /// barrier's local data movement) and `scl-stream`'s farm calibration.
+    /// Fused segments themselves no longer ask: under a cost-driven policy
+    /// they fan out on their own measured work.
     pub fn fused_decision(
         &self,
         parts: usize,

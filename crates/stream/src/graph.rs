@@ -28,10 +28,11 @@
 //! — because a hand-off to a lane would buy no overlap, only a job
 //! submission and a wake-up per farm. The lanes are idle at that moment,
 //! so when the farm's measured mean service time reaches
-//! [`LONE_FAN_OUT_NS`] the pump runs the segment data-parallel across the
-//! farm's width (its `max_width`, which already honours the external
-//! cap); a farm's first item, with nothing measured yet, runs on the pump
-//! alone. Streaming callers (`push`, `try_pop*`) never take this path, so
+//! [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS) — the threshold a cost-driven
+//! segment dispatch also reads — the pump runs the segment data-parallel
+//! across the farm's width (its `max_width`, which already honours the
+//! external cap); a farm's first item, with nothing measured yet, runs on
+//! the pump alone. Streaming callers (`push`, `try_pop*`) never take this path, so
 //! their items keep the lanes' overlap.
 //!
 //! When a round moves nothing, the pump parks on the graph's one
@@ -50,12 +51,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Mean farm service time at which the pump fans a lone item's segment
-/// out over the farm's width instead of running it on one thread: about
-/// 60× a fork-join dispatch (≈ 1.7 µs on a 2-vCPU host), so only a
-/// segment whose measured work dwarfs the dispatch pays for it.
-const LONE_FAN_OUT_NS: u64 = 100_000;
 
 /// An operator the pump executes inline while relaying an item across a
 /// stage boundary.
@@ -443,8 +438,9 @@ impl Graph {
     /// Refine each farm's width ceiling from the first healthy item's
     /// payload: under a cost-driven policy, ask the machine's cost model
     /// whether farming a window of `capacity` items of this size across
-    /// threads is worth the coordination at all, exactly as fused execution
-    /// gates a segment ([`CostModel::fused_decision`]). Non-cost-driven
+    /// threads is worth the coordination at all
+    /// ([`CostModel::fused_decision`], a static `size_of` estimate — unlike
+    /// a fused segment, which gates on its measured work). Non-cost-driven
     /// policies keep the policy cap.
     ///
     /// [`CostModel::fused_decision`]: scl_machine::CostModel::fused_decision
@@ -594,8 +590,8 @@ impl Graph {
     /// `lone` item, farm `h`'s segment run right here into its reorder
     /// buffer, exactly where a replica's output would arrive (fanned out
     /// across the farm's width once its mean service time reaches
-    /// [`LONE_FAN_OUT_NS`]) — or the completion list after the last hop.
-    /// `Err` hands it back when the queue is full.
+    /// [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS)) — or the completion list
+    /// after the last hop. `Err` hands it back when the queue is full.
     #[allow(clippy::result_large_err)] // Err hands the envelope back, by design
     fn accept(&mut self, h: usize, mut env: Envelope, lone: bool) -> Result<(), Envelope> {
         if h < self.farms.len() {
@@ -607,7 +603,7 @@ impl Graph {
                 // width to the item's own segment run
                 let items = farm.stats.items.load(Ordering::Relaxed);
                 let busy = farm.stats.busy_nanos.load(Ordering::Relaxed);
-                if farm.max_width > 1 && items > 0 && busy / items >= LONE_FAN_OUT_NS {
+                if farm.max_width > 1 && items > 0 && busy / items >= scl_exec::FAN_OUT_NS {
                     env.scl.policy = ExecPolicy::Threads(farm.max_width);
                 }
                 let mut env = serve_item(&farm.seg, &farm.stats, self.summed_charging, env);

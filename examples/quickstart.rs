@@ -107,9 +107,9 @@ fn main() {
     // of compute skeletons execute back-to-back on the worker that owns
     // each partition (no intermediate arrays, one thread-pool dispatch per
     // segment), with communication skeletons as the only barriers. Same
-    // answer as the eager run, bit for bit; `ExecPolicy::cost_driven()`
-    // lets the machine's cost model decide per segment whether fanning out
-    // across host threads is worth it.
+    // answer as the eager run, bit for bit; under
+    // `ExecPolicy::cost_driven()` a segment fans out across host threads
+    // only while the work its last run measured is worth it.
     let mut fused_ctx = Scl::ap1000(8).with_policy(ExecPolicy::cost_driven());
     let fused = fused_ctx
         .run_fused(&plan, ints)
