@@ -101,23 +101,12 @@ pub type PartVal = Box<dyn Any + Send>;
 pub struct ErasedArr {
     pub(crate) arr: ParArray<PartVal>,
     pub(crate) side: Option<PartVal>,
-    /// `size_of` of the concrete part type — a static payload estimate for
-    /// the stream's farm calibration (heap-owning parts are
-    /// under-estimated; the model treats that as a reason to stay
-    /// sequential, the cheap mistake).
-    pub(crate) elem_bytes: usize,
 }
 
 impl ErasedArr {
     /// Number of distributed parts (virtual processors this value spans).
     pub fn parts(&self) -> usize {
         self.arr.len()
-    }
-
-    /// Static per-element payload estimate (`size_of` of the concrete part
-    /// type) — what the stream's farm calibration weighs.
-    pub fn elem_bytes(&self) -> usize {
-        self.elem_bytes
     }
 }
 
@@ -164,7 +153,6 @@ impl<T: Send + 'static> FusePort for ParArray<T> {
         ErasedArr {
             arr: erase_parts(self),
             side: None,
-            elem_bytes: std::mem::size_of::<T>(),
         }
     }
     fn restore(e: ErasedArr) -> Self {
@@ -186,7 +174,6 @@ impl<A: Send + 'static, B: Send + 'static> FusePort for (ParArray<A>, ParArray<B
         ErasedArr {
             arr: a.map_into(|_, x| Box::new((x, bs.next().expect("conforming arrays"))) as PartVal),
             side: None,
-            elem_bytes: std::mem::size_of::<(A, B)>(),
         }
     }
     fn restore(e: ErasedArr) -> Self {
@@ -202,7 +189,6 @@ impl<T: Send + 'static> FusePort for Vec<T> {
         ErasedArr {
             arr: ParArray::from_parts(Vec::new()),
             side: Some(Box::new(self)),
-            elem_bytes: std::mem::size_of::<T>(),
         }
     }
     fn restore(e: ErasedArr) -> Self {
@@ -227,7 +213,6 @@ where
         ErasedArr {
             arr: erase_parts(a),
             side: Some(Box::new((s, u))),
-            elem_bytes: std::mem::size_of::<T>(),
         }
     }
     fn restore(e: ErasedArr) -> Self {
@@ -1430,7 +1415,6 @@ mod tests {
     fn parray_port_roundtrips() {
         let a = ParArray::with_placement(vec![1i64, 2, 3], vec![4, 5, 6]);
         let e = a.clone().erase();
-        assert_eq!(e.elem_bytes, std::mem::size_of::<i64>());
         let back: ParArray<i64> = FusePort::restore(e);
         assert_eq!(back, a);
     }

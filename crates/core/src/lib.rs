@@ -21,7 +21,7 @@
 //! | configuration | `partition`, `gather`, `align`, `distribution`, `redistribution`, `split`, `combine` | [`ctx`], [`config`], [`partition`] | [`Skel::partition`], [`Skel::gather`], [`Skel::balance`] |
 //! | elementary | `map`, `imap`, `fold`, `scan`, `zip_with` + communication: `rotate`, `rotate_row`, `rotate_col`, `brdcast`, `apply_brdcast`, `send`, `fetch`, `total_exchange` | [`skeletons::elementary`], [`skeletons::comm`] | [`Skel::map`], [`Skel::imap`], [`Skel::fold_all`], [`Skel::scan`], [`Skel::zip_with`], [`Skel::rotate`], [`Skel::shift`], [`Skel::brdcast`], [`Skel::fetch`], [`Skel::total_exchange`] |
 //! | computational | `farm`, `spmd`, `iter_until`, `iter_for`, `dc`, `pipeline` | [`skeletons::compute`] | [`Skel::farm`], [`Skel::spmd`], [`Skel::iter_until`], [`Skel::iter_for`], [`Skel::dac`], [`Skel::task_pipeline`] |
-//! | streaming | persistent pipeline/farm operator graphs serving a plan over unbounded input — bounded queues, backpressure, autonomic farm widths | `scl-stream` (`StreamExec`) | [`Skel::into_stream_ops`] → `StreamExec::push`/`drain`/`run_stream` |
+//! | streaming | persistent pipeline/farm operator graphs serving a plan over unbounded input — bounded queues, backpressure, measured farm widths | `scl-stream` (`StreamExec`) | [`Skel::into_stream_ops`] → `StreamExec::push`/`drain`/`run_stream` |
 //!
 //! Every skeleton is available two ways: **eagerly**, as a method on
 //! [`Scl`] that executes immediately, and as a **plan combinator** on

@@ -11,7 +11,7 @@
 //! * [`RingSender`] `p` owns row `p`: it round-robins its pushes over the
 //!   open, non-full lanes of the row ([`RingSender::try_send_within`]
 //!   restricts the dispatch to a prefix of the consumers — how a farm
-//!   pump honours its width gate without the workers ever taking a lock);
+//!   pump honours its width without the workers ever taking a lock);
 //! * [`RingReceiver`] `c` owns column `c`: it round-robins its pops over
 //!   the column and reports [`TryRecv::Closed`] only when **every** lane
 //!   is closed and drained — one producer (or worker) leaving never
@@ -211,9 +211,9 @@ impl<T: Send> RingSender<T> {
     }
 
     /// [`RingSender::try_send`] restricted to the first `cols` consumers
-    /// — the pump-side routing hook for a farm's width gate: narrowed-off
-    /// replicas simply stop receiving new items (they still drain their
-    /// own ring, so nothing is ever stranded behind a narrowed gate).
+    /// — the pump-side routing hook for a farm's width: replicas outside
+    /// it simply receive no new items (they still drain their own ring,
+    /// so nothing is ever stranded when the width narrows).
     pub fn try_send_within(&self, item: T, cols: usize) -> Result<(), T> {
         self.push_within(item, cols).map_err(|e| match e {
             PushErr::Full(x) | PushErr::Closed(x) => x,

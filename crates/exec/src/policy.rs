@@ -52,8 +52,9 @@ pub enum ExecPolicy {
 /// Measured work (wall time × threads, in ns) at which a dispatch is
 /// worth fanning out: about 60× a fork-join dispatch (≈ 1.7 µs on a 2-vCPU
 /// host), so only work that dwarfs the dispatch pays for it. Read by
-/// [`ExecPolicy::CostDriven`]'s segments and by the stream pump's lone
-/// items.
+/// [`ExecPolicy::CostDriven`]'s segments and by the stream farms, whose
+/// mean service time against it sets their routing width and whether a
+/// lone item fans out.
 pub const FAN_OUT_NS: u64 = 100_000;
 
 /// The environment variable [`ExecPolicy::from_env`] reads.

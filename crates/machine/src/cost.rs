@@ -118,29 +118,27 @@ impl CostModel {
     }
 
     /// Decide how one **fused segment** — `stages` part-local stages run
-    /// back-to-back over `parts` partitions of roughly `elem_bytes` each —
+    /// back-to-back over `parts` partitions of roughly `part_bytes` each —
     /// should execute on a host offering up to `max_threads` threads.
     ///
     /// The model weighs the segment's estimated local work per partition
-    /// (`stages · elem_bytes · t_mem`) against its per-phase coordination
+    /// (`stages · part_bytes · t_mem`) against its per-phase coordination
     /// overhead (`t_msg + t_barrier`, standing in for the host cost of
     /// waking and joining workers): segments whose total work is within a
     /// few multiples of the overhead run sequentially, larger ones fan out
     /// with a grain that gives each thread several scheduling quanta for
-    /// self-balancing. `elem_bytes` is a *static* estimate
-    /// (`size_of::<T>()` of the part type), so heap-heavy parts are
-    /// under-estimated — the decision errs toward sequential, which is the
-    /// cheap mistake.
+    /// self-balancing.
     ///
-    /// Two callers remain: [`CostModel::comm_decision`] (a communication
-    /// barrier's local data movement) and `scl-stream`'s farm calibration.
-    /// Fused segments themselves no longer ask: under a cost-driven policy
-    /// they fan out on their own measured work.
+    /// One caller remains: [`CostModel::comm_decision`] (a communication
+    /// barrier's local data movement, priced on the bytes it moves). Fused
+    /// segments and stream farms do not ask: under a cost-driven policy a
+    /// segment fans out on its own measured work, and a farm routes wide
+    /// on its measured service time.
     pub fn fused_decision(
         &self,
         parts: usize,
         stages: usize,
-        elem_bytes: usize,
+        part_bytes: usize,
         max_threads: usize,
     ) -> FusedDecision {
         let sequential = FusedDecision {
@@ -150,7 +148,7 @@ impl CostModel {
         if max_threads <= 1 || parts <= 1 {
             return sequential;
         }
-        let per_part = self.t_mem * (stages.max(1) * elem_bytes.max(1));
+        let per_part = self.t_mem * (stages.max(1) * part_bytes.max(1));
         let overhead = self.t_msg + self.t_barrier;
         if per_part * parts <= overhead * 4u64 {
             return sequential;

@@ -100,8 +100,8 @@ struct Q {
 /// threads (producers) and the service thread (consumer).
 pub struct Admission {
     inner: Mutex<Q>,
-    /// Signalled when a job arrives (or the queue drains or stops): the
-    /// service thread waits here.
+    /// Signalled when a job arrives or the queue stops: the service
+    /// thread waits here.
     ready: Condvar,
     /// Signalled when a draining queue runs empty: a shutdown waits here.
     drained: Condvar,
@@ -163,16 +163,15 @@ impl Admission {
         Ok(victim)
     }
 
-    /// Pop up to `max` jobs, waiting up to `wait` for the first one.
-    /// Returns an empty batch on timeout (the service thread uses the
-    /// idle beat for its manager tick), and at once after
-    /// [`Admission::stop`].
-    pub fn pop_batch(&self, max: usize, wait: Duration) -> Vec<Job> {
-        let mut q = self.inner.lock().unwrap();
-        if q.jobs.is_empty() && !q.stopped {
-            let (guard, _timeout) = self.ready.wait_timeout(q, wait).unwrap();
-            q = guard;
-        }
+    /// Pop up to `max` jobs, blocking until there is at least one.
+    /// Returns an empty batch only after [`Admission::stop`], with nothing
+    /// left queued.
+    pub fn pop_batch(&self, max: usize) -> Vec<Job> {
+        let q = self.inner.lock().unwrap();
+        let mut q = self
+            .ready
+            .wait_while(q, |q| q.jobs.is_empty() && !q.stopped)
+            .unwrap();
         let take = q.jobs.len().min(max.max(1));
         let batch = q.jobs.drain(..take).collect();
         if q.draining && q.jobs.is_empty() {
@@ -185,7 +184,6 @@ impl Admission {
     /// [`AdmitError::Draining`]. Already-queued jobs stay queued.
     pub fn drain(&self) {
         self.inner.lock().unwrap().draining = true;
-        self.ready.notify_all();
     }
 
     /// After a [`Admission::drain`]: block until the service thread has
@@ -319,7 +317,7 @@ mod tests {
         let victim = q.push(c).unwrap().expect("oldest is shed");
         assert_eq!(victim.job.tenant, 0, "FIFO head pays");
         assert!(!victim.expired, "live work shed under overload");
-        let batch = q.pop_batch(10, Duration::from_millis(1));
+        let batch = q.pop_batch(10);
         let tenants: Vec<u32> = batch.iter().map(|j| j.tenant).collect();
         assert_eq!(tenants, vec![1, 2]);
     }
@@ -349,11 +347,7 @@ mod tests {
         let v = q.push(c).unwrap().expect("expired job shed, newcomer in");
         assert_eq!(v.job.tenant, 1);
         assert!(v.expired);
-        let tenants: Vec<u32> = q
-            .pop_batch(10, Duration::from_millis(1))
-            .iter()
-            .map(|j| j.tenant)
-            .collect();
+        let tenants: Vec<u32> = q.pop_batch(10).iter().map(|j| j.tenant).collect();
         assert_eq!(tenants, vec![0, 2], "live work undisturbed");
 
         // shed-oldest: the expired job pays even when it isn't the head

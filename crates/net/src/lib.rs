@@ -6,8 +6,8 @@
 //! structured-coordination story scales past one address space: the
 //! *skeleton program* stays a first-class value (shipped as
 //! `scl-transform` source text, compiled and cached server-side), and
-//! everything operational — admission, fairness, shedding, autonomic
-//! control — lives in explicit, inspectable layers around it.
+//! everything operational — admission, fairness, shedding, observed
+//! service levels — lives in explicit, inspectable layers around it.
 //!
 //! * [`frame`] — protocol v1: length-prefixed binary frames over the
 //!   [`scl_core::wire`] codec, typed error replies, bit-exact machine
@@ -18,12 +18,9 @@
 //!   ([`ShedPolicy`]) and per-tenant token buckets; a shed request gets
 //!   a typed `Shed` error, never a hang.
 //! * [`metrics`] — per-tenant p50/p99 latency, shed/reject counts and
-//!   throughput, served over the wire `STATS` request as JSON.
-//! * [`manager`] — a MAPE-style autonomic manager treating each
-//!   tenant's SLO ([`SloContract`]: `p99<25ms tput>100`) and the plan
-//!   cache's memory cap as contracts, actuating the serve layer's
-//!   scheduling knobs (batch window, fair-share weights, farm-width
-//!   cap, idle-graph eviction). Every action is logged and surfaced.
+//!   whether each tenant's SLO ([`SloContract`]: `p99<25ms`) holds,
+//!   served over the wire `STATS` request as JSON. The SLO is observed,
+//!   never acted on.
 //! * [`server`] / [`client`] — the TCP server (single service thread
 //!   owning the non-`Send` `Serve`; reader threads per connection) and
 //!   a blocking client.
@@ -46,13 +43,11 @@
 pub mod admission;
 pub mod client;
 pub mod frame;
-pub mod manager;
 pub mod metrics;
 pub mod server;
 
 pub use admission::{Admission, ShedPolicy, TokenBucket};
 pub use client::{ClientError, NetClient, NetResult};
 pub use frame::{ErrorCode, Mode, Reply, Request};
-pub use manager::{Manager, ManagerConfig, SloContract};
 pub use metrics::NetMetrics;
-pub use server::{NetConfig, NetServer, TenantSpec};
+pub use server::{NetConfig, NetServer, SloContract, TenantSpec};

@@ -1,25 +1,27 @@
 //! Per-tenant service metrics: latency quantiles over a sliding sample
-//! window, shed/reject/error counters, throughput, plus a mirror of the
-//! serve-side cache counters — everything the MAPE manager's *monitor*
-//! phase and the wire `STATS` request read.
+//! window, shed/reject/error counters and each tenant's SLO verdict, plus
+//! a mirror of the serve-side cache counters — everything the wire
+//! `STATS` request reads.
 //!
 //! The struct is shared behind a mutex: connection threads record
 //! admission-edge events (sheds, rejections), the service thread records
 //! completions and mirrors `ServeStats` after each batch.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
+
+use crate::server::TenantSpec;
 
 /// Latency samples kept per tenant (a ring: oldest overwritten first).
 pub const LATENCY_WINDOW: usize = 4096;
-/// Manager action-log lines retained.
-pub const ACTION_LOG_CAP: usize = 64;
 
 /// One tenant's counters and latency window.
 #[derive(Debug)]
 pub struct TenantMetrics {
     /// Tenant display name (from the server config).
     pub name: String,
+    /// The tenant's p99 latency bound in milliseconds, from its
+    /// [`SloContract`](crate::SloContract); `None` without one.
+    pub slo_p99_ms: Option<f64>,
     /// Requests completed successfully.
     pub completed: u64,
     /// Requests shed from the queue (shed-oldest victims).
@@ -38,17 +40,13 @@ pub struct TenantMetrics {
     pub errors: u64,
     ring: Vec<u64>,
     next: usize,
-    /// Completions since the last manager tick (throughput sensor).
-    window_completed: u64,
-    /// Plan crashes since the last manager tick (the de-weight sensor).
-    window_panicked: u64,
-    window_start: Instant,
 }
 
 impl TenantMetrics {
-    fn new(name: &str) -> TenantMetrics {
+    fn new(spec: &TenantSpec) -> TenantMetrics {
         TenantMetrics {
-            name: name.to_string(),
+            name: spec.name.clone(),
+            slo_p99_ms: spec.slo.p99_ms,
             completed: 0,
             shed: 0,
             rejected: 0,
@@ -58,9 +56,6 @@ impl TenantMetrics {
             errors: 0,
             ring: Vec::with_capacity(LATENCY_WINDOW),
             next: 0,
-            window_completed: 0,
-            window_panicked: 0,
-            window_start: Instant::now(),
         }
     }
 
@@ -95,24 +90,11 @@ impl TenantMetrics {
         self.quantile_us(0.99).map(|us| us as f64 / 1000.0)
     }
 
-    /// Plan crashes since the tenant's window was last reset — the
-    /// manager's de-weight sensor: a tenant crashing in the current
-    /// window has its fair share halved instead of boosted.
-    pub fn window_panicked(&self) -> u64 {
-        self.window_panicked
-    }
-
-    /// Completions per second since the tenant's window was last reset
-    /// (the manager resets it each tick).
-    pub fn window_throughput(&self, now: Instant) -> f64 {
-        let dt = now
-            .saturating_duration_since(self.window_start)
-            .as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.window_completed as f64 / dt
-        }
+    /// Whether the tenant meets its SLO: its p99 latency, measured on the
+    /// server from admission to reply, is within the bound. `None` without
+    /// a bound or before the first sample.
+    pub fn slo_met(&self) -> Option<bool> {
+        Some(self.p99_ms()? <= self.slo_p99_ms?)
     }
 }
 
@@ -126,16 +108,12 @@ pub struct ServeMirror {
     pub cache_hits: u64,
     /// Submissions that compiled a new graph.
     pub cache_misses: u64,
-    /// Compiled graphs evicted (LRU cap or manager memory pressure).
+    /// Compiled graphs evicted (LRU, beyond the plan-cache cap).
     pub evictions: u64,
     /// Compiled graphs currently resident.
     pub cached_plans: usize,
     /// Service-round batches pushed.
     pub batches: u64,
-    /// The service's current batch window (a manager actuator).
-    pub batch_window: usize,
-    /// The service's current farm-width cap (a manager actuator).
-    pub width_cap: usize,
     /// Requests failed by their own plan crashing.
     pub panics: u64,
     /// Requests that missed their deadline.
@@ -156,18 +134,16 @@ pub struct NetMetrics {
     pub queue_depth: usize,
     /// Serve-side counter mirror.
     pub serve: ServeMirror,
-    actions: VecDeque<String>,
     started: Instant,
 }
 
 impl NetMetrics {
     /// A registry with one slot per configured tenant.
-    pub fn new(tenant_names: &[String]) -> NetMetrics {
+    pub fn new(tenants: &[TenantSpec]) -> NetMetrics {
         NetMetrics {
-            tenants: tenant_names.iter().map(|n| TenantMetrics::new(n)).collect(),
+            tenants: tenants.iter().map(TenantMetrics::new).collect(),
             queue_depth: 0,
             serve: ServeMirror::default(),
-            actions: VecDeque::new(),
             started: Instant::now(),
         }
     }
@@ -186,38 +162,7 @@ impl NetMetrics {
     pub fn record_completion(&mut self, t: u32, latency: Duration) {
         let slot = &mut self.tenants[t as usize];
         slot.completed += 1;
-        slot.window_completed += 1;
         slot.record_latency(latency.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Record a request failed by its own plan crashing (feeds both the
-    /// lifetime counter and the manager's de-weight window).
-    pub fn record_panic(&mut self, t: u32) {
-        let slot = &mut self.tenants[t as usize];
-        slot.panicked += 1;
-        slot.window_panicked += 1;
-    }
-
-    /// Reset every tenant's throughput window (each manager tick).
-    pub fn reset_windows(&mut self, now: Instant) {
-        for t in &mut self.tenants {
-            t.window_completed = 0;
-            t.window_panicked = 0;
-            t.window_start = now;
-        }
-    }
-
-    /// Append a manager action line (bounded log, oldest dropped).
-    pub fn log_action(&mut self, line: String) {
-        if self.actions.len() >= ACTION_LOG_CAP {
-            self.actions.pop_front();
-        }
-        self.actions.push_back(line);
-    }
-
-    /// The retained manager action lines, oldest first.
-    pub fn actions(&self) -> impl Iterator<Item = &str> {
-        self.actions.iter().map(String::as_str)
     }
 
     /// Render the stats snapshot as a JSON document — the `STATS_OK`
@@ -231,14 +176,12 @@ impl NetMetrics {
             self.queue_depth
         ));
         s.push_str(&format!(
-            "  \"serve\": {{\"cache_hits\": {}, \"cache_misses\": {}, \"evictions\": {}, \"cached_plans\": {}, \"batches\": {}, \"batch_window\": {}, \"width_cap\": {}, \"panics\": {}, \"deadline_expired\": {}, \"rebuilds\": {}, \"quarantines\": {}, \"quarantined_plans\": {}}},\n",
+            "  \"serve\": {{\"cache_hits\": {}, \"cache_misses\": {}, \"evictions\": {}, \"cached_plans\": {}, \"batches\": {}, \"panics\": {}, \"deadline_expired\": {}, \"rebuilds\": {}, \"quarantines\": {}, \"quarantined_plans\": {}}},\n",
             self.serve.cache_hits,
             self.serve.cache_misses,
             self.serve.evictions,
             self.serve.cached_plans,
             self.serve.batches,
-            self.serve.batch_window,
-            self.serve.width_cap,
             self.serve.panics,
             self.serve.deadline_expired,
             self.serve.rebuilds,
@@ -246,11 +189,10 @@ impl NetMetrics {
             self.serve.quarantined_plans,
         ));
         s.push_str("  \"tenants\": [\n");
+        let ms = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{v:.3}"));
         for (i, t) in self.tenants.iter().enumerate() {
-            let p50 = t.p50_ms().map_or("null".to_string(), |v| format!("{v:.3}"));
-            let p99 = t.p99_ms().map_or("null".to_string(), |v| format!("{v:.3}"));
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"completed\": {}, \"shed\": {}, \"rejected\": {}, \"rate_limited\": {}, \"panicked\": {}, \"deadline_expired\": {}, \"errors\": {}, \"p50_ms\": {}, \"p99_ms\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"completed\": {}, \"shed\": {}, \"rejected\": {}, \"rate_limited\": {}, \"panicked\": {}, \"deadline_expired\": {}, \"errors\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"slo_p99_ms\": {}, \"slo_met\": {}}}{}\n",
                 t.name,
                 t.completed,
                 t.shed,
@@ -259,19 +201,11 @@ impl NetMetrics {
                 t.panicked,
                 t.deadline_expired,
                 t.errors,
-                p50,
-                p99,
+                ms(t.p50_ms()),
+                ms(t.p99_ms()),
+                ms(t.slo_p99_ms),
+                t.slo_met().map_or("null".to_string(), |met| met.to_string()),
                 if i + 1 < self.tenants.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"manager_actions\": [\n");
-        let n = self.actions.len();
-        for (i, a) in self.actions.iter().enumerate() {
-            let escaped = a.replace('\\', "\\\\").replace('"', "\\\"");
-            s.push_str(&format!(
-                "    \"{}\"{}\n",
-                escaped,
-                if i + 1 < n { "," } else { "" }
             ));
         }
         s.push_str("  ]\n}");
@@ -282,10 +216,16 @@ impl NetMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::SloContract;
+
+    fn metrics(names: &[&str]) -> NetMetrics {
+        let specs: Vec<TenantSpec> = names.iter().map(|n| TenantSpec::new(n)).collect();
+        NetMetrics::new(&specs)
+    }
 
     #[test]
     fn quantiles_track_the_window() {
-        let mut m = NetMetrics::new(&["t".to_string()]);
+        let mut m = metrics(&["t"]);
         for i in 1..=100u64 {
             m.record_completion(0, Duration::from_micros(i * 1000));
         }
@@ -299,7 +239,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_beyond_the_window() {
-        let mut m = NetMetrics::new(&["t".to_string()]);
+        let mut m = metrics(&["t"]);
         for _ in 0..LATENCY_WINDOW {
             m.record_completion(0, Duration::from_micros(1));
         }
@@ -311,25 +251,53 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_mentions_every_tenant_and_action() {
-        let mut m = NetMetrics::new(&["gold".to_string(), "bronze".to_string()]);
+    fn json_snapshot_mentions_every_tenant() {
+        let mut m = metrics(&["gold", "bronze"]);
         m.record_completion(1, Duration::from_millis(5));
         m.tenant_mut(0).shed += 1;
-        m.log_action("shrink batch window 16 -> 8".to_string());
         let json = m.to_json();
         assert!(json.contains("\"gold\""));
         assert!(json.contains("\"bronze\""));
-        assert!(json.contains("shrink batch window"));
+        assert!(json.contains("\"shed\": 1,"));
         assert!(json.contains("\"p99_ms\": null"), "no samples yet for gold");
     }
 
     #[test]
-    fn action_log_is_bounded() {
-        let mut m = NetMetrics::new(&[]);
-        for i in 0..(ACTION_LOG_CAP + 10) {
-            m.log_action(format!("a{i}"));
+    fn slo_verdict_follows_the_server_side_p99() {
+        let slo = |s: &str| SloContract::parse(s).unwrap();
+        let mut m = NetMetrics::new(&[
+            TenantSpec::new("tight").with_slo(slo("p99<2ms")),
+            TenantSpec::new("loose").with_slo(slo("p99<50ms")),
+            TenantSpec::new("none"),
+        ]);
+        // no samples yet: no verdict, but the bound is reported
+        assert_eq!(m.tenants()[0].slo_met(), None);
+        let json = m.to_json();
+        assert!(
+            json.contains("\"slo_p99_ms\": 2.000, \"slo_met\": null"),
+            "{json}"
+        );
+        for t in 0..3 {
+            for ms in 1..=100u64 {
+                m.record_completion(t, Duration::from_micros(ms * 100));
+            }
         }
-        assert_eq!(m.actions().count(), ACTION_LOG_CAP);
-        assert_eq!(m.actions().next(), Some("a10"));
+        // p99 of 0.1..=10 ms is 9.9 ms
+        assert_eq!(m.tenants()[0].slo_met(), Some(false));
+        assert_eq!(m.tenants()[1].slo_met(), Some(true));
+        assert_eq!(m.tenants()[2].slo_met(), None, "no bound, no verdict");
+        let json = m.to_json();
+        assert!(
+            json.contains("\"slo_p99_ms\": 2.000, \"slo_met\": false"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"slo_p99_ms\": 50.000, \"slo_met\": true"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"slo_p99_ms\": null, \"slo_met\": null"),
+            "{json}"
+        );
     }
 }

@@ -8,8 +8,9 @@
 //! never moves them. [`NetServer::start`] spawns a **service thread**
 //! that builds the registry and the `Serve` *inside itself* from the
 //! (`Send`) [`NetConfig`], then pumps: pop a batch from the admission
-//! queue, submit every request, `run_until_idle`, deliver each encoded
-//! reply through its request's channel, tick the autonomic manager.
+//! queue (blocking until a job or a stop arrives), submit every request,
+//! `run_until_idle`, deliver each encoded reply through its request's
+//! channel.
 //!
 //! Connection **reader threads** only ever touch `Send` data: they
 //! decode frames into plain jobs, run the admission edge (tenant check,
@@ -50,15 +51,56 @@ use scl_transform::Registry;
 
 use crate::admission::{Admission, AdmitError, Job, JobBody, ShedPolicy, TokenBucket, Victim};
 use crate::frame::{plan_handle, ErrorCode, Mode, Reply, Request};
-use crate::manager::{Manager, ManagerConfig, SloContract};
 use crate::metrics::NetMetrics;
+
+/// A tenant's service-level objective, parsed from the contract syntax
+/// `p99<25ms`. The server observes it — `STATS` reports whether the
+/// tenant's server-side p99 latency meets it — and never acts on it.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SloContract {
+    /// Admitted-request p99 latency ceiling, milliseconds.
+    pub p99_ms: Option<f64>,
+}
+
+impl SloContract {
+    /// Parse the contract syntax: `p99<NUMBERms` caps 99th-percentile
+    /// latency. Clauses separate on whitespace or commas; an empty string
+    /// is the empty contract.
+    ///
+    /// ```
+    /// use scl_net::SloContract;
+    /// let c = SloContract::parse("p99<25ms").unwrap();
+    /// assert_eq!(c.p99_ms, Some(25.0));
+    /// ```
+    pub fn parse(s: &str) -> Result<SloContract, String> {
+        let mut c = SloContract::default();
+        for clause in s.split([' ', ',']).filter(|c| !c.is_empty()) {
+            let Some(rest) = clause.strip_prefix("p99<") else {
+                return Err(format!(
+                    "unknown contract clause `{clause}` (expected `p99<Nms`)"
+                ));
+            };
+            let ms = rest
+                .strip_suffix("ms")
+                .ok_or_else(|| format!("`{clause}`: p99 bound must end in `ms`"))?;
+            let v: f64 = ms
+                .parse()
+                .map_err(|_| format!("`{clause}`: bad number `{ms}`"))?;
+            if v.is_nan() || v <= 0.0 {
+                return Err(format!("`{clause}`: p99 bound must be positive"));
+            }
+            c.p99_ms = Some(v);
+        }
+        Ok(c)
+    }
+}
 
 /// One tenant's admission and scheduling configuration.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
-    /// Display name (shows up in stats and manager actions).
+    /// Display name (shows up in stats).
     pub name: String,
-    /// Base fair-share weight.
+    /// Fair-share weight.
     pub weight: u32,
     /// Token-bucket refill, requests/second. `0.0` disables limiting.
     pub rate_per_sec: f64,
@@ -111,7 +153,7 @@ pub struct NetConfig {
     /// Execution policy for served plans; its thread count is what the
     /// service splits into tenants' fair shares.
     pub exec: ExecPolicy,
-    /// Initial batch window (a manager actuator thereafter).
+    /// Same-plan requests coalesced into one service round.
     pub batch_window: usize,
     /// Serve-layer LRU plan-cache capacity.
     pub plan_cache_cap: usize,
@@ -121,10 +163,6 @@ pub struct NetConfig {
     pub shed: ShedPolicy,
     /// The tenant table; wire tenant ids index into it.
     pub tenants: Vec<TenantSpec>,
-    /// Autonomic manager cadence. [`Duration::ZERO`] disables the loop.
-    pub manager_tick: Duration,
-    /// Manager-wide contracts (memory cap, resting points).
-    pub manager: ManagerConfig,
 }
 
 impl Default for NetConfig {
@@ -138,8 +176,6 @@ impl Default for NetConfig {
             queue_capacity: 64,
             shed: ShedPolicy::RejectNew,
             tenants: vec![TenantSpec::new("default")],
-            manager_tick: Duration::from_millis(100),
-            manager: ManagerConfig::default(),
         }
     }
 }
@@ -171,8 +207,7 @@ impl NetServer {
         let addr = listener.local_addr()?;
 
         let admission = Arc::new(Admission::new(cfg.queue_capacity, cfg.shed));
-        let names: Vec<String> = cfg.tenants.iter().map(|t| t.name.clone()).collect();
-        let metrics = Arc::new(Mutex::new(NetMetrics::new(&names)));
+        let metrics = Arc::new(Mutex::new(NetMetrics::new(&cfg.tenants)));
         let conns: Conns = Arc::new(Mutex::new(Vec::new()));
         let buckets: Arc<Vec<Mutex<TokenBucket>>> = Arc::new(
             cfg.tenants
@@ -567,10 +602,6 @@ fn write_reply(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
 // The service thread
 // ---------------------------------------------------------------------
 
-/// How long one pop waits before the loop runs its idle beat (the manager
-/// tick); a stop wakes the pop at once.
-const POP_WAIT: Duration = Duration::from_millis(10);
-
 fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<NetMetrics>>) {
     // `Registry` and `Serve` are built *inside* the service thread:
     // neither is `Send`, and neither ever leaves.
@@ -591,19 +622,13 @@ fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<Ne
         .iter()
         .map(|t| srv.add_tenant_weighted(&t.name, t.weight))
         .collect();
-    let mut mgr = Manager::new(
-        cfg.manager,
-        cfg.tenants.iter().map(|t| t.slo).collect(),
-        cfg.tenants.iter().map(|t| t.weight.max(1)).collect(),
-    );
     // handle → (mode, key, source): what a `SUBMIT_HANDLE` resolves to
     let mut sources: HashMap<u64, (Mode, String, String)> = HashMap::new();
-    let mut last_tick = Instant::now();
 
     loop {
-        let window = srv.batch_window();
-        let batch = admission.pop_batch(window, POP_WAIT);
-        if batch.is_empty() && admission.is_stopped() {
+        // blocks until a job arrives; empty only once the queue stopped
+        let batch = admission.pop_batch(cfg.batch_window);
+        if batch.is_empty() {
             break;
         }
 
@@ -641,7 +666,7 @@ fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<Ne
                                 ErrorCode::DeadlineExceeded
                             }
                             _ => {
-                                m.record_panic(job.tenant);
+                                m.tenant_mut(job.tenant).panicked += 1;
                                 ErrorCode::PlanPanicked
                             }
                         };
@@ -686,18 +711,7 @@ fn service_loop(cfg: NetConfig, admission: Arc<Admission>, metrics: Arc<Mutex<Ne
         m.serve.quarantines = stats.quarantines;
         m.serve.cached_plans = srv.cached_plans();
         m.serve.quarantined_plans = srv.quarantined_plans();
-        m.serve.batch_window = srv.batch_window();
-        m.serve.width_cap = srv.width_cap().min(srv.threads());
         m.queue_depth = admission.depth();
-        drop(m);
-
-        // Idle beat: the autonomic manager.
-        if cfg.manager_tick > Duration::ZERO && last_tick.elapsed() >= cfg.manager_tick {
-            let mut m = metrics.lock().unwrap();
-            let now = Instant::now();
-            mgr.tick(&mut srv, &ids, &mut m, now);
-            last_tick = now;
-        }
     }
 }
 
@@ -758,12 +772,23 @@ mod tests {
     use crate::client::NetClient;
 
     #[test]
+    fn contract_syntax_parses_and_rejects() {
+        assert_eq!(
+            SloContract::parse("p99<25ms").unwrap(),
+            SloContract { p99_ms: Some(25.0) }
+        );
+        assert_eq!(SloContract::parse("").unwrap(), SloContract::default());
+        assert!(SloContract::parse("p99<25").is_err(), "missing ms unit");
+        assert!(SloContract::parse("p99<-1ms").is_err());
+        assert!(SloContract::parse("latency<25ms").is_err());
+        // throughput floors are not part of the contract
+        assert!(SloContract::parse("tput>100").is_err());
+        assert!(SloContract::parse("tput>100rps p99<5ms").is_err());
+    }
+
+    #[test]
     fn closed_connections_leave_the_registry() {
-        let server = NetServer::start(NetConfig {
-            manager_tick: Duration::ZERO,
-            ..NetConfig::default()
-        })
-        .unwrap();
+        let server = NetServer::start(NetConfig::default()).unwrap();
         for _ in 0..50 {
             NetClient::connect(server.local_addr())
                 .unwrap()

@@ -17,7 +17,6 @@ fn start() -> NetServer {
     NetServer::start(NetConfig {
         procs: 8,
         tenants: vec![TenantSpec::new("t")],
-        manager_tick: Duration::ZERO,
         ..NetConfig::default()
     })
     .unwrap()

@@ -10,11 +10,9 @@
 //! Paying plan compilation (optimise → fuse → build a persistent operator
 //! graph and its farm lanes) per request would dwarf the work of most
 //! requests, and letting every client fan out as if it owned the
-//! host would oversubscribe it — the behavioural-skeleton literature
-//! frames this as autonomic management of multiple non-functional
-//! concerns; here the concerns are compilation cost, host-thread
-//! capacity, and per-client accounting, managed *across tenants* rather
-//! than within one graph.
+//! host would oversubscribe it. The concerns here are compilation cost,
+//! host-thread capacity, and per-client accounting, managed *across
+//! tenants* rather than within one graph.
 //!
 //! [`Serve`] is that front-end. Three mechanisms carry it:
 //!
@@ -34,8 +32,7 @@
 //!   weighted fair shares (largest-remainder apportionment over
 //!   [`Serve::add_tenant_weighted`] weights), recomputed every service
 //!   round as tenants arrive and finish. A batch's share is handed to its
-//!   graph as the external width cap
-//!   ([`StreamExec::set_width_cap`](scl_stream::StreamExec::set_width_cap)):
+//!   graph ([`StreamExec::set_share`](scl_stream::StreamExec::set_share)):
 //!   the most farm lanes the pump routes to, and so the most jobs the
 //!   graph has on the shared pool at once.
 //!
@@ -116,21 +113,19 @@ pub type RequestOutcome<B> = Result<(B, MachineReport), RequestError>;
 /// How a [`Serve`] front-end runs: the machine template every request's
 /// context is cloned from, the execution policy compiled graphs serve
 /// under, and the serving knobs (batch window, plan-cache capacity,
-/// channel capacity, adaptive width control).
+/// channel capacity, quarantine threshold).
 pub struct ServePolicy {
     machine: Machine,
     exec: ExecPolicy,
     batch_window: usize,
     plan_cache_cap: usize,
     capacity: usize,
-    adaptive: bool,
     quarantine_after: u32,
 }
 
 impl ServePolicy {
     /// Defaults: [`ExecPolicy::auto`] execution, batch window 16, plan
-    /// cache capacity 32, capacity-8
-    /// channels, adaptive width control on, quarantine after 3
+    /// cache capacity 32, capacity-8 channels, quarantine after 3
     /// consecutive crashed batches.
     pub fn new(machine: Machine) -> ServePolicy {
         ServePolicy {
@@ -139,13 +134,12 @@ impl ServePolicy {
             batch_window: 16,
             plan_cache_cap: 32,
             capacity: 8,
-            adaptive: true,
             quarantine_after: 3,
         }
     }
 
-    /// Set the execution policy compiled graphs serve under (farm width
-    /// ceilings, cost-model consultation) — see
+    /// Set the execution policy compiled graphs serve under (farm lane
+    /// counts) — see
     /// [`StreamPolicy::with_exec`](scl_stream::StreamPolicy::with_exec).
     /// Its thread count is also what the shard scheduler splits into
     /// weighted fair shares each round ([`Serve::threads`]).
@@ -183,20 +177,13 @@ impl ServePolicy {
         self
     }
 
-    /// Enable/disable each graph's autonomic width controller (see
-    /// [`StreamPolicy::with_adaptive`](scl_stream::StreamPolicy::with_adaptive)).
-    /// Either way the shard scheduler's per-round cap bounds the width.
-    pub fn with_adaptive(mut self, adaptive: bool) -> ServePolicy {
-        self.adaptive = adaptive;
-        self
-    }
-
     /// Set how many **consecutive** crashed batches (≥ 1) a cached plan
     /// survives before it is quarantined: further submissions of the
     /// plan resolve immediately to [`RequestError::Quarantined`] without
     /// compiling or running anything. A fully successful batch resets the
-    /// count; evicting the entry (LRU or the memory actuator) pardons the
-    /// plan — the next submission recompiles from scratch.
+    /// count; evicting the entry (LRU, beyond
+    /// [`ServePolicy::with_plan_cache_cap`]) pardons the plan — the next
+    /// submission recompiles from scratch.
     pub fn with_quarantine_after(mut self, crashes: u32) -> ServePolicy {
         self.quarantine_after = crashes.max(1);
         self
@@ -206,7 +193,6 @@ impl ServePolicy {
         StreamPolicy::new(self.machine.clone())
             .with_exec(self.exec)
             .with_capacity(self.capacity)
-            .with_adaptive(self.adaptive)
             .with_fused_charging(fused_charging)
     }
 }
@@ -260,8 +246,7 @@ struct Tenant {
     /// Requests accepted but not yet completed.
     pending: usize,
     served: u64,
-    /// Requests resolved with a typed error — the crash/expiry sensor an
-    /// autonomic manager reads per tenant.
+    /// Requests resolved with a typed error.
     failed: u64,
 }
 
@@ -305,9 +290,6 @@ pub struct Serve<A: FusePort + Send + 'static, B: FusePort + 'static> {
     next_ticket: u64,
     /// Monotone submission counter, stamping cache entries for LRU.
     clock: u64,
-    /// Manager-imposed ceiling on every batch's farm width (`usize::MAX`
-    /// when unset); see [`Serve::set_width_cap`].
-    width_cap: usize,
     stats: ServeStats,
 }
 
@@ -325,7 +307,6 @@ where
             done: HashMap::new(),
             next_ticket: 0,
             clock: 0,
-            width_cap: usize::MAX,
             stats: ServeStats::default(),
         }
     }
@@ -367,7 +348,6 @@ where
 
     /// Requests resolved with a typed error for `t` over the service's
     /// lifetime — plan crashes, deadline expiries, quarantine rejections.
-    /// The per-tenant crash sensor an autonomic manager de-weights on.
     pub fn tenant_failed(&self, t: TenantId) -> u64 {
         self.tenants[t.0].failed
     }
@@ -398,91 +378,6 @@ where
     /// execution policy's thread count.
     pub fn threads(&self) -> usize {
         self.policy.exec.effective_threads(usize::MAX)
-    }
-
-    // ---- autonomic-manager hooks -------------------------------------------
-    //
-    // The knobs an external controller (the `scl-net` MAPE manager, or any
-    // operator loop) turns at runtime. Every one of them changes *how* the
-    // service runs, never *what* it answers: the differential suites pin
-    // results and per-request reports as invariant under batch window,
-    // weight, width-cap, and cache-cap changes.
-
-    /// The current batch window (same-plan requests coalesced per round).
-    pub fn batch_window(&self) -> usize {
-        self.policy.batch_window
-    }
-
-    /// Retune the batch window (≥ 1) at runtime. Narrower windows trade
-    /// dispatch amortisation for per-round latency — the knob a latency
-    /// manager shrinks when a tenant's p99 drifts over its SLO, and
-    /// re-widens once the SLO holds again.
-    pub fn set_batch_window(&mut self, window: usize) {
-        self.policy.batch_window = window.max(1);
-    }
-
-    /// A tenant's current fair-share weight.
-    pub fn tenant_weight(&self, t: TenantId) -> u32 {
-        self.tenants[t.0].weight
-    }
-
-    /// Reweight a tenant (≥ 1) at runtime. Takes effect from the next
-    /// service round's share computation — the actuator a manager uses to
-    /// arbitrate thread capacity between tenants' throughput contracts.
-    pub fn set_tenant_weight(&mut self, t: TenantId, weight: u32) {
-        self.tenants[t.0].weight = weight.max(1);
-    }
-
-    /// The manager-imposed width ceiling (`usize::MAX` when unset).
-    pub fn width_cap(&self) -> usize {
-        self.width_cap
-    }
-
-    /// Cap every batch's farm width at `cap` active lanes (≥ 1),
-    /// composing with the batch's fair share (the effective width is the
-    /// minimum of the two). `usize::MAX` removes the cap.
-    pub fn set_width_cap(&mut self, cap: usize) {
-        self.width_cap = cap.max(1);
-    }
-
-    /// The plan-cache capacity currently in force.
-    pub fn plan_cache_cap(&self) -> usize {
-        self.policy.plan_cache_cap
-    }
-
-    /// Retarget the plan-cache capacity at runtime and evict down to it
-    /// immediately (LRU-idle first; entries with waiting requests are
-    /// never evicted, so the effective size may temporarily exceed a
-    /// shrunken cap until their queues drain). Evictions count in
-    /// [`ServeStats::evictions`] — the memory-pressure actuator.
-    pub fn set_plan_cache_cap(&mut self, cap: usize) {
-        self.policy.plan_cache_cap = cap;
-        self.evict_to_cap();
-    }
-
-    /// Evict up to `n` least-recently-used **idle** compiled graphs right
-    /// now, regardless of the cap — the one-shot memory-pressure actuator
-    /// (the cap stays as configured). Returns how many were evicted;
-    /// each counts in [`ServeStats::evictions`].
-    pub fn evict_idle(&mut self, n: usize) -> usize {
-        let mut evicted = 0;
-        while evicted < n {
-            let victim = self
-                .cache
-                .iter()
-                .filter(|(_, e)| e.queue.is_empty())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(fp, _)| *fp);
-            match victim {
-                Some(fp) => {
-                    self.cache.remove(&fp);
-                    self.stats.evictions += 1;
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        evicted
     }
 
     /// The current weighted fair shares over **active** tenants (those
@@ -562,8 +457,7 @@ where
     /// 1. **Push.** For every cached plan with waiting requests: coalesce
     ///    up to the batch window of them, cap the graph's width at the
     ///    batch's share (the sum of its distinct tenants' fair shares,
-    ///    at most [`Serve::threads`] and the manager's
-    ///    [`Serve::set_width_cap`]), and push the whole batch. From here
+    ///    at most [`Serve::threads`]), and push the whole batch. From here
     ///    each graph's farm lanes are served by jobs on the shared pool
     ///    concurrently with every other graph's; the cap bounds how many
     ///    of them one graph has at once, and the pool's size bounds them
@@ -620,7 +514,7 @@ where
                 .exec
                 .as_mut()
                 .expect("a queued entry always has a live graph");
-            exec.set_width_cap(want.clamp(1, total).min(self.width_cap));
+            exec.set_share(want.clamp(1, total));
 
             let tickets: Vec<(Ticket, TenantId)> =
                 batch.iter().map(|r| (r.ticket, r.tenant)).collect();

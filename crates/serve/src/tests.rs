@@ -443,7 +443,8 @@ fn repeated_crashes_quarantine_the_plan_until_eviction() {
     let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
         ServePolicy::new(unit_machine(4))
             .with_exec(ExecPolicy::Sequential)
-            .with_quarantine_after(2),
+            .with_quarantine_after(2)
+            .with_plan_cache_cap(1),
     );
     let t = srv.add_tenant("t");
     let bomb = || Skel::map(|x: &i64| if *x >= 0 { panic!("boom") } else { *x });
@@ -472,8 +473,14 @@ fn repeated_crashes_quarantine_the_plan_until_eviction() {
     assert_eq!(srv.stats().rebuilds, 1, "only the pre-quarantine rebuild");
     assert_eq!(srv.pending_requests(), 0);
 
-    // eviction pardons: the next submission recompiles from scratch
-    srv.evict_idle(usize::MAX);
+    // eviction pardons: a second plan pushes the quarantined one out of
+    // the one-entry cache, and the next submission recompiles from scratch
+    let other = srv
+        .submit_keyed(t, "other", Skel::map(|x: &i64| x + 1), arr(0))
+        .unwrap();
+    srv.run_until_idle();
+    assert!(srv.take(other).is_some());
+    assert_eq!(srv.stats().evictions, 1, "LRU evicted the quarantined plan");
     assert_eq!(srv.quarantined_plans(), 0);
     let pardoned = srv
         .submit(
@@ -564,112 +571,35 @@ fn unknown_tenants_are_rejected() {
     let _ = srv.submit(TenantId(3), mixed_plan(), arr(0));
 }
 
-// ---- autonomic-manager actuator hooks (driven by scl-net's MAPE loop) ----
-
 #[test]
-fn actuator_setters_clamp_and_read_back() {
-    let mut srv = serve(ExecPolicy::Sequential);
-    let t = srv.add_tenant("t");
-    srv.set_batch_window(7);
-    assert_eq!(srv.batch_window(), 7);
-    srv.set_batch_window(0);
-    assert_eq!(srv.batch_window(), 1, "window clamps to >= 1");
-    srv.set_tenant_weight(t, 9);
-    assert_eq!(srv.tenant_weight(t), 9);
-    srv.set_tenant_weight(t, 0);
-    assert_eq!(srv.tenant_weight(t), 1, "weight clamps to >= 1");
-    srv.set_width_cap(3);
-    assert_eq!(srv.width_cap(), 3);
-    srv.set_width_cap(0);
-    assert_eq!(srv.width_cap(), 1, "width cap clamps to >= 1");
-}
-
-#[test]
-fn actuator_changes_never_change_answers() {
-    // the differential guarantee scl-net relies on: every knob the MAPE
-    // loop can turn affects *when/how wide* requests run, never *what*
-    // they compute — so we can mutate all of them mid-stream
-    let mut srv: Serve<ParArray<i64>, ParArray<i64>> =
-        Serve::new(ServePolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(4)));
-    let t = srv.add_tenant("t");
-    let mut tickets = Vec::new();
-    for k in 0..12 {
-        tickets.push(srv.submit(t, mixed_plan(), arr(k)).unwrap());
-        match k % 4 {
-            0 => srv.set_batch_window(1 + (k as usize % 3)),
-            1 => srv.set_tenant_weight(t, 1 + k as u32),
-            2 => srv.set_width_cap(1 + (k as usize % 4)),
-            _ => {
-                srv.step();
-            }
-        }
-    }
-    srv.run_until_idle();
-    let solo = mixed_plan();
-    let mut scl = Scl::new(unit_machine(4));
-    for (k, ticket) in tickets.into_iter().enumerate() {
-        let (out, report) = srv.take(ticket).unwrap();
-        scl.reset();
-        let expect = solo.run(&mut scl, arr(k as i64));
-        assert_eq!(out, expect, "request {k}");
-        assert_eq!(report, scl.machine.report(), "request {k}");
-    }
-}
-
-#[test]
-fn shrinking_the_cache_cap_evicts_immediately_and_counts() {
-    let mut srv = serve(ExecPolicy::Sequential);
-    let t = srv.add_tenant("t");
-    for k in 0..4 {
-        let key = format!("plan-{k}");
-        let tk = srv
-            .submit_keyed(t, &key, Skel::map(|x: &i64| x + 1), arr(k))
-            .unwrap();
-        srv.run_until_idle();
-        assert!(srv.is_ready(tk));
-    }
-    assert_eq!(srv.cached_plans(), 4);
-    let before = srv.stats().evictions;
-    srv.set_plan_cache_cap(2);
-    assert_eq!(srv.cached_plans(), 2, "cap change takes effect immediately");
-    assert_eq!(srv.plan_cache_cap(), 2);
-    assert_eq!(
-        srv.stats().evictions,
-        before + 2,
-        "memory-pressure evictions show up in the serve stats"
+fn lru_eviction_waits_for_queued_work_to_drain() {
+    // cap 0 evicts every idle entry at the end of a round; window 1 leaves
+    // the second request queued after the first round
+    let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
+        ServePolicy::new(unit_machine(4))
+            .with_exec(ExecPolicy::Sequential)
+            .with_plan_cache_cap(0)
+            .with_batch_window(1),
     );
-}
-
-#[test]
-fn evict_idle_skips_plans_with_queued_work() {
-    let mut srv = serve(ExecPolicy::Sequential);
     let t = srv.add_tenant("t");
-    // one idle entry (drained), one busy entry (work still queued)
-    let done = srv
-        .submit_keyed(t, "idle", Skel::map(|x: &i64| x + 1), arr(0))
-        .unwrap();
-    srv.run_until_idle();
-    assert!(srv.is_ready(done));
-    let busy = srv
-        .submit_keyed(t, "busy", Skel::map(|x: &i64| x * 2), arr(1))
-        .unwrap();
-    assert_eq!(srv.cached_plans(), 2);
+    let double = || Skel::map(|x: &i64| x * 2);
+    let first = srv.submit_keyed(t, "busy", double(), arr(1)).unwrap();
+    let second = srv.submit_keyed(t, "busy", double(), arr(2)).unwrap();
 
-    let before = srv.stats().evictions;
-    assert_eq!(srv.evict_idle(5), 1, "only the idle graph is reclaimable");
-    assert_eq!(srv.stats().evictions, before + 1);
-    assert_eq!(srv.cached_plans(), 1, "the busy entry survives");
-    assert_eq!(srv.evict_idle(5), 0, "nothing idle left to evict");
+    assert_eq!(srv.step(), 1);
+    assert_eq!(srv.take(first).unwrap().0.to_vec(), vec![2, 4, 6, 8]);
+    assert_eq!(srv.pending_requests(), 1);
+    assert_eq!(srv.cached_plans(), 1, "an entry with queued work survives");
+    assert_eq!(srv.stats().evictions, 0);
 
-    // the surviving entry still runs to completion
-    srv.run_until_idle();
-    assert_eq!(srv.take(busy).unwrap().0.to_vec(), vec![2, 4, 6, 8]);
+    assert_eq!(srv.step(), 1);
+    assert_eq!(srv.take(second).unwrap().0.to_vec(), vec![4, 6, 8, 10]);
+    assert_eq!(srv.cached_plans(), 0, "drained, the entry is evicted");
+    assert_eq!(srv.stats().evictions, 1);
 
     // a re-submission of the evicted key recompiles: observable as a miss
     let (h0, m0) = (srv.stats().cache_hits, srv.stats().cache_misses);
-    let again = srv
-        .submit_keyed(t, "idle", Skel::map(|x: &i64| x + 1), arr(0))
-        .unwrap();
+    let again = srv.submit_keyed(t, "busy", double(), arr(0)).unwrap();
     assert_eq!(
         srv.stats().cache_misses,
         m0 + 1,
@@ -677,7 +607,7 @@ fn evict_idle_skips_plans_with_queued_work() {
     );
     assert_eq!(srv.stats().cache_hits, h0);
     srv.run_until_idle();
-    assert_eq!(srv.take(again).unwrap().0.to_vec(), vec![1, 2, 3, 4]);
+    assert_eq!(srv.take(again).unwrap().0.to_vec(), vec![0, 2, 4, 6]);
 }
 
 /// Six graphs × 40 requests a round under a 64-request window at two

@@ -1,7 +1,6 @@
 //! The persistent operator graph behind [`StreamExec`](crate::StreamExec):
 //! farm stages (segment replicas over bounded lock-free rings) linked by
-//! pump-side hops (barrier chains), plus the pump loop and the autonomic
-//! width controller.
+//! pump-side hops (barrier chains), plus the pump loop.
 //!
 //! Threading model: the graph owns no thread. A farm replica is a *lane*
 //! — a private input/output ring pair — served by run-to-empty jobs on the
@@ -21,19 +20,23 @@
 //! publish–fence–recheck handshake of the rings' park slots, with the
 //! pump's push or pop as the other side.
 //!
+//! One measured rule sets a farm's width ([`Farm::width`]): once the
+//! farm's mean service time reaches [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS)
+//! — the threshold a cost-driven segment dispatch also reads — the pump
+//! routes items across all of the farm's lanes (its `max_width`: the lane
+//! count, capped at the graph's share of the host); before that, and for
+//! a farm with nothing measured yet, it routes to one lane.
+//!
 //! The pump is also one more replica of every farm, for one case only: an
 //! item alone in the graph while its caller blocks waiting for it (a lone
 //! request). It then runs the item's segments itself — the same
 //! [`serve_item`] a lane's job runs, result into the same reorder buffer
 //! — because a hand-off to a lane would buy no overlap, only a job
 //! submission and a wake-up per farm. The lanes are idle at that moment,
-//! so when the farm's measured mean service time reaches
-//! [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS) — the threshold a cost-driven
-//! segment dispatch also reads — the pump runs the segment data-parallel
-//! across the farm's width (its `max_width`, which already honours the
-//! external cap); a farm's first item, with nothing measured yet, runs on
-//! the pump alone. Streaming callers (`push`, `try_pop*`) never take this path, so
-//! their items keep the lanes' overlap.
+//! so the pump runs the segment data-parallel across the farm's width —
+//! the same rule, so a light farm's lone item runs on the pump alone.
+//! Streaming callers (`push`, `try_pop*`) never take this path, so their
+//! items keep the lanes' overlap.
 //!
 //! When a round moves nothing, the pump parks on the graph's one
 //! [`ParkSlot`]: the producer park of every farm's input matrix and the
@@ -41,11 +44,11 @@
 //! slot or publishes an output wakes it.
 
 use crate::{Envelope, FarmStats, StageStat};
-use scl_core::{panic_message, BarrierOp, BranchOp, ErasedArr, PlanOp, RequestError, SegmentOp};
+use scl_core::{panic_message, BarrierOp, BranchOp, PlanOp, RequestError, SegmentOp};
 use scl_exec::{
     ring_mpmc_parked, ExecPolicy, ParkSlot, RingReceiver, RingSender, ThreadPool, TryRecv,
+    FAN_OUT_NS,
 };
-use scl_machine::Machine;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
@@ -112,9 +115,9 @@ impl Hop {
 /// thread on each side — as two SPSC lane matrices: a 1×W input matrix
 /// (pump → lanes) and a W×1 output matrix (lanes → pump). Each [`Lane`]
 /// owns its private (receiver, sender) pair, so serving it is lock-free
-/// end to end; the width gate steers the **pump's routing**
-/// ([`RingSender::try_send_within`]) — a narrowed-off lane just stops
-/// receiving new items and is served dry.
+/// end to end; the farm's width ([`Farm::width`]) steers the **pump's
+/// routing** ([`RingSender::try_send_within`]) — a lane outside it just
+/// receives no new items and is served dry.
 pub(crate) struct Farm {
     label: String,
     seg: Arc<SegmentOp<'static>>,
@@ -125,24 +128,15 @@ pub(crate) struct Farm {
     lanes: Vec<Arc<Lane>>,
     /// The pump's column of the output matrix.
     out_rx: RingReceiver<Envelope>,
-    /// Lanes the pump currently routes to (the autonomic gate). Like every
-    /// field below it is pump-thread state: jobs never read it.
-    active: usize,
-    /// Current ceiling for `active` (≤ the lane count): the
-    /// policy/cost-model ceiling clamped by the graph's external width cap.
+    /// The widest the farm routes (≤ the lane count): the lanes capped at
+    /// the graph's share ([`Graph::set_share`]). Like every field below
+    /// it is pump-thread state: jobs never read it.
     max_width: usize,
-    /// The policy-side ceiling alone (exec policy cap, possibly lowered by
-    /// the cost model at calibration) — kept so an external cap change can
-    /// recompute `max_width` without re-calibrating.
-    policy_cap: usize,
     stats: Arc<FarmStats>,
     /// Completed-but-out-of-order items, keyed by stream position.
     reorder: BTreeMap<u64, Envelope>,
     /// Next stream position to release downstream.
     expect: u64,
-    // controller sampling state
-    last_busy: u64,
-    last_tick: Instant,
 }
 
 /// One replica lane's job side: its ends of the two matrices, and the
@@ -201,19 +195,18 @@ impl Lane {
 }
 
 impl Farm {
-    /// A farm of `width_cap.min(capacity)` lanes: the rings need one slot
+    /// A farm of `threads.min(capacity)` lanes: the rings need one slot
     /// per lane, and `capacity` is the backpressure bound, so a farm is
     /// never wider than its links are deep. The pump's ends of both
     /// matrices park on `pump_park`.
     fn new(
         seg: Arc<SegmentOp<'static>>,
         capacity: usize,
-        width_cap: usize,
-        adaptive: bool,
+        threads: usize,
         summed: bool,
         pump_park: &Arc<ParkSlot>,
     ) -> Farm {
-        let width = width_cap.min(capacity);
+        let width = threads.min(capacity);
         let (mut in_txs, in_rxs) =
             ring_mpmc_parked(1, width, capacity, Some(Arc::clone(pump_park)), None);
         let (out_txs, mut out_rxs) =
@@ -238,20 +231,30 @@ impl Farm {
             in_tx: in_txs.remove(0),
             lanes,
             out_rx: out_rxs.remove(0),
-            active: if adaptive { 1 } else { width },
             max_width: width,
-            policy_cap: width,
             stats,
             reorder: BTreeMap::new(),
             expect: 0,
-            last_busy: 0,
-            last_tick: Instant::now(),
+        }
+    }
+
+    /// Lanes the pump routes this farm's items to — and, for a lone item,
+    /// the threads it runs the segment on: `max_width` once the farm's
+    /// measured mean service time reaches [`FAN_OUT_NS`], one before that
+    /// (a farm with nothing measured yet included).
+    fn width(&self) -> usize {
+        let items = self.stats.items.load(Ordering::Relaxed);
+        let busy = self.stats.busy_nanos.load(Ordering::Relaxed);
+        if items > 0 && busy / items >= FAN_OUT_NS {
+            self.max_width
+        } else {
+            1
         }
     }
 
     /// Submit a job for every lane that has input, room in its output
-    /// and no job outstanding — narrowed-off lanes included, so they are
-    /// served dry. Called after each pump pass, whose pushes and pops
+    /// and no job outstanding — lanes outside the width included, so they
+    /// are served dry. Called after each pump pass, whose pushes and pops
     /// each end in a SeqCst fence: the pump's half of the handshake in
     /// [`Lane::serve`]. No caller works beside a farm's jobs, so the
     /// shared pool is grown to one worker per lane.
@@ -272,24 +275,6 @@ impl Farm {
     fn in_depth(&self) -> usize {
         self.in_tx.len()
     }
-
-    /// Input capacity the pump can currently route into: only the
-    /// gate-admitted lanes count (each lane holds `capacity / lanes`).
-    /// The controller's widen threshold is relative to this, so a narrow
-    /// farm still detects backlog when its few admitted lanes fill up.
-    fn in_routable_capacity(&self) -> usize {
-        self.in_tx.capacity() / self.lanes.len() * self.active
-    }
-
-    /// Recompute the width ceiling from the policy-side cap and the
-    /// graph's external cap, and bring the gate under it: an adaptive farm
-    /// keeps its current width if that still fits, a fixed-width farm runs
-    /// at the ceiling.
-    fn clamp_width(&mut self, extern_cap: usize, adaptive: bool) {
-        let cap = self.policy_cap.min(extern_cap).clamp(1, self.lanes.len());
-        self.max_width = cap;
-        self.active = if adaptive { self.active.min(cap) } else { cap };
-    }
 }
 
 /// The compiled graph; see the [module docs](self).
@@ -302,18 +287,9 @@ pub(crate) struct Graph {
     pub(crate) ingress: Option<Envelope>,
     /// Finished envelopes in stream order, harvested by the executor.
     pub(crate) completed: VecDeque<Envelope>,
-    capacity: usize,
-    /// Per-farm replica cap from the [`ExecPolicy`].
-    exec_cap: usize,
-    /// External width cap ([`Graph::set_width_cap`]) clamping every farm's
-    /// ceiling — `usize::MAX` when nothing outside the graph constrains it.
-    extern_cap: usize,
-    /// Whether calibration consults the cost model.
-    cost_driven: bool,
     /// Whether segments charge fused-style (one summed event per part)
     /// instead of replaying eager per-stage charges.
     summed_charging: bool,
-    adaptive: bool,
     /// Where the pump parks: shared by the pump's end of every farm link.
     pub(crate) park: Arc<ParkSlot>,
 }
@@ -327,7 +303,6 @@ impl Graph {
         ops: Vec<PlanOp<'static>>,
         capacity: usize,
         exec: ExecPolicy,
-        adaptive: bool,
         summed_charging: bool,
     ) -> Graph {
         let exec_cap = match exec {
@@ -336,16 +311,7 @@ impl Graph {
         };
         let inline = exec_cap <= 1;
         let park = Arc::new(ParkSlot::default());
-        let farm = |seg| {
-            Farm::new(
-                Arc::new(seg),
-                capacity,
-                exec_cap,
-                adaptive,
-                summed_charging,
-                &park,
-            )
-        };
+        let farm = |seg| Farm::new(Arc::new(seg), capacity, exec_cap, summed_charging, &park);
         let mut hops = vec![Hop::new()];
         let mut farms: Vec<Farm> = Vec::new();
         for op in ops {
@@ -407,57 +373,17 @@ impl Graph {
             hops,
             ingress: None,
             completed: VecDeque::new(),
-            capacity,
-            exec_cap,
-            extern_cap: usize::MAX,
-            cost_driven: matches!(exec, ExecPolicy::CostDriven { .. }),
             summed_charging,
-            adaptive,
             park,
         }
     }
 
-    /// Clamp every farm's width ceiling at `cap` active lanes (≥ 1) — the
-    /// external control a shard scheduler drives when this graph's fair
-    /// share of the host's threads changes. The cap composes with
-    /// the policy/cost-model ceiling (the effective ceiling is the
-    /// minimum) and survives re-calibration; widening restores headroom
-    /// for the autonomic controller rather than forcing lanes active.
-    pub(crate) fn set_width_cap(&mut self, cap: usize) {
-        self.extern_cap = cap.max(1);
+    /// Cap every farm's width at `share` lanes (≥ 1, and never more than
+    /// its lane count) — this graph's share of the host's threads, which a
+    /// shard scheduler sets every round.
+    pub(crate) fn set_share(&mut self, share: usize) {
         for farm in &mut self.farms {
-            farm.clamp_width(self.extern_cap, self.adaptive);
-        }
-    }
-
-    /// The external width cap last set (`usize::MAX` when unset).
-    pub(crate) fn width_cap(&self) -> usize {
-        self.extern_cap
-    }
-
-    /// Refine each farm's width ceiling from the first healthy item's
-    /// payload: under a cost-driven policy, ask the machine's cost model
-    /// whether farming a window of `capacity` items of this size across
-    /// threads is worth the coordination at all
-    /// ([`CostModel::fused_decision`], a static `size_of` estimate — unlike
-    /// a fused segment, which gates on its measured work). Non-cost-driven
-    /// policies keep the policy cap.
-    ///
-    /// [`CostModel::fused_decision`]: scl_machine::CostModel::fused_decision
-    pub(crate) fn calibrate(&mut self, val: &ErasedArr, machine: &Machine) {
-        if !self.cost_driven {
-            return;
-        }
-        let item_bytes = val.parts() * val.elem_bytes();
-        for farm in &mut self.farms {
-            let d = machine.model().fused_decision(
-                self.capacity.max(2),
-                farm.seg.len(),
-                item_bytes.max(1),
-                self.exec_cap,
-            );
-            farm.policy_cap = d.threads.clamp(1, farm.lanes.len());
-            farm.clamp_width(self.extern_cap, self.adaptive);
+            farm.max_width = share.clamp(1, farm.lanes.len());
         }
     }
 
@@ -589,9 +515,8 @@ impl Graph {
     /// Hand an envelope to hop `h`'s target: farm `h`'s queue — or, for a
     /// `lone` item, farm `h`'s segment run right here into its reorder
     /// buffer, exactly where a replica's output would arrive (fanned out
-    /// across the farm's width once its mean service time reaches
-    /// [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS)) — or the completion list
-    /// after the last hop. `Err` hands it back when the queue is full.
+    /// across [`Farm::width`] threads) — or the completion list after the
+    /// last hop. `Err` hands it back when the queue is full.
     #[allow(clippy::result_large_err)] // Err hands the envelope back, by design
     fn accept(&mut self, h: usize, mut env: Envelope, lone: bool) -> Result<(), Envelope> {
         if h < self.farms.len() {
@@ -601,10 +526,9 @@ impl Graph {
                 debug_assert_eq!(env.seq, farm.expect, "a lone item is next in order");
                 // the replicas are idle: a farm measured heavy lends its
                 // width to the item's own segment run
-                let items = farm.stats.items.load(Ordering::Relaxed);
-                let busy = farm.stats.busy_nanos.load(Ordering::Relaxed);
-                if farm.max_width > 1 && items > 0 && busy / items >= scl_exec::FAN_OUT_NS {
-                    env.scl.policy = ExecPolicy::Threads(farm.max_width);
+                let width = farm.width();
+                if width > 1 {
+                    env.scl.policy = ExecPolicy::Threads(width);
                 }
                 let mut env = serve_item(&farm.seg, &farm.stats, self.summed_charging, env);
                 env.scl.policy = ExecPolicy::Sequential;
@@ -622,41 +546,13 @@ impl Graph {
             if env.seq - farm.expect >= window {
                 return Err(env);
             }
-            // the width gate is enforced here, in the pump's routing: only
-            // the first `active` lanes are eligible, so narrowed-off lanes
-            // are served dry and then left alone
-            farm.in_tx.try_send_within(env, farm.active)
+            // the width is enforced here, in the pump's routing: only the
+            // first `width` lanes are eligible, so the others are served
+            // dry and then left alone
+            farm.in_tx.try_send_within(env, farm.width())
         } else {
             self.completed.push_back(env);
             Ok(())
-        }
-    }
-
-    /// One autonomic tick: sample every farm's queue depth and service
-    /// utilisation since the last tick; widen a backlogged stage (depth ≥
-    /// ¾ capacity) by one replica up to its ceiling, narrow a starved one
-    /// (empty queue, active lanes under 25 % busy) down to one. Width
-    /// changes only move the routing gate.
-    pub(crate) fn tick_controller(&mut self) {
-        let now = Instant::now();
-        for farm in &mut self.farms {
-            let dt = now.duration_since(farm.last_tick).as_nanos() as u64;
-            if dt == 0 {
-                continue;
-            }
-            let busy = farm.stats.busy_nanos.load(Ordering::Relaxed);
-            let dbusy = busy.saturating_sub(farm.last_busy);
-            farm.last_busy = busy;
-            farm.last_tick = now;
-            let active = farm.active;
-            let cap = farm.max_width;
-            let depth = farm.in_depth();
-            let util = dbusy as f64 / (dt as f64 * active.max(1) as f64);
-            if depth * 4 >= farm.in_routable_capacity() * 3 && active < cap {
-                farm.active = active + 1;
-            } else if depth == 0 && util < 0.25 && active > 1 {
-                farm.active = active - 1;
-            }
         }
     }
 
@@ -681,7 +577,7 @@ impl Graph {
                 out.push(StageStat {
                     label: farm.label.clone(),
                     farm: true,
-                    width: farm.active,
+                    width: farm.width(),
                     max_width: farm.max_width,
                     queue_depth: farm.in_depth(),
                     items,

@@ -6,11 +6,10 @@
 //! partition-resident — two walks of the plan's one operator chain. But
 //! the paper's pipeline and farm skeletons are
 //! fundamentally *stream* operators — FastFlow-style runtimes deploy them
-//! as persistent graphs of stages over bounded queues, and behavioural
-//! skeletons add autonomic adaptation of the parallelism degree. This
-//! crate brings both to the reproduction: it **compiles a `Skel<A, B>`
-//! plan into a persistent operator graph** and serves an unbounded stream
-//! of inputs through it.
+//! as persistent graphs of stages over bounded queues, sizing each farm
+//! from its measured service time. This crate brings that to the
+//! reproduction: it **compiles a `Skel<A, B>` plan into a persistent
+//! operator graph** and serves an unbounded stream of inputs through it.
 //!
 //! ## The operator graph
 //!
@@ -33,16 +32,16 @@
 //!   the pumping thread — which also runs the segments of an item that is
 //!   alone in the graph while its caller blocks for it
 //!   ([`StreamExec::pop_outcome`]): a lone request costs one fused run,
-//!   not a hand-off per farm. The replicas are idle then, so once a farm's
-//!   measured service time shows its segment is heavy, the pump runs that
-//!   segment data-parallel across the farm's width;
+//!   not a hand-off per farm. The replicas are idle then, so a farm
+//!   measured heavy (see *Farm width* below) has the pump run that segment
+//!   data-parallel across the farm's width;
 //! * stages are linked by **bounded queues** of `capacity` items, so
 //!   backpressure propagates all the way to [`StreamExec::push`] and
 //!   in-flight memory stays **O(capacity × stages)** regardless of stream
 //!   length. Every link is a **lock-free SPSC ring matrix**
 //!   ([`scl_exec::ring_mpmc`]) — at most one job serves a lane at a
 //!   time, so each lane stays single-producer/single-consumer,
-//!   FastFlow-style, and the width gate steers the pump's routing. A
+//!   FastFlow-style, and the farm's width steers the pump's routing. A
 //!   ring needs one slot per lane, so a farm has at most `capacity`
 //!   lanes ([`StreamPolicy::with_capacity`]).
 //!
@@ -59,29 +58,27 @@
 //! non-deterministic). The differential suite `tests/stream_vs_eager.rs`
 //! holds this under sequential, threaded, and cost-driven policies.
 //!
-//! ## Autonomic degree control
+//! ## Farm width
 //!
-//! Each farm stage carries a width gate (`active` lanes out of
-//! `max_width`). A lightweight controller samples every stage's
-//! queue depth and service time each *tick* (every
-//! [`StreamPolicy::with_tick_items`] completions) and widens a backlogged
-//! stage / narrows an underutilised one, within bounds derived from the
-//! [`ExecPolicy`] thread cap and — under `ExecPolicy::CostDriven` — the
-//! machine's `CostModel::fused_decision`. Lanes beyond the gate are
-//! routed nothing and, once served dry, get no job, so adaptation is
-//! one stored integer.
+//! One measured rule sets how wide a farm runs. Each farm has
+//! `min(policy threads, capacity)` lanes. Once its mean service time per
+//! item reaches [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS) — the threshold a
+//! cost-driven fused segment also fans out at — the pump routes items
+//! across all of them; before that, and for a farm with nothing measured
+//! yet, it routes to one lane, since a light item gains less from a second
+//! lane than the hand-off costs. The same rule decides whether a lone
+//! item's segment runs data-parallel. [`StageStat::width`] reports the
+//! routing width. The rule reads only the farm's own service counters.
 //!
 //! ## Serving integration
 //!
 //! Two hooks exist for a layer above (the `scl-serve` multi-tenant
 //! service) that manages *many* graphs against one host:
 //!
-//! * **External width control** — [`StreamExec::set_width_cap`] clamps
-//!   every farm at a tenant's fair share of the host's threads: the most
-//!   jobs the graph has on the shared pool at once. The cap composes
-//!   with the policy/cost-model ceiling and with the autonomic controller
-//!   (which keeps adapting *within* it), so a scheduler can re-shard
-//!   capacity between tenants every round by storing one integer.
+//! * **A thread share** — [`StreamExec::set_share`] caps every farm at a
+//!   tenant's fair share of the host's threads: the most jobs the graph
+//!   has on the shared pool at once. A scheduler can re-shard capacity
+//!   between tenants every round by storing one integer per farm.
 //! * **Fused-style charging** — [`StreamPolicy::with_fused_charging`]
 //!   makes segments charge one summed `"fused"` compute event per part
 //!   ([`SegmentOp::run`] with `summed = true`) instead of replaying eager
@@ -124,39 +121,32 @@ use graph::Graph;
 
 /// How a [`StreamExec`] serves a plan: the machine template each item's
 /// context is cloned from, the execution policy bounding farm widths, the
-/// channel capacity (backpressure bound), and the autonomic controller's
-/// settings.
+/// channel capacity (backpressure bound), and the charging style.
 pub struct StreamPolicy {
     machine: Machine,
     exec: ExecPolicy,
     capacity: usize,
-    tick_items: u64,
-    adaptive: bool,
     fused_charging: bool,
 }
 
 impl StreamPolicy {
     /// Defaults: [`ExecPolicy::auto`] farm widths, capacity-8 channels,
-    /// adaptive width control ticking every 32 completions, eager-style
-    /// per-stage charging.
+    /// eager-style per-stage charging.
     pub fn new(machine: Machine) -> StreamPolicy {
         StreamPolicy {
             machine,
             exec: ExecPolicy::auto(),
             capacity: 8,
-            tick_items: 32,
-            adaptive: true,
             fused_charging: false,
         }
     }
 
     /// Set the execution policy. `Sequential` (or a 1-thread cap) runs the
     /// whole graph inline on the pumping thread — no jobs, fully
-    /// deterministic scheduling; `Threads(t)` caps every farm at `t`
-    /// lanes (and at the link capacity, see
-    /// [`StreamPolicy::with_capacity`]); `CostDriven` additionally lets the
-    /// machine's cost model refine each stage's ceiling from the first
-    /// healthy item's payload.
+    /// deterministic scheduling; `Threads(t)` and `CostDriven { threads: t }`
+    /// give every farm `t` lanes (at most the link capacity, see
+    /// [`StreamPolicy::with_capacity`]), routed to as the farm's measured
+    /// service time decides (see the [crate docs](self)).
     pub fn with_exec(mut self, exec: ExecPolicy) -> StreamPolicy {
         self.exec = exec;
         self
@@ -173,19 +163,6 @@ impl StreamPolicy {
     /// [`StageStat::max_width`] reports the result.
     pub fn with_capacity(mut self, capacity: usize) -> StreamPolicy {
         self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Set how many completions pass between autonomic controller ticks.
-    pub fn with_tick_items(mut self, tick_items: u64) -> StreamPolicy {
-        self.tick_items = tick_items.max(1);
-        self
-    }
-
-    /// Enable/disable autonomic width control. Disabled, every farm runs
-    /// at its maximum width from the start.
-    pub fn with_adaptive(mut self, adaptive: bool) -> StreamPolicy {
-        self.adaptive = adaptive;
         self
     }
 
@@ -223,7 +200,7 @@ struct Envelope {
 pub type StreamOutcome<B> = Result<(B, MachineReport), RequestError>;
 
 /// Per-farm counters the lanes' jobs (and the pump, for a lone item)
-/// update and the controller samples.
+/// update; the farm's width rule reads their mean.
 #[derive(Default)]
 struct FarmStats {
     busy_nanos: AtomicU64,
@@ -238,10 +215,12 @@ pub struct StageStat {
     pub label: String,
     /// True for a farm (segment) stage, false for a barrier boundary.
     pub farm: bool,
-    /// Currently active lanes (1 for barriers and inline stages).
+    /// Lanes the pump routes to right now: `max_width` once the farm's
+    /// mean service time reaches [`FAN_OUT_NS`](scl_exec::FAN_OUT_NS), 1
+    /// before (and for barriers and inline stages).
     pub width: usize,
-    /// Lane ceiling: the farm's lane count, clamped by the cost model and
-    /// the external width cap.
+    /// Lane ceiling: the farm's lane count, capped at the share set with
+    /// [`StreamExec::set_share`].
     pub max_width: usize,
     /// Input-queue depth right now (0 for barriers).
     pub queue_depth: usize,
@@ -259,15 +238,10 @@ pub struct StageStat {
 pub struct StreamExec<A: FusePort, B: FusePort> {
     graph: Graph,
     machine: Machine,
-    tick_items: u64,
-    adaptive: bool,
     next_seq: u64,
     completed: u64,
-    /// No healthy item has been pushed yet, so the graph is uncalibrated.
-    first_item: bool,
     started: Option<Instant>,
     peak_in_flight: u64,
-    last_tick: u64,
     /// Completed items in stream order: each slot is the item's output
     /// and report, or the typed error that poisoned it. The legacy pop
     /// APIs re-raise errors as panics; the `*_outcome` APIs hand them out
@@ -290,27 +264,15 @@ where
             machine,
             exec,
             capacity,
-            tick_items,
-            adaptive,
             fused_charging,
         } = policy;
         StreamExec {
-            graph: Graph::build(
-                plan.into_stream_ops(),
-                capacity,
-                exec,
-                adaptive,
-                fused_charging,
-            ),
+            graph: Graph::build(plan.into_stream_ops(), capacity, exec, fused_charging),
             machine,
-            tick_items,
-            adaptive,
             next_seq: 0,
             completed: 0,
-            first_item: true,
             started: None,
             peak_in_flight: 0,
-            last_tick: 0,
             done: VecDeque::new(),
             _input: PhantomData,
         }
@@ -348,20 +310,12 @@ where
         self.graph.stage_stats()
     }
 
-    /// Clamp every farm stage at `cap` active lanes (≥ 1) — the external
-    /// width control a shard scheduler drives when this graph's fair share
-    /// of the host's threads changes. Composes with the policy/cost-model
-    /// ceiling (the effective ceiling is the minimum); widening again
-    /// restores headroom without forcing lanes active. Lanes beyond the
-    /// cap are routed nothing, so they get no job once served dry.
-    pub fn set_width_cap(&mut self, cap: usize) {
-        self.graph.set_width_cap(cap);
-    }
-
-    /// The external width cap last set with [`StreamExec::set_width_cap`]
-    /// (`usize::MAX` when unset).
-    pub fn width_cap(&self) -> usize {
-        self.graph.width_cap()
+    /// Cap every farm stage at `share` lanes (≥ 1; never more than its
+    /// lane count) — this graph's fair share of the host's threads, which
+    /// a shard scheduler sets when the share changes. Lanes beyond the
+    /// share are routed nothing, so they get no job once served dry.
+    pub fn set_share(&mut self, share: usize) {
+        self.graph.set_share(share);
     }
 
     /// Feed one item into the graph, blocking (and pumping the graph)
@@ -388,12 +342,6 @@ where
     pub fn push_deadline(&mut self, item: A, deadline: Option<Instant>) -> Result<(), SclError> {
         self.started.get_or_insert_with(Instant::now);
         let env = self.make_env(item, deadline)?;
-        // calibrate on the first healthy payload: an item that expired
-        // before it entered carries none to size the farms by
-        if let (true, Ok(val)) = (self.first_item, &env.payload) {
-            self.first_item = false;
-            self.graph.calibrate(val, &self.machine);
-        }
         // the push-side backpressure point: the graph must have swallowed
         // the previous item off the entry slot
         self.pump_until(false, |s| s.graph.ingress.is_none());
@@ -427,8 +375,8 @@ where
     /// it to a lane at each farm. The lanes are idle then, so at
     /// a farm whose measured mean service time is 100 µs or more the
     /// caller runs the segment data-parallel across the farm's width (at
-    /// most [`StreamExec::width_cap`]); the per-item report is the same
-    /// either way. With two or more items in flight every segment goes to
+    /// most the share set with [`StreamExec::set_share`]); the per-item
+    /// report is the same either way. With two or more items in flight every segment goes to
     /// the lanes as usual. Every blocking collection API (`pop*`,
     /// `drain*`, [`StreamIter`] once its input is exhausted) waits here.
     pub fn pop_outcome(&mut self) -> Option<StreamOutcome<B>> {
@@ -568,9 +516,8 @@ where
         }
     }
 
-    /// One service round: pump the graph, harvest completions into
-    /// `done`, run the autonomic controller when a tick has elapsed.
-    /// Returns whether any item moved. `blocking_pop` says the caller
+    /// One service round: pump the graph and harvest completions into
+    /// `done`. Returns whether any item moved. `blocking_pop` says the caller
     /// waits for an outcome; if the graph then holds a single item, the
     /// pump carries it through the farms itself.
     ///
@@ -588,10 +535,6 @@ where
                 .payload
                 .map(|val| (B::restore(val), env.scl.machine.report()));
             self.done.push_back(outcome);
-        }
-        if self.adaptive && self.completed - self.last_tick >= self.tick_items {
-            self.last_tick = self.completed;
-            self.graph.tick_controller();
         }
         moved
     }

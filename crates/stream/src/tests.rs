@@ -6,6 +6,7 @@
 use super::*;
 use scl_core::prelude::*;
 use scl_machine::{CostModel, Topology};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -346,6 +347,7 @@ fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
     let poisoned = |k: i64| (k..k + 4).any(|x| x % 499 == 13);
     let plan = || {
         Skel::map(|x: &i64| {
+            spin_us(40);
             if *x % 499 == 13 {
                 panic!("poison {x}");
             }
@@ -354,12 +356,12 @@ fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
         .then(Skel::rotate(1))
         .then(Skel::map_costed(|x: &i64| (x + 1, Work::flops(1))))
     };
-    // full-width non-adaptive farms: every lane of both matrices in use
+    // the first stage spins 160 µs per item, so once its first item is
+    // measured its farm routes across all four lanes: every lane of both
+    // matrices in use
     let mut s = StreamExec::new(
         plan(),
-        StreamPolicy::new(unit_machine(4))
-            .with_exec(ExecPolicy::Threads(4))
-            .with_adaptive(false),
+        StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(4)),
     );
     for k in 0..N {
         s.push(arr(k)).unwrap();
@@ -400,6 +402,8 @@ fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
         failures >= 30,
         "the stream actually got poisoned: {failures}"
     );
+    let heavy = &s.stage_stats()[0];
+    assert_eq!((heavy.width, heavy.max_width), (4, 4), "{heavy:?}");
 
     // the graph is still serviceable: no lane or pump was stranded
     for k in 0..20 {
@@ -413,72 +417,111 @@ fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
     }
 }
 
-#[test]
-fn autonomic_controller_widens_under_load_and_narrows_when_idle() {
-    // one heavy farmable stage; small tick so the controller acts often
-    let plan = Skel::map(|x: &u64| {
-        let mut acc = *x;
-        for i in 0..60_000u64 {
-            acc = acc.wrapping_mul(31).wrapping_add(i);
-        }
-        acc
-    });
-    let mut s = StreamExec::new(
-        plan,
-        StreamPolicy::new(unit_machine(2))
-            .with_exec(ExecPolicy::Threads(4))
-            .with_capacity(4)
-            .with_tick_items(8),
-    );
-    assert_eq!(s.stage_stats()[0].width, 1, "adaptive farms start narrow");
-    for k in 0..400u64 {
-        s.push(ParArray::from_parts(vec![k, k + 1])).unwrap();
-        if s.stage_stats()[0].width > 1 {
-            break; // widened — that's what we came to see
-        }
+/// Busy-wait `us` microseconds: service time that is real on any host.
+fn spin_us(us: u64) {
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_micros(us) {
+        std::hint::spin_loop();
     }
-    let widened = s.stage_stats()[0].width;
-    let _ = s.drain();
-    assert!(
-        widened > 1,
-        "controller never widened a backlogged stage: {:?}",
-        s.stage_stats()
-    );
+}
 
-    // drained and idle: subsequent light traffic lets it narrow again
-    for k in 0..200u64 {
-        s.push(ParArray::from_parts(vec![k, k])).unwrap();
-        let _ = s.drain(); // keep the queue empty ...
-        std::thread::sleep(Duration::from_millis(1)); // ... and utilisation low
-        if s.stage_stats()[0].width == 1 {
-            break;
-        }
-    }
-    assert_eq!(
-        s.stage_stats()[0].width,
-        1,
-        "controller never narrowed an idle stage: {:?}",
-        s.stage_stats()
-    );
+/// A `map` stage that logs how many of its runs overlap at once, spinning
+/// `spin` µs per part, after [`mixed_plan`]'s first stage.
+fn overlap_plan(
+    spin: u64,
+    inside: &Arc<AtomicUsize>,
+    most: &Arc<AtomicUsize>,
+) -> Skel<'static, ParArray<i64>, ParArray<i64>> {
+    let (inside, most) = (Arc::clone(inside), Arc::clone(most));
+    Skel::map(move |x: &i64| {
+        let now = inside.fetch_add(1, SeqCst) + 1;
+        most.fetch_max(now, SeqCst);
+        spin_us(spin);
+        inside.fetch_sub(1, SeqCst);
+        x * 3
+    })
+    .then(Skel::rotate(1))
 }
 
 #[test]
-fn cost_driven_calibration_keeps_tiny_streams_narrow() {
-    // AP1000 cost model: coordination dwarfs a 4×i64 item, so the model
-    // should cap every farm at one replica
-    let plan = Skel::map(|x: &i64| x + 1).then(Skel::rotate(1));
-    let mut s = StreamExec::new(
-        plan,
-        StreamPolicy::new(Machine::ap1000(4)).with_exec(ExecPolicy::cost_driven()),
-    );
-    for k in 0..10 {
-        s.push(arr(k)).unwrap();
-    }
-    let _ = s.drain();
-    if s.farm_stages() > 0 {
-        for st in s.stage_stats().iter().filter(|st| st.farm) {
-            assert_eq!(st.max_width, 1, "{st:?}");
+fn a_light_farm_routes_to_one_lane() {
+    for exec in [
+        ExecPolicy::Threads(2),
+        ExecPolicy::CostDriven { threads: 2 },
+    ] {
+        let inside = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        let mut s = StreamExec::new(
+            overlap_plan(0, &inside, &most),
+            StreamPolicy::new(unit_machine(4)).with_exec(exec),
+        );
+        // the first round measures the farm (a slow first item, while the
+        // process warms up, may route a few items wide); the second is
+        // judged on a mean over hundreds of items
+        for round in 0..2 {
+            most.store(0, SeqCst);
+            for k in 0..200 {
+                s.push(arr(k)).unwrap();
+            }
+            let got: Vec<Vec<i64>> = s.drain().iter().map(|a| a.to_vec()).collect();
+            for (k, out) in got.iter().enumerate() {
+                let k = k as i64;
+                assert_eq!(out, &[k + 1, k + 2, k + 3, k].map(|x| x * 3), "item {k}");
+            }
+            let farm = &s.stage_stats()[0];
+            assert!(farm.farm);
+            assert_eq!((farm.width, farm.max_width), (1, 2), "{exec:?}: {farm:?}");
+            if round == 1 {
+                assert_eq!(most.load(SeqCst), 1, "{exec:?}: two lanes overlapped");
+            }
         }
+    }
+}
+
+#[test]
+fn a_heavy_farm_routes_across_its_lanes_once_measured() {
+    let inside = Arc::new(AtomicUsize::new(0));
+    let most = Arc::new(AtomicUsize::new(0));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let plan = {
+        let log = Arc::clone(&log);
+        // 4 parts × 40 µs: at least 160 µs of service per item
+        overlap_plan(40, &inside, &most).then(Skel::map(move |x: &i64| {
+            log.lock().unwrap().push(std::thread::current().id());
+            *x
+        }))
+    };
+    let mut s = StreamExec::new(plan, two_replicas());
+    let width = |s: &StreamExec<ParArray<i64>, ParArray<i64>>| s.stage_stats()[0].width;
+    assert_eq!(width(&s), 1, "nothing measured yet");
+    s.push(arr(0)).unwrap();
+    assert!(s.pop().is_some());
+    assert_eq!(width(&s), 2, "the first item measured the farm heavy");
+
+    // bursts now alternate between both lanes: their jobs overlap, on
+    // two pool threads, once the shared pool has two workers free for
+    // them (other tests' farms may hold it for a while)
+    let me = std::thread::current().id();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        for k in 0..16 {
+            s.push(arr(k)).unwrap();
+        }
+        assert_eq!(s.drain().len(), 16);
+        let threads: std::collections::HashSet<_> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|t| **t != me)
+            .copied()
+            .collect();
+        if most.load(SeqCst) >= 2 && threads.len() >= 2 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the heavy farm never ran two lanes at once"
+        );
     }
 }
 
@@ -525,20 +568,16 @@ fn throughput_and_gauges_track_the_run() {
 fn external_width_cap_clamps_farms_and_composes_with_policy() {
     let mut s = StreamExec::new(
         mixed_plan(),
-        StreamPolicy::new(unit_machine(4))
-            .with_exec(ExecPolicy::Threads(4))
-            .with_adaptive(false),
+        StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(4)),
     );
-    assert_eq!(s.width_cap(), usize::MAX);
     for st in s.stage_stats().iter().filter(|st| st.farm) {
-        assert_eq!((st.width, st.max_width), (4, 4));
+        assert_eq!((st.width, st.max_width), (1, 4), "unmeasured: {st:?}");
     }
 
     // a shard scheduler narrows this graph's share to 2 threads
-    s.set_width_cap(2);
-    assert_eq!(s.width_cap(), 2);
+    s.set_share(2);
     for st in s.stage_stats().iter().filter(|st| st.farm) {
-        assert_eq!((st.width, st.max_width), (2, 2), "{st:?}");
+        assert_eq!(st.max_width, 2, "{st:?}");
     }
     // the capped graph still serves correctly
     for k in 0..20 {
@@ -547,29 +586,15 @@ fn external_width_cap_clamps_farms_and_composes_with_policy() {
     let got: Vec<Vec<i64>> = s.drain().iter().map(|a| a.to_vec()).collect();
     assert_eq!(got, eager_outputs(20));
 
-    // widening past the policy ceiling restores it, never exceeds it
-    s.set_width_cap(16);
+    // widening past the lane count restores it, never exceeds it
+    s.set_share(16);
     for st in s.stage_stats().iter().filter(|st| st.farm) {
         assert_eq!(st.max_width, 4, "{st:?}");
     }
-    // a zero cap clamps to one replica instead of wedging the graph
-    s.set_width_cap(0);
+    // a zero share clamps to one replica instead of wedging the graph
+    s.set_share(0);
     for st in s.stage_stats().iter().filter(|st| st.farm) {
         assert_eq!(st.max_width, 1, "{st:?}");
-    }
-}
-
-#[test]
-fn width_cap_respects_adaptive_control() {
-    // adaptive farms start at width 1; an external cap must not force
-    // replicas active, only bound the controller's headroom
-    let mut s = StreamExec::new(
-        mixed_plan(),
-        StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::Threads(4)),
-    );
-    s.set_width_cap(3);
-    for st in s.stage_stats().iter().filter(|st| st.farm) {
-        assert_eq!((st.width, st.max_width), (1, 3), "{st:?}");
     }
 }
 
@@ -726,29 +751,11 @@ fn lone_heavy_item_fans_out_once_its_farm_is_measured() {
 fn width_cap_keeps_a_lone_heavy_item_on_the_caller() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let mut s = StreamExec::new(heavy_logged_plan(&log), two_replicas());
-    s.set_width_cap(1);
+    s.set_share(1);
     let me = std::thread::current().id();
     for k in 0..4 {
         assert_eq!(lone_trip(&mut s, &log, k), [me].into(), "item {k}");
     }
-}
-
-#[test]
-fn an_expired_first_item_leaves_calibration_to_the_next() {
-    let width = |expired_first: bool| {
-        let policy =
-            StreamPolicy::new(unit_machine(4)).with_exec(ExecPolicy::CostDriven { threads: 2 });
-        let mut s = StreamExec::new(Skel::map(|x: &i64| x + 1), policy);
-        if expired_first {
-            s.push_deadline(arr(0), Some(Instant::now())).unwrap();
-            assert_eq!(s.pop_outcome(), Some(Err(RequestError::DeadlineExceeded)));
-        }
-        s.push(arr(1)).unwrap();
-        assert_eq!(s.pop().unwrap().to_vec(), vec![2, 3, 4, 5]);
-        s.stage_stats()[0].max_width
-    };
-    assert_eq!(width(false), 2, "a healthy first item calibrates wide");
-    assert_eq!(width(true), 2, "an expired first item pinned the graph");
 }
 
 #[test]

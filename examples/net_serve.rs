@@ -8,14 +8,13 @@
 //! 2. resubmit by *handle* (no source on the wire, same answer, same
 //!    per-request `MachineReport`),
 //! 3. trip a typed error (a parse error never kills the connection),
-//! 4. read the stats document the autonomic manager also watches,
+//! 4. read the stats document, which reports whether `gold`'s contract
+//!    holds,
 //! 5. drain and shut down gracefully.
 //!
 //! ```text
 //! cargo run --release --example net_serve [requests]
 //! ```
-
-use std::time::Duration;
 
 use scl_net::{Mode, NetClient, NetConfig, NetServer, SloContract, TenantSpec};
 
@@ -33,7 +32,6 @@ fn main() {
                 .with_slo(SloContract::parse("p99<25ms").unwrap()),
             TenantSpec::new("bulk"),
         ],
-        manager_tick: Duration::from_millis(50),
         ..NetConfig::default()
     })
     .expect("bind loopback");
@@ -94,7 +92,8 @@ fn main() {
 
     // --- 4. the stats document ------------------------------------------
     let stats = gold.stats().expect("stats");
-    println!("\nstats (what the MAPE manager reads):\n{stats}\n");
+    assert!(stats.contains("\"slo_p99_ms\": 25.000"), "{stats}");
+    println!("\nstats (gold's `slo_met` says whether its p99 holds):\n{stats}\n");
 
     // --- 5. graceful drain ----------------------------------------------
     gold.drain().expect("drain");

@@ -17,7 +17,7 @@
 //!   applied to a fixpoint, plus a static cost estimator.
 //! * [`stream`] (`scl-stream`) — the streaming runtime: compile a plan
 //!   into a persistent pipeline/farm operator graph and serve unbounded
-//!   input through it with backpressure and autonomic farm widths.
+//!   input through it with backpressure and measured farm widths.
 //! * [`serve`] (`scl-serve`) — the multi-tenant plan service: a
 //!   fingerprint-keyed plan cache over compiled stream graphs, a shard
 //!   scheduler splitting the host threads into weighted fair
