@@ -1,6 +1,7 @@
-//! §4 transformation ablations — no table in the paper, but DESIGN.md calls
-//! these out as the design-choice benches: what each rewrite law buys, on a
-//! representative program and machine, plus the communication share of the
+//! §4 transformation ablations — no table in the paper: what each rewrite
+//! law buys on a representative program, as the makespan of a dry run on
+//! the machine (`scl_core::estimate`); a law the machine does not charge
+//! for is marked cost-neutral. Plus the communication share of the
 //! hyperquicksort prediction.
 //!
 //! ```text
@@ -15,11 +16,11 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(4096);
 
-    println!("Transformation ablations (n = {n} elements, AP1000 cost model)");
+    println!("Transformation ablations (dry runs on {n} AP1000 cells)");
     println!();
     println!(
         "{:<22} {:>12} {:>12} {:>8} {:>6}",
-        "rule", "cost_before", "cost_after", "saved%", "apps"
+        "rule", "before_us", "after_us", "saved%", "apps"
     );
     for row in ablation_rows(n) {
         let saved = if row.cost_before > 0.0 {
@@ -27,9 +28,18 @@ fn main() {
         } else {
             0.0
         };
+        let neutral = if row.cost_after == row.cost_before {
+            "  cost-neutral"
+        } else {
+            ""
+        };
         println!(
-            "{:<22} {:>12.6} {:>12.6} {:>7.1}% {:>6}",
-            row.rule, row.cost_before, row.cost_after, saved, row.applications
+            "{:<22} {:>12.3} {:>12.3} {:>7.1}% {:>6}{neutral}",
+            row.rule,
+            row.cost_before * 1e6,
+            row.cost_after * 1e6,
+            saved,
+            row.applications
         );
         println!("    before: {}", row.before);
         println!("    after:  {}", row.after);

@@ -9,6 +9,7 @@
 use scl_apps::hyperquicksort::hyperquicksort_flat;
 use scl_apps::psrs::psrs_sort;
 use scl_apps::workloads::uniform_keys;
+use scl_core::estimate;
 use scl_core::prelude::*;
 use scl_transform::prelude::*;
 
@@ -151,23 +152,25 @@ pub struct AblationRow {
     pub before: String,
     /// Program after rewriting.
     pub after: String,
-    /// Estimated cost before.
+    /// Makespan of the program before rewriting (`scl_core::estimate`).
     pub cost_before: f64,
-    /// Estimated cost after.
+    /// Makespan after rewriting.
     pub cost_after: f64,
     /// Number of rule applications.
     pub applications: usize,
 }
 
-/// §4 ablations: measure what each transformation law buys on a
-/// representative program, on an `n`-element AP1000-like machine.
+/// §4 ablations: what each transformation law buys on a representative
+/// program, charged by a dry run on an `n`-cell AP1000 machine. Four laws
+/// are cost-neutral there: the machine charges no barrier per
+/// data-parallel step and composed work as the sum of its parts (map
+/// fusion, map-comm commuting), runs a segmented form as its nested
+/// equivalent (flattening), and charges nothing for `rotate(0)`.
 pub fn ablation_rows(n: usize) -> Vec<AblationRow> {
     let reg = Registry::standard();
-    let params = CostParams::ap1000(n);
-    let cases: Vec<(&'static str, Rule, Expr)> = vec![
+    let cases: Vec<(&'static str, Expr)> = vec![
         (
             "map-fusion",
-            Rule::MapFusion,
             Expr::pipeline(vec![
                 Expr::Map(FnRef::named("inc")),
                 Expr::Map(FnRef::named("double")),
@@ -177,12 +180,10 @@ pub fn ablation_rows(n: usize) -> Vec<AblationRow> {
         ),
         (
             "map-distribution",
-            Rule::MapDistribution,
             Expr::FoldrMap("add".to_string(), FnRef::named("square")),
         ),
         (
             "comm-algebra(fetch)",
-            Rule::FetchFusion,
             Expr::pipeline(vec![
                 Expr::Fetch(IdxRef::named("succ")),
                 Expr::Fetch(IdxRef::named("succ")),
@@ -191,7 +192,6 @@ pub fn ablation_rows(n: usize) -> Vec<AblationRow> {
         ),
         (
             "comm-algebra(send)",
-            Rule::SendFusion,
             Expr::pipeline(vec![
                 Expr::Send(IdxRef::named("succ")),
                 Expr::Send(IdxRef::named("half")),
@@ -199,12 +199,10 @@ pub fn ablation_rows(n: usize) -> Vec<AblationRow> {
         ),
         (
             "comm-algebra(rotate)",
-            Rule::RotateFusion,
             Expr::pipeline(vec![Expr::Rotate(3), Expr::Rotate(5), Expr::Rotate(-8)]),
         ),
         (
             "flattening",
-            Rule::Flatten,
             Expr::pipeline(vec![
                 Expr::Split(4),
                 Expr::MapGroups(Box::new(Expr::pipeline(vec![
@@ -214,13 +212,22 @@ pub fn ablation_rows(n: usize) -> Vec<AblationRow> {
                 Expr::Combine,
             ]),
         ),
+        (
+            "map-comm-commute",
+            Expr::pipeline(vec![Expr::Rotate(1), Expr::Map(FnRef::named("heavy"))]),
+        ),
+        (
+            "rotate-identity",
+            Expr::pipeline(vec![Expr::Map(FnRef::named("inc")), Expr::Rotate(0)]),
+        ),
     ];
+    let cost = |e: &Expr| estimate(e, &reg, Machine::ap1000(n)).unwrap().as_secs();
     cases
         .into_iter()
-        .map(|(name, _, program)| {
-            let cost_before = estimate(&program, &reg, &params).unwrap().as_secs();
+        .map(|(name, program)| {
+            let cost_before = cost(&program);
             let (optimized, log) = optimize(program.clone(), &reg);
-            let cost_after = estimate(&optimized, &reg, &params).unwrap().as_secs();
+            let cost_after = cost(&optimized);
             AblationRow {
                 rule: name,
                 before: program.to_string(),

@@ -30,7 +30,9 @@
 //! symbolic `i64` fragment ([`Skel::map_sym`], [`Skel::rotate`],
 //! [`Skel::fetch_sym`], [`Skel::send_sym`], [`Skel::scan_sym`]) — lower
 //! into the `scl-transform` IR so [`Scl::run_optimized`] can apply the
-//! paper's §4 rewrite laws *before* executing (see [`plan`]).
+//! paper's §4 rewrite laws *before* executing (see [`plan`]). Such a
+//! program costs what the simulated machine charges for running it:
+//! [`estimate`](fn@estimate) reads that charge off a dry run.
 //!
 //! ## Fused, partition-resident execution
 //!
@@ -137,6 +139,7 @@ pub mod bytes;
 pub mod config;
 pub mod ctx;
 pub mod error;
+pub mod estimate;
 pub mod fused;
 pub mod partition;
 pub mod plan;
@@ -149,6 +152,7 @@ pub use bytes::Bytes;
 pub use config::{align, align3, combine, split, try_align, unalign};
 pub use ctx::{MeasureMode, Scl, DEFAULT_BUFFER_CAP_BYTES};
 pub use error::{RequestError, Result, SclError};
+pub use estimate::{dry_run, estimate};
 pub use fused::{
     fingerprint_ops, panic_message, BarrierOp, BranchOp, ErasedArr, FusePort, PartVal,
     PipelinedBranch, PlanFingerprint, PlanOp, SegmentOp,

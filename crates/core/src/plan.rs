@@ -61,7 +61,7 @@
 use crate::array::ParArray;
 use crate::bytes::Bytes;
 use crate::ctx::Scl;
-use crate::error::Result as SclResult;
+use crate::error::{Result as SclResult, SclError};
 use crate::fused::{self, FusePort, FusedPlan, PlanOp};
 use crate::partition::Pattern;
 use crate::skeletons::SpmdStage;
@@ -104,8 +104,13 @@ impl<'a, A, B> Skel<'a, A, B> {
     /// skeleton methods on [`Scl`] do, and a panicking compute stage
     /// re-raises labelled, with the text [`Scl::run_fused`] uses.
     pub fn run(&self, scl: &mut Scl, input: A) -> B {
+        self.try_run(scl, input).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Skel::run`] with a configuration that does not fit the machine
+    /// returned as its error.
+    pub(crate) fn try_run(&self, scl: &mut Scl, input: A) -> SclResult<B> {
         scl.exec_ops(&mut self.plan.borrow_mut(), input, false)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The fused stage structure as `(label, is_barrier)` pairs.
@@ -940,25 +945,36 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
 
     /// An array→array IR fragment with no stage form of its own — a
     /// `split … combine` region, a segmented form — as one barrier stage
-    /// over its compiled [`RegionStep`]s.
+    /// over its compiled [`RegionStep`]s. A `split` into more groups than
+    /// the array has parts fails the barrier with
+    /// [`SclError::BadPattern`].
     fn expr_barrier(st: Expr, reg: &'a Registry) -> Result<Self, String> {
         let mut steps = Vec::new();
         Self::region_steps(&st, reg, &mut steps)?;
-        let mut plan = Skel::barrier("expr", move |scl: &mut Scl, a: ParArray<i64>| {
+        let region = move |scl: &mut Scl, a: ParArray<i64>| {
             let mut val = RtVal::Flat(a);
             for step in &steps {
                 val = match (step, val) {
                     (RegionStep::Split(p), RtVal::Flat(a)) => {
-                        assert!(
-                            a.len() >= *p,
-                            "raised plan failed at runtime: cannot split {} parts into {p} groups",
-                            a.len()
-                        );
+                        if *p == 0 || a.len() < *p {
+                            return Err(SclError::BadPattern(format!(
+                                "cannot split {} parts into {p} groups",
+                                a.len()
+                            )));
+                        }
                         RtVal::Nested(scl.split(Pattern::Block(*p), a))
                     }
-                    (RegionStep::Flat(stage), RtVal::Flat(a)) => RtVal::Flat(stage.run(scl, a)),
+                    (RegionStep::Flat(stage), RtVal::Flat(a)) => {
+                        RtVal::Flat(stage.try_run(scl, a)?)
+                    }
                     (RegionStep::MapGroups(body), RtVal::Nested(groups)) => {
-                        RtVal::Nested(scl.map_groups(groups, &mut |scl, g| body.run(scl, g)))
+                        // `Scl::map_groups`, stopping at the first failing group
+                        let (groups, leaders, _) = groups.into_raw();
+                        let out = groups.into_iter().map(|g| body.try_run(scl, g));
+                        RtVal::Nested(ParArray::with_placement(
+                            out.collect::<SclResult<_>>()?,
+                            leaders,
+                        ))
                     }
                     (RegionStep::Combine, RtVal::Nested(groups)) => {
                         RtVal::Flat(scl.combine(groups))
@@ -967,10 +983,11 @@ impl<'a> Skel<'a, ParArray<i64>, ParArray<i64>> {
                 };
             }
             match val {
-                RtVal::Flat(out) => out,
+                RtVal::Flat(out) => Ok(out),
                 RtVal::Nested(_) => unreachable!("shape-checked to Arr"),
             }
-        });
+        };
+        let mut plan = Skel::from_ops(fused::barrier_node("expr", region));
         tag_param(&plan, &st.to_string());
         plan.repr = Some(st);
         Ok(plan)
@@ -1175,6 +1192,28 @@ mod tests {
         // agrees with the reference interpreter
         let expect = eval(&e, &reg, Value::Arr((0..4).collect())).unwrap();
         assert_eq!(Value::Arr(out.to_vec()), expect);
+    }
+
+    #[test]
+    fn a_raised_split_that_does_not_fit_is_an_error() {
+        let reg = Registry::standard();
+        let split = |p| {
+            Expr::pipeline(vec![
+                Expr::Split(p),
+                Expr::MapGroups(Box::new(Expr::Rotate(1))),
+                Expr::Combine,
+            ])
+        };
+        let nested = Expr::pipeline(vec![
+            Expr::Split(2),
+            Expr::MapGroups(Box::new(split(3))),
+            Expr::Combine,
+        ]);
+        for e in [split(8), nested] {
+            let raised = Skel::from_expr(&e, &reg).unwrap();
+            let err = unit_ctx(4).run_fused(&raised, arr(4)).unwrap_err();
+            assert!(matches!(err, SclError::BadPattern(_)), "{e}: {err}");
+        }
     }
 
     #[test]

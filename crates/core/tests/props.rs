@@ -1,6 +1,10 @@
 //! Property-based tests for scl-core invariants:
-//! partition/gather inverses, skeleton algebra, placement preservation.
+//! partition/gather inverses, skeleton algebra, placement preservation,
+//! and a dry run for every generated §4 program.
 //! (Randomised via `scl-testkit`, the workspace's proptest replacement.)
+
+#[path = "../../transform/tests/programs/mod.rs"]
+mod programs;
 
 use scl_core::partition::{gather, gather2, partition, Pattern};
 use scl_core::prelude::*;
@@ -357,5 +361,19 @@ fn virtual_time_deterministic() {
             (s.makespan().as_secs(), s.machine.metrics.messages)
         };
         assert_eq!(run(&data), run(&data));
+    });
+}
+
+#[test]
+fn estimated_cost_total_for_valid_programs() {
+    cases(192, 0x7A, |rng| {
+        let e = programs::arb_program(rng);
+        let n = rng.range_usize(8, 64);
+        let reg = Registry::standard();
+        // every generated program runs on the machine, charged a
+        // non-negative time
+        let c = scl_core::estimate(&e, &reg, Machine::ap1000(n));
+        assert!(c.is_ok(), "{e}: {c:?}");
+        assert!(c.unwrap().as_secs() >= 0.0);
     });
 }

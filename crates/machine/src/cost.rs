@@ -117,28 +117,27 @@ impl CostModel {
         self
     }
 
-    /// Decide how one **fused segment** — `stages` part-local stages run
-    /// back-to-back over `parts` partitions of roughly `part_bytes` each —
-    /// should execute on a host offering up to `max_threads` threads.
+    /// Decide whether a **communication barrier's local data movement** —
+    /// moving `parts` cells of roughly `per_part_bytes` each (a bucket
+    /// transpose, a gather concat, a partition scatter) — should fan out
+    /// over a host offering up to `max_threads` threads.
     ///
-    /// The model weighs the segment's estimated local work per partition
-    /// (`stages · part_bytes · t_mem`) against its per-phase coordination
+    /// The model weighs the movement's local work per cell
+    /// (`per_part_bytes · t_mem`) against its per-phase coordination
     /// overhead (`t_msg + t_barrier`, standing in for the host cost of
-    /// waking and joining workers): segments whose total work is within a
+    /// waking and joining workers): movements whose total work is within a
     /// few multiples of the overhead run sequentially, larger ones fan out
     /// with a grain that gives each thread several scheduling quanta for
-    /// self-balancing.
-    ///
-    /// One caller remains: [`CostModel::comm_decision`] (a communication
-    /// barrier's local data movement, priced on the bytes it moves). Fused
-    /// segments and stream farms do not ask: under a cost-driven policy a
-    /// segment fans out on its own measured work, and a farm routes wide
-    /// on its measured service time.
-    pub fn fused_decision(
+    /// self-balancing. The payload is the *actual* bytes the skeleton is
+    /// about to move (it has them, for route charging), not a static
+    /// `size_of`: pure pointer moves report pointer-sized payloads and stay
+    /// sequential, while element-copying movements (concat, scatter)
+    /// report the real span and fan out once it dwarfs the dispatch
+    /// overhead.
+    pub fn comm_decision(
         &self,
         parts: usize,
-        stages: usize,
-        part_bytes: usize,
+        per_part_bytes: usize,
         max_threads: usize,
     ) -> FusedDecision {
         let sequential = FusedDecision {
@@ -148,7 +147,7 @@ impl CostModel {
         if max_threads <= 1 || parts <= 1 {
             return sequential;
         }
-        let per_part = self.t_mem * (stages.max(1) * part_bytes.max(1));
+        let per_part = self.t_mem * per_part_bytes.max(1);
         let overhead = self.t_msg + self.t_barrier;
         if per_part * parts <= overhead * 4u64 {
             return sequential;
@@ -158,25 +157,6 @@ impl CostModel {
             threads,
             grain: (parts / (threads * 4)).max(1),
         }
-    }
-
-    /// Decide whether a **communication barrier's local data movement** —
-    /// moving `parts` cells of roughly `per_part_bytes` each (a bucket
-    /// transpose, a gather concat, a partition scatter) — should fan out
-    /// over the persistent pool. Same weighing as
-    /// [`CostModel::fused_decision`] with a single stage, but the payload
-    /// estimate is the *actual* bytes the skeleton is about to move (it has
-    /// them, for route charging), not a static `size_of`: pure pointer
-    /// moves report pointer-sized payloads and stay sequential, while
-    /// element-copying movements (concat, scatter) report the real span and
-    /// fan out once it dwarfs the dispatch overhead.
-    pub fn comm_decision(
-        &self,
-        parts: usize,
-        per_part_bytes: usize,
-        max_threads: usize,
-    ) -> FusedDecision {
-        self.fused_decision(parts, 1, per_part_bytes, max_threads)
     }
 
     /// Sanity check: every parameter finite and non-negative, contention
@@ -204,11 +184,11 @@ impl Default for CostModel {
     }
 }
 
-/// The execution choice a [`CostModel`] makes for one fused segment — see
-/// [`CostModel::fused_decision`].
+/// The execution choice a [`CostModel`] makes for one communication
+/// barrier's local data movement — see [`CostModel::comm_decision`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedDecision {
-    /// Host threads to run the segment on (`1` = sequential, inline).
+    /// Host threads to run the movement on (`1` = sequential, inline).
     pub threads: usize,
     /// Consecutive partitions a worker claims per scheduling step.
     pub grain: usize,
@@ -398,20 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn fused_decision_degenerate_cases_are_sequential() {
+    fn comm_decision_degenerate_cases_are_sequential() {
         let m = CostModel::unit();
         // no host parallelism, or a single partition: nothing to fan out
-        assert_eq!(m.fused_decision(64, 8, 1024, 1).threads, 1);
-        assert_eq!(m.fused_decision(1, 8, 1024, 8).threads, 1);
-        assert_eq!(m.fused_decision(0, 8, 1024, 8).threads, 1);
+        assert_eq!(m.comm_decision(64, 8 * 1024, 1).threads, 1);
+        assert_eq!(m.comm_decision(1, 8 * 1024, 8).threads, 1);
+        assert_eq!(m.comm_decision(0, 8 * 1024, 8).threads, 1);
     }
 
     #[test]
-    fn fused_decision_small_segments_stay_sequential() {
+    fn comm_decision_small_movements_stay_sequential() {
         // AP1000: coordination overhead (55 µs) dwarfs a couple of memory
-        // ops per partition, so tiny segments run inline.
+        // ops per partition, so tiny movements run inline.
         let m = CostModel::ap1000();
-        let d = m.fused_decision(8, 2, 8, 8);
+        let d = m.comm_decision(8, 2 * 8, 8);
         assert_eq!(
             d,
             FusedDecision {
@@ -422,17 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_decision_large_segments_fan_out() {
+    fn comm_decision_large_movements_fan_out() {
         let m = CostModel::ap1000();
-        let d = m.fused_decision(32, 4, 64 * 1024, 8);
+        let d = m.comm_decision(32, 4 * 64 * 1024, 8);
         assert_eq!(d.threads, 8);
         // 32 parts / (8 threads * 4 quanta) = 1 part per claim
         assert_eq!(d.grain, 1);
         // more parts than scheduling quanta -> coarser grain
-        let d = m.fused_decision(1024, 4, 64 * 1024, 8);
+        let d = m.comm_decision(1024, 4 * 64 * 1024, 8);
         assert_eq!(d.grain, 1024 / (8 * 4));
         // never more threads than parts
-        assert_eq!(m.fused_decision(3, 4, 64 * 1024, 8).threads, 3);
+        assert_eq!(m.comm_decision(3, 4 * 64 * 1024, 8).threads, 3);
     }
 
     #[test]

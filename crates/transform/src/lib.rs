@@ -17,10 +17,12 @@
 //!   program in place until no rule fires. [`optimize`]'s log records
 //!   only which rules fired; [`narrate`] runs the same engine and renders
 //!   each rewritten node before and after, for people reading the steps;
-//! * [`cost`] — a static estimator sharing the simulator's collective
-//!   formulas;
 //! * [`interp`] — a reference interpreter used to property-test that every
 //!   rewrite preserves meaning.
+//!
+//! The crate prices nothing itself: a program costs what the simulated
+//! machine charges for running it, which `scl_core::estimate` reads off a
+//! dry run of the raised program.
 //!
 //! ```
 //! use scl_transform::prelude::*;
@@ -47,7 +49,6 @@
 //! );
 //! ```
 
-pub mod cost;
 pub mod interp;
 pub mod ir;
 pub mod parse;
@@ -55,7 +56,6 @@ pub mod registry;
 pub mod rewrite;
 pub mod rules;
 
-pub use cost::{estimate, CostParams};
 pub use interp::{eval, Value};
 pub use ir::{shape_of, Expr, FnRef, IdxRef, Shape};
 pub use parse::{parse, ParseError};
@@ -65,7 +65,6 @@ pub use rules::{Edit, Rule};
 
 /// Everything a transformation client usually needs.
 pub mod prelude {
-    pub use crate::cost::{estimate, CostParams};
     pub use crate::interp::{eval, Value};
     pub use crate::ir::{shape_of, Expr, FnRef, IdxRef, Shape};
     pub use crate::parse::parse;

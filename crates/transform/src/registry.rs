@@ -4,7 +4,9 @@
 //! as SCL programs name base-language procedures — and the registry supplies
 //! their meaning (for the interpreter), their algebraic attributes (is a
 //! binary operator associative? — the side condition of the
-//! map-distribution law), and their cost (for the static estimator).
+//! map-distribution law), and their cost: the fixed [`Work`] the runtime
+//! charges per application, so a program's charge does not depend on its
+//! data.
 
 use scl_machine::Work;
 use std::collections::HashMap;

@@ -2,17 +2,21 @@
 //! is that engine, kept as an oracle: after every rewrite it restarts the
 //! search from the root, rebuilds the path it rewrote, normalises the
 //! whole program and renders the step. On seeded programs from four
-//! sources — `props.rs`'s random pipelines, lowered plan DAGs (branches),
-//! the 37-stage churn shape of the `serve_open` workload, and pipelines
+//! sources — the random pipelines of `programs/mod.rs` (the generator
+//! `props.rs` uses), lowered plan DAGs (branches), the 37-stage churn
+//! shape of the `serve_open` workload, and the same module's pipelines
 //! closed by a `foldr` — `optimize` must return the same program and the
 //! same rule sequence, and `narrate` the same rendered steps. Every step
 //! must also decrease the termination measure stated in
 //! `scl_transform::rules`, so the step cap is never reached.
 #![allow(clippy::explicit_auto_deref)] // clippy's suggestion breaks inference on pick()
 
+mod programs;
+
+use programs::{arb_program, foldr_program};
 use scl_testkit::dag::{arb_dag, arb_dag_input, DagStats};
 use scl_testkit::{cases, Rng};
-use scl_transform::{narrate, optimize, Expr, FnRef, IdxRef, Registry, Rule};
+use scl_transform::{narrate, optimize, Expr, FnRef, Registry, Rule};
 use std::collections::BTreeSet;
 
 /// The engine as it was before rewriting in place, verbatim apart from
@@ -257,77 +261,6 @@ mod reference {
     }
 }
 
-/// Names available in `Registry::standard()`.
-const SCALARS: &[&str] = &["inc", "dec", "double", "square", "neg", "halve", "heavy"];
-const IDXFNS: &[&str] = &["id", "succ", "pred", "xor1", "half", "rev", "zero"];
-const ASSOC_OPS: &[&str] = &["add", "mul", "max", "min"];
-
-// `arb_fnref` … `arb_program`: the generator of `props.rs`.
-
-fn arb_fnref(rng: &mut Rng) -> FnRef {
-    if rng.bool() {
-        FnRef::named(*rng.pick(SCALARS))
-    } else {
-        FnRef::named(*rng.pick(SCALARS)).then_after(FnRef::named(*rng.pick(SCALARS)))
-    }
-}
-
-fn arb_idxref(rng: &mut Rng) -> IdxRef {
-    IdxRef::named(*rng.pick(IDXFNS))
-}
-
-/// One flat (array → array) step.
-fn arb_step(rng: &mut Rng) -> Expr {
-    match rng.below(6) {
-        0 => Expr::Id,
-        1 => Expr::Map(arb_fnref(rng)),
-        2 => Expr::Rotate(rng.range_i64(-8, 8)),
-        3 => Expr::Fetch(arb_idxref(rng)),
-        4 => Expr::Send(arb_idxref(rng)),
-        _ => Expr::Scan((*rng.pick(ASSOC_OPS)).to_string()),
-    }
-}
-
-/// A flattenable group body (what the flatten rule can translate).
-fn arb_flattenable_body(rng: &mut Rng) -> Expr {
-    let len = rng.range_usize(1, 4);
-    let stages = (0..len)
-        .map(|_| match rng.below(4) {
-            0 => Expr::Map(arb_fnref(rng)),
-            1 => Expr::Rotate(rng.range_i64(-4, 4)),
-            2 => Expr::Fetch(arb_idxref(rng)),
-            _ => Expr::Send(arb_idxref(rng)),
-        })
-        .collect();
-    Expr::pipeline(stages)
-}
-
-/// A nested split/mapGroups/combine block with small group counts.
-fn arb_nested_block(rng: &mut Rng) -> Expr {
-    let p = rng.range_usize(1, 5);
-    let body = arb_flattenable_body(rng);
-    Expr::pipeline(vec![
-        Expr::Split(p),
-        Expr::MapGroups(Box::new(body)),
-        Expr::Combine,
-    ])
-}
-
-/// A random well-typed array→array program.
-fn arb_program(rng: &mut Rng) -> Expr {
-    let len = rng.range_usize(1, 8);
-    let stages = (0..len)
-        .map(|_| {
-            if rng.below(5) < 4 {
-                arb_step(rng)
-            } else {
-                arb_nested_block(rng)
-            }
-        })
-        .collect();
-    Expr::pipeline(stages)
-}
-
 /// The churn shape of the `serve_open` workload: 24 single-op maps, a
 /// cancelling rotation pair after every fourth, closed by one more
 /// rotation — 37 stages.
@@ -344,16 +277,6 @@ fn churn_program(rng: &mut Rng) -> Expr {
     }
     stages.push(Expr::Rotate(rng.range_i64(1, 49)));
     Expr::pipeline(stages)
-}
-
-/// A random pipeline closed by a sequential `foldr`, over an associative
-/// operator or not (`sub`): the only programs `map-distribution` sees.
-fn foldr_program(rng: &mut Rng) -> Expr {
-    let op = *rng.pick(&["add", "mul", "max", "min", "sub"]);
-    Expr::pipeline(vec![
-        arb_program(rng),
-        Expr::FoldrMap(op.to_string(), arb_fnref(rng)),
-    ])
 }
 
 /// The termination measure, compared lexicographically: `foldr` nodes,

@@ -13,7 +13,6 @@ use scl::prelude::*;
 
 fn main() {
     let reg = Registry::standard();
-    let params = CostParams::ap1000(1024);
 
     // A deliberately naive program as a typed plan: two fetches, two
     // cancelling rotations, two separate maps. Written in execution order
@@ -29,14 +28,18 @@ fn main() {
         .lower(&reg)
         .expect("every stage is in the lowerable fragment");
     println!("plan lowers to:\n  {program}\n");
-    let c0 = estimate(&program, &reg, &params).unwrap();
-    println!("estimated cost (1024 elems, AP1000): {c0}\n");
+    // The cost is a dry run on the machine every run below is charged on.
+    let c0 = estimate(&program, &reg, Machine::ap1000(1024)).unwrap();
+    println!("estimated cost (1024 cells, AP1000): {c0}\n");
 
     // Run it both ways on the simulated machine.
     let input = scl::core::ParArray::from_parts((0..1024).collect::<Vec<i64>>());
 
     let mut eager_ctx = Scl::ap1000(1024);
     let eager = plan.run(&mut eager_ctx, input.clone());
+    // registry functions carry fixed work: the zero-input dry run is
+    // charged exactly what this input is
+    assert_eq!(c0, eager_ctx.makespan());
 
     let mut opt_ctx = Scl::ap1000(1024);
     let (optimized_out, log) = opt_ctx.run_optimized(&plan, &reg, input.clone());
@@ -55,7 +58,7 @@ fn main() {
         println!("   => {}", step.after);
     }
     println!("\noptimized program:\n  {optimized}\n");
-    let c1 = estimate(&optimized, &reg, &params).unwrap();
+    let c1 = estimate(&optimized, &reg, Machine::ap1000(1024)).unwrap();
     println!(
         "estimated cost after: {c1}  ({:.1}% saved)",
         100.0 * (1.0 - c1 / c0)
@@ -68,13 +71,6 @@ fn main() {
     let interp = eval(&program, &reg, Value::Arr(flat)).unwrap();
     assert_eq!(interp, Value::Arr(eager.to_vec()));
     println!("\neager run and optimize-then-execute computed identical results ✓");
-    println!(
-        "virtual time: eager {} vs optimized {}  |  messages: {} vs {}",
-        eager_ctx.makespan(),
-        opt_ctx.makespan(),
-        eager_ctx.machine.metrics.messages,
-        opt_ctx.machine.metrics.messages
-    );
 
     // Plans with nested structure optimise too: the flatten law turns
     // split/mapGroups/combine into a segmented rotate.

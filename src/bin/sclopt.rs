@@ -6,22 +6,32 @@
 //!
 //! Parses the program (the grammar is the pretty-printer's output — see
 //! `scl_transform::parse`), applies the paper's §4 laws to fixpoint, prints
-//! each rewrite (`scl_transform::narrate`) and the estimated cost on an
-//! `n`-processor AP1000 model before and after, and verifies meaning
-//! preservation on a sample input through the reference interpreter. Exits
-//! non-zero when the optimised program means something else.
+//! each rewrite (`scl_transform::narrate`) and the cost before and after:
+//! the makespan of a dry run on an `n`-processor AP1000 machine
+//! (`scl_core::estimate`, default `n` 32), the virtual time every
+//! `MachineReport` reads. Verifies meaning preservation on a sample input
+//! through the reference interpreter. Exits 2 on bad arguments (a missing
+//! program, an `n` that is not a positive integer), and 1 when the program
+//! does not parse, type-check or run on the machine, or when the optimised
+//! program means something else.
 
 use scl::prelude::*;
 use scl_transform::shape_of;
 
+fn usage() -> ! {
+    eprintln!("usage: sclopt \"<program>\" [n-processors, at least 1]");
+    eprintln!("example: sclopt \"map(inc) . map(double) . rotate(2) . rotate(-2)\" 32");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let Some(src) = args.next() else {
-        eprintln!("usage: sclopt \"<program>\" [n-processors]");
-        eprintln!("example: sclopt \"map(inc) . map(double) . rotate(2) . rotate(-2)\" 32");
-        std::process::exit(2);
+    let Some(src) = args.next() else { usage() };
+    let n = match args.next().map(|s| s.parse::<usize>()) {
+        None => 32,
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => usage(),
     };
-    let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(32);
 
     let program = match scl_transform::parse(&src) {
         Ok(e) => e,
@@ -31,7 +41,6 @@ fn main() {
         }
     };
     let reg = Registry::standard();
-    let params = CostParams::ap1000(n);
 
     println!("input:     {program}");
     match shape_of(&program, scl_transform::Shape::Arr) {
@@ -41,7 +50,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let before = match estimate(&program, &reg, &params) {
+    let before = match estimate(&program, &reg, Machine::ap1000(n)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cost error: {e}");
@@ -51,7 +60,7 @@ fn main() {
 
     let (optimized, log) = narrate(program.clone(), &reg);
     println!("optimized: {optimized}");
-    let after = estimate(&optimized, &reg, &params).unwrap();
+    let after = estimate(&optimized, &reg, Machine::ap1000(n)).unwrap();
     println!("cost:      {before} -> {after} on {n} AP1000 cells");
     println!();
     if log.is_empty() {

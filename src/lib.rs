@@ -14,7 +14,9 @@
 //!   skeleton program once, run it eagerly or optimise-then-execute).
 //! * [`transform`] (`scl-transform`) — the §4 transformation engine: map
 //!   fusion, map distribution, communication algebra and flattening,
-//!   applied to a fixpoint, plus a static cost estimator.
+//!   applied to a fixpoint. A program's cost is a dry run on the simulated
+//!   machine ([`estimate`](fn@scl_core::estimate)), so the optimiser and every
+//!   `MachineReport` read one cost semantics.
 //! * [`stream`] (`scl-stream`) — the streaming runtime: compile a plan
 //!   into a persistent pipeline/farm operator graph and serve unbounded
 //!   input through it with backpressure and measured farm widths.
@@ -45,10 +47,10 @@ pub use scl_transform as transform;
 /// One prelude for the whole stack.
 pub mod prelude {
     pub use scl_core::prelude::*;
-    pub use scl_core::Skel;
+    pub use scl_core::{estimate, Skel};
     pub use scl_serve::{Serve, ServePolicy};
     pub use scl_stream::{StreamExec, StreamPolicy};
     pub use scl_transform::prelude::{
-        estimate, eval, narrate, optimize, CostParams, Expr, FnRef, IdxRef, Registry, Value,
+        eval, narrate, optimize, Expr, FnRef, IdxRef, Registry, Value,
     };
 }

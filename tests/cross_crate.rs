@@ -4,7 +4,12 @@
 //! optimised program must charge the simulated machine no more virtual
 //! time than the original.
 
+#[path = "../crates/transform/tests/programs/mod.rs"]
+mod programs;
+
 use scl::prelude::*;
+use scl_testkit::{cases, Rng};
+use scl_transform::normalize;
 
 /// Execute a (flat, array→array) IR program through the *runtime* skeleton
 /// layer on a real `Scl` context, one scalar per processor — by raising it
@@ -59,41 +64,59 @@ fn optimized_program_agrees_with_original_on_the_runtime() {
     assert!(scl2.machine.metrics.messages < scl1.machine.metrics.messages);
 }
 
-#[test]
-fn static_estimate_ranks_like_the_simulator() {
-    // The §4 cost estimator and the runtime simulator need not agree on
-    // absolute numbers, but they must agree on *which program is cheaper* —
-    // that's what makes cost-directed rewriting trustworthy.
-    let reg = Registry::standard();
-    let input: Vec<i64> = (0..32).collect();
-    let params = CostParams::ap1000(32);
-
-    let candidates = vec![
-        program(),
-        optimize(program(), &reg).0,
-        Expr::pipeline(vec![Expr::Map(FnRef::named("heavy")), Expr::Rotate(1)]),
-        Expr::pipeline(vec![Expr::Fetch(IdxRef::named("succ"))]),
-    ];
-    let mut ranked: Vec<(f64, f64)> = Vec::new();
-    for e in &candidates {
-        let est = estimate(e, &reg, &params).unwrap().as_secs();
-        let mut scl = Scl::ap1000(32);
-        let _ = run_on_scl(e, &reg, &mut scl, &input);
-        ranked.push((est, scl.makespan().as_secs()));
-    }
-    // pairwise order agreement on clearly-separated pairs (>20% apart)
-    for i in 0..ranked.len() {
-        for j in 0..ranked.len() {
-            let (ei, si) = ranked[i];
-            let (ej, sj) = ranked[j];
-            if ei < ej * 0.8 {
-                assert!(
-                    si <= sj * 1.05,
-                    "estimator said {i} << {j}, simulator disagrees: {si} vs {sj}"
-                );
-            }
+/// Run `e` on `scl` over `input` as the runtime would: its array prefix
+/// through the raised plan, then a trailing `fold` through
+/// `Scl::fold_costed` and a trailing `foldr` as a `gather` to processor 0
+/// followed by `n` applications of its operator and function there.
+fn run_program(e: &Expr, reg: &Registry, scl: &mut Scl, input: &[i64]) {
+    let (prefix, tail) = match normalize(e.clone()) {
+        Expr::Compose(mut es) if matches!(es[0], Expr::Fold(_) | Expr::FoldrMap(..)) => {
+            let tail = es.remove(0);
+            (normalize(Expr::Compose(es)), Some(tail))
         }
+        tail @ (Expr::Fold(_) | Expr::FoldrMap(..)) => (Expr::Id, Some(tail)),
+        _ => (e.clone(), None),
+    };
+    let out = scl_core::ParArray::from_parts(run_on_scl(&prefix, reg, scl, input));
+    match tail {
+        Some(Expr::Fold(op)) => {
+            let w = reg.op_work(&op).unwrap();
+            scl.fold_costed(&out, |a, b| reg.apply_op(&op, *a, *b).unwrap(), w);
+        }
+        Some(Expr::FoldrMap(op, g)) => {
+            let per = reg.op_work(&op).unwrap() + reg.fn_work(&g).unwrap();
+            let work = (0..out.len()).fold(Work::NONE, |w, _| w + per);
+            let cells = out.to_vec().into_iter().map(|x| vec![x]).collect();
+            let _ = scl.gather_owned(scl_core::ParArray::from_parts(cells));
+            scl.machine.compute(0, work, "foldr");
+        }
+        _ => {}
     }
+}
+
+#[test]
+fn estimate_equals_the_run_makespan() {
+    // The §4 optimiser's cost is the machine's charge: registry functions
+    // carry fixed work and routes depend on indices alone, so the dry run
+    // on zero parts is charged, bit for bit, what a run on random data is.
+    // Every generated program is choice-free; each is checked as generated
+    // and optimised.
+    let reg = Registry::standard();
+    let check = |e: Expr, rng: &mut Rng| {
+        let n = rng.range_usize(8, 64);
+        let input = rng.vec_of(n, |r| r.range_i64(-1_000_000, 1_000_000));
+        for e in [optimize(e.clone(), &reg).0, e] {
+            let mut scl = Scl::ap1000(n);
+            run_program(&e, &reg, &mut scl, &input);
+            assert_eq!(
+                estimate(&e, &reg, Machine::ap1000(n)),
+                Ok(scl.makespan()),
+                "{e} on {n} cells"
+            );
+        }
+    };
+    cases(1024, 0xE571, |rng| check(programs::arb_program(rng), rng));
+    cases(256, 0xE572, |rng| check(programs::foldr_program(rng), rng));
 }
 
 #[test]
